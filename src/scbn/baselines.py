@@ -12,35 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matching import Brb, Matching, _flat_brb_arrays, scenario_brbs
+from .matching import Matching, _held_matching, brb_table
 from .propagation import ChannelRealization, rate_tensor
 from .scenario import Scenario
 
 __all__ = ["best_effort_allocate", "random_allocate"]
-
-
-def _finalize(
-    s: Scenario,
-    ch: ChannelRealization,
-    brbs: tuple[Brb, ...],
-    holder: np.ndarray,
-    rate: np.ndarray,
-    cost: np.ndarray,
-) -> Matching:
-    demander_ids = list(ch.demander_ids)
-    assigned: dict[int, frozenset[Brb]] = {}
-    owner_of: dict[Brb, int] = {}
-    for j, d in enumerate(demander_ids):
-        held = frozenset(brbs[k] for k in np.nonzero(holder == j)[0])
-        assigned[d] = held
-        for b in held:
-            owner_of[b] = d
-    return Matching(
-        assigned=assigned,
-        owner_of=owner_of,
-        rate_bps={d: float(rate[j]) for j, d in enumerate(demander_ids)},
-        cost={d: float(cost[j]) for j, d in enumerate(demander_ids)},
-    )
 
 
 def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
@@ -55,12 +31,12 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     or dropped for lack of money are never re-requested, so an unlucky
     demander can finish both poor and underserved.
     """
-    brbs = scenario_brbs(s)
-    owner_axis, _, global_n, price, _, _ = _flat_brb_arrays(s, brbs)
-    r_flat = rate_tensor(s, ch)[owner_axis, global_n, :]  # (M, K2)
+    t = brb_table(s)
+    price = t.price
+    r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]  # (M, K2)
     demander_ids = list(ch.demander_ids)
     k2 = len(demander_ids)
-    m_total = len(brbs)
+    m_total = len(t.brbs)
 
     requests: list[np.ndarray] = []
     for j, d in enumerate(demander_ids):
@@ -95,7 +71,8 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
             holder[m] = j
             rate[j] += r_flat[m, j]
             cost[j] += price[m]
-    return _finalize(s, ch, brbs, holder, rate, cost)
+    held = [np.nonzero(holder == j)[0] for j in range(k2)]
+    return _held_matching(t, demander_ids, held, rate, cost)
 
 
 def random_allocate(
@@ -107,25 +84,29 @@ def random_allocate(
     demand is unmet and the BRB fits its remaining budget.  BRBs with no
     eligible taker stay unassigned.  Deterministic for a given ``rng``.
     """
-    brbs = scenario_brbs(s)
-    owner_axis, _, global_n, price, _, _ = _flat_brb_arrays(s, brbs)
-    rates = rate_tensor(s, ch)
-    r_flat = rates[owner_axis, global_n, :]
+    t = brb_table(s)
     demander_ids = list(ch.demander_ids)
-    k2 = len(demander_ids)
-    m_total = len(brbs)
+    axes = range(len(demander_ids))
+    m_total = len(t.brbs)
 
-    budgets = np.array([s.budgets[d] for d in demander_ids], dtype=float)
-    demands = np.array([s.demands_bps[d] for d in demander_ids], dtype=float)
+    # Python floats: the same IEEE sums as numpy scalars, without per-BRB
+    # array overhead
+    rates = rate_tensor(s, ch)[t.owner_axis, t.global_n, :].tolist()
+    price = t.price.tolist()
+    budgets = [float(s.budgets[d]) for d in demander_ids]
+    demands = [float(s.demands_bps[d]) for d in demander_ids]
     holder = np.full(m_total, -1, dtype=int)
-    rate = np.zeros(k2)
-    cost = np.zeros(k2)
-    for m in rng.permutation(m_total):
-        eligible = np.nonzero((rate < demands) & (cost + price[m] <= budgets))[0]
-        if eligible.size == 0:
+    rate = [0.0 for _ in axes]
+    cost = [0.0 for _ in axes]
+    for m in rng.permutation(m_total).tolist():
+        eligible = [
+            j for j in axes if rate[j] < demands[j] and cost[j] + price[m] <= budgets[j]
+        ]
+        if not eligible:
             continue
-        j = int(eligible[rng.integers(eligible.size)])
+        j = eligible[rng.integers(len(eligible))]
         holder[m] = j
-        rate[j] += r_flat[m, j]
+        rate[j] += rates[m][j]
         cost[j] += price[m]
-    return _finalize(s, ch, brbs, holder, rate, cost)
+    held = [np.nonzero(holder == j)[0] for j in axes]
+    return _held_matching(t, demander_ids, held, rate, cost)

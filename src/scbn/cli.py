@@ -8,7 +8,6 @@ flags, courtesy of argparse).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -16,11 +15,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import best_effort_allocate, random_allocate
 from .experiments import (
     SCHEMES,
+    load_generation_config,
     load_sweep_config,
     oracle_compare_rows,
+    run_scheme,
     stability_audit,
     sweep_budget_price,
     sweep_config_to_doc,
@@ -32,7 +32,7 @@ from .experiments import (
     write_n1_csv,
     write_oracle_csv,
 )
-from .matching import run_matching, save_matching_csv
+from .matching import save_matching_csv
 from .propagation import realize_channels, save_channels_csv
 from .scenario import (
     ConfigError,
@@ -45,27 +45,8 @@ from .scenario import (
 )
 
 
-def _load_generation_config(path: str | None) -> GenerationConfig:
-    if path is None:
-        return GenerationConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    fields = {f.name for f in dataclasses.fields(GenerationConfig)}
-    for key in doc:
-        if key not in fields:
-            raise ConfigError(f"{path}: unknown field '{key}'")
-    return GenerationConfig(**doc)
-
-
 def _cmd_generate(args) -> int:
-    cfg = _load_generation_config(args.params)
+    cfg = GenerationConfig() if args.params is None else load_generation_config(args.params)
     scenario = generate_scenario(cfg, seed=args.seed)
     problems = validate_scenario(scenario)
     if problems:
@@ -87,12 +68,7 @@ def _cmd_run(args) -> int:
     if args.dump_channels:
         save_channels_csv(ch, os.path.join(args.out, "channels.csv"))
     for scheme in schemes:
-        if scheme == "matching":
-            m = run_matching(scenario, ch, args.zeta)
-        elif scheme == "best_effort":
-            m = best_effort_allocate(scenario, ch)
-        else:
-            m = random_allocate(scenario, ch, rng)
+        m = run_scheme(scheme, scenario, ch, args.zeta, rng)
         path = os.path.join(args.out, f"matching_{scheme}.csv")
         save_matching_csv(m, scenario, ch, path)
         total_rate = sum(m.rate_bps.values())
@@ -115,21 +91,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# sweep axis -> (sweep, result file, writer)
+_SWEEPS = {
+    "n1": (sweep_n1, "results_n1.csv", write_n1_csv),
+    "budget-price": (sweep_budget_price, "results_budget_price.csv", write_budget_price_csv),
+    "k": (sweep_k, "results_k.csv", write_k_csv),
+}
+
+
 def _cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    if args.axis == "n1":
-        result = sweep_n1(cfg)
-        out_csv = os.path.join(args.out, "results_n1.csv")
-        write_n1_csv(result, out_csv)
-    elif args.axis == "budget-price":
-        result = sweep_budget_price(cfg)
-        out_csv = os.path.join(args.out, "results_budget_price.csv")
-        write_budget_price_csv(result, out_csv)
-    else:
-        result = sweep_k(cfg)
-        out_csv = os.path.join(args.out, "results_k.csv")
-        write_k_csv(result, out_csv)
+    sweep, filename, write = _SWEEPS[args.axis]
+    result = sweep(cfg)
+    out_csv = os.path.join(args.out, filename)
+    write(result, out_csv)
     write_manifest(args.out, f"sweep {args.axis}", sweep_config_to_doc(cfg), cfg.seed)
     print(f"wrote {out_csv} ({len(result.points)} sweep points, {cfg.trials} trials each)")
     return 0
@@ -157,7 +133,9 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_stability_audit(args) -> int:
-    gen_cfg = _load_generation_config(args.params)
+    gen_cfg = (
+        GenerationConfig() if args.params is None else load_generation_config(args.params)
+    )
     summary = stability_audit(args.trials, args.seed, gen_cfg, zeta=args.zeta)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -202,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="run a Monte Carlo parameter sweep")
-    p.add_argument("axis", choices=["n1", "budget-price", "k"])
+    p.add_argument("axis", choices=list(_SWEEPS))
     p.add_argument("--config", required=True, help="sweep config JSON path")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_sweep)

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .baselines import best_effort_allocate, random_allocate
-from .matching import find_blocking_pairs, run_matching, scenario_brbs
+from .matching import Matching, brb_table, find_blocking_pairs, run_matching
 from .oracle import brute_force_min_cost, check_constraints
-from .propagation import realize_channels
+from .propagation import ChannelRealization, realize_channels
 from .scenario import (
     ConfigError,
     GenerationConfig,
@@ -41,8 +41,10 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepConfig",
+    "load_generation_config",
     "load_sweep_config",
     "sweep_config_to_doc",
+    "run_scheme",
     "run_trial",
     "sweep_n1",
     "sweep_budget_price",
@@ -155,8 +157,7 @@ def _strict_dataclass(cls, doc: dict, context: str):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def load_sweep_config(path: str) -> SweepConfig:
-    """Read a sweep config JSON whose fields mirror SweepConfig."""
+def _read_json_object(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -166,6 +167,22 @@ def load_sweep_config(path: str) -> SweepConfig:
         ) from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
+    return doc
+
+
+def load_generation_config(path: str) -> GenerationConfig:
+    """Read a JSON object holding any subset of the GenerationConfig fields."""
+    doc = _read_json_object(path)
+    fields = {f.name for f in dataclasses.fields(GenerationConfig)}
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"{path}: unknown field '{key}'")
+    return GenerationConfig(**doc)
+
+
+def load_sweep_config(path: str) -> SweepConfig:
+    """Read a sweep config JSON whose fields mirror SweepConfig."""
+    doc = _read_json_object(path)
     base_doc = doc.pop("base", {})
     if not isinstance(base_doc, dict):
         raise ConfigError(f"{path}: 'base' must be an object")
@@ -189,10 +206,7 @@ def sweep_config_to_doc(cfg: SweepConfig) -> dict:
 def _budget_bound_fraction(s: Scenario, m) -> float:
     """Fraction of demanders stopped by money: demand unmet and even the
     cheapest unheld BRB no longer fits the remaining budget."""
-    tier_sizes: dict[float, int] = {}
-    for b in scenario_brbs(s):
-        tier_sizes[b.price] = tier_sizes.get(b.price, 0) + 1
-    tiers = sorted(tier_sizes)
+    t = brb_table(s)
     bound = 0
     demanders = s.demander_ids
     for d in demanders:
@@ -202,13 +216,30 @@ def _budget_bound_fraction(s: Scenario, m) -> float:
         for b in m.assigned[d]:
             held_at[b.price] = held_at.get(b.price, 0) + 1
         cheapest_unheld = next(
-            (p for p in tiers if held_at.get(p, 0) < tier_sizes[p]), None
+            (p for p, n in zip(t.tiers, t.tier_sizes) if held_at.get(p, 0) < n), None
         )
         if cheapest_unheld is None:
             continue
         if s.budgets[d] - m.cost[d] < cheapest_unheld:
             bound += 1
     return bound / len(demanders)
+
+
+def run_scheme(
+    scheme: str,
+    s: Scenario,
+    ch: ChannelRealization,
+    zeta_bps_per_unit: float,
+    rng: np.random.Generator,
+) -> Matching:
+    """Allocate with one named scheme; only the random baseline draws from rng."""
+    if scheme == SCHEME_MATCHING:
+        return run_matching(s, ch, zeta_bps_per_unit)
+    if scheme == SCHEME_BEST_EFFORT:
+        return best_effort_allocate(s, ch)
+    if scheme == SCHEME_RANDOM:
+        return random_allocate(s, ch, rng)
+    raise ConfigError(f"unknown scheme '{scheme}'")
 
 
 def run_trial(
@@ -226,14 +257,7 @@ def run_trial(
     ch = realize_channels(trial_s, rng)
     per_scheme: dict[str, SchemeMetrics] = {}
     for scheme in schemes:
-        if scheme == SCHEME_MATCHING:
-            m = run_matching(trial_s, ch, zeta_bps_per_unit)
-        elif scheme == SCHEME_BEST_EFFORT:
-            m = best_effort_allocate(trial_s, ch)
-        elif scheme == SCHEME_RANDOM:
-            m = random_allocate(trial_s, ch, rng)
-        else:
-            raise ConfigError(f"unknown scheme '{scheme}'")
+        m = run_scheme(scheme, trial_s, ch, zeta_bps_per_unit, rng)
         demanders = trial_s.demander_ids
         rates = [m.rate_bps[d] for d in demanders]
         costs = [m.cost[d] for d in demanders]
@@ -375,109 +399,77 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_n1_csv(result: SweepResult, path: str) -> None:
+def _aggregate_cell(agg: AggregateMetrics, column: str):
+    if column == "trials":
+        return agg.trials
+    if column.endswith("_mbps"):
+        return _fmt(getattr(agg, column.removesuffix("_mbps") + "_bps") / 1e6)
+    return _fmt(getattr(agg, column))
+
+
+def _write_sweep_csv(
+    result: SweepResult, path: str, point_columns, point_cells, columns
+) -> None:
+    """One row per (sweep point, scheme): the point's own cells, the
+    scheme, then the named aggregate columns."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "n1",
-                "scheme",
-                "mean_rate_mbps",
-                "ci95_rate_mbps",
-                "mean_cost",
-                "ci95_cost",
-                "demand_met_fraction",
-                "mean_rounds",
-                "mean_proposals",
-                "mean_blocking_pairs",
-                "budget_bound_fraction",
-                "trials",
-            ]
-        )
+        writer.writerow([*point_columns, "scheme", *columns])
         for point in result.points:
+            cells = point_cells(point.values)
             for scheme, agg in point.per_scheme.items():
                 writer.writerow(
-                    [
-                        int(point.values["n1"]),
-                        scheme,
-                        _fmt(agg.mean_rate_bps / 1e6),
-                        _fmt(agg.ci95_rate_bps / 1e6),
-                        _fmt(agg.mean_cost),
-                        _fmt(agg.ci95_cost),
-                        _fmt(agg.demand_met_fraction),
-                        _fmt(agg.mean_rounds),
-                        _fmt(agg.mean_proposals),
-                        _fmt(agg.mean_blocking_pairs),
-                        _fmt(agg.budget_bound_fraction),
-                        agg.trials,
-                    ]
+                    [*cells, scheme, *(_aggregate_cell(agg, c) for c in columns)]
                 )
+
+
+def write_n1_csv(result: SweepResult, path: str) -> None:
+    _write_sweep_csv(
+        result,
+        path,
+        ["n1"],
+        lambda v: [int(v["n1"])],
+        [
+            "mean_rate_mbps",
+            "ci95_rate_mbps",
+            "mean_cost",
+            "ci95_cost",
+            "demand_met_fraction",
+            "mean_rounds",
+            "mean_proposals",
+            "mean_blocking_pairs",
+            "budget_bound_fraction",
+            "trials",
+        ],
+    )
 
 
 def write_budget_price_csv(result: SweepResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "budget",
-                "sub6_price",
-                "scheme",
-                "mean_rate_mbps",
-                "ci95_rate_mbps",
-                "mean_cost",
-                "demand_met_fraction",
-                "trials",
-            ]
-        )
-        for point in result.points:
-            for scheme, agg in point.per_scheme.items():
-                writer.writerow(
-                    [
-                        _fmt(point.values["budget"]),
-                        _fmt(point.values["sub6_price"]),
-                        scheme,
-                        _fmt(agg.mean_rate_bps / 1e6),
-                        _fmt(agg.ci95_rate_bps / 1e6),
-                        _fmt(agg.mean_cost),
-                        _fmt(agg.demand_met_fraction),
-                        agg.trials,
-                    ]
-                )
+    _write_sweep_csv(
+        result,
+        path,
+        ["budget", "sub6_price"],
+        lambda v: [_fmt(v["budget"]), _fmt(v["sub6_price"])],
+        ["mean_rate_mbps", "ci95_rate_mbps", "mean_cost", "demand_met_fraction", "trials"],
+    )
 
 
 def write_k_csv(result: SweepResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "k",
-                "demand_mbps",
-                "scheme",
-                "mean_rounds",
-                "ci95_rounds",
-                "mean_proposals",
-                "ci95_proposals",
-                "mean_rate_mbps",
-                "demand_met_fraction",
-                "trials",
-            ]
-        )
-        for point in result.points:
-            for scheme, agg in point.per_scheme.items():
-                writer.writerow(
-                    [
-                        int(point.values["k"]),
-                        _fmt(point.values["demand_bps"] / 1e6),
-                        scheme,
-                        _fmt(agg.mean_rounds),
-                        _fmt(agg.ci95_rounds),
-                        _fmt(agg.mean_proposals),
-                        _fmt(agg.ci95_proposals),
-                        _fmt(agg.mean_rate_bps / 1e6),
-                        _fmt(agg.demand_met_fraction),
-                        agg.trials,
-                    ]
-                )
+    _write_sweep_csv(
+        result,
+        path,
+        ["k", "demand_mbps"],
+        lambda v: [int(v["k"]), _fmt(v["demand_bps"] / 1e6)],
+        [
+            "mean_rounds",
+            "ci95_rounds",
+            "mean_proposals",
+            "ci95_proposals",
+            "mean_rate_mbps",
+            "demand_met_fraction",
+            "trials",
+        ],
+    )
 
 
 def write_manifest(out_dir: str, command: str, config_doc: dict, seed: int) -> str:
@@ -501,6 +493,11 @@ def write_manifest(out_dir: str, command: str, config_doc: dict, seed: int) -> s
 # ---------------------------------------------------------------------------
 # Audit helpers shared by the CLI and the acceptance suite.
 # ---------------------------------------------------------------------------
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
 
 
 def random_micro_config(rng: np.random.Generator) -> GenerationConfig:
@@ -532,8 +529,10 @@ def oracle_compare_rows(trials: int, seed: int, zeta: float = 1e6) -> list[dict]
     Each row reports one random micro instance: whether a feasible
     assignment exists at all, the oracle's minimum cost, the matching's
     cost, the gap when both meet every demand, and whether the matching
-    satisfied the budget/capacity/quota constraint families.
+    satisfied the budget/capacity/quota constraint families.  An audit of
+    no instances would check nothing, so ``trials`` must be at least 1.
     """
+    _require_trials(trials)
     rows = []
     rng = np.random.default_rng([seed, 0xACE])
     for t in range(trials):
@@ -572,30 +571,22 @@ def oracle_compare_rows(trials: int, seed: int, zeta: float = 1e6) -> list[dict]
 
 
 def write_oracle_csv(rows: list[dict], path: str) -> None:
+    columns = (
+        "instance",
+        "feasible",
+        "oracle_cost",
+        "matching_cost",
+        "matching_met_demands",
+        "gap",
+        "constraints_3c_3f_ok",
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "instance",
-                "feasible",
-                "oracle_cost",
-                "matching_cost",
-                "matching_met_demands",
-                "gap",
-                "constraints_3c_3f_ok",
-            ]
-        )
+        writer.writerow(columns)
         for r in rows:
+            # the instance number and 0/1 flags as integers, costs via _fmt
             writer.writerow(
-                [
-                    r["instance"],
-                    int(r["feasible"]),
-                    _fmt(r["oracle_cost"]),
-                    _fmt(r["matching_cost"]),
-                    int(r["matching_met_demands"]),
-                    _fmt(r["gap"]),
-                    int(r["constraints_3c_3f_ok"]),
-                ]
+                [int(r[c]) if isinstance(r[c], int) else _fmt(r[c]) for c in columns]
             )
 
 
@@ -607,10 +598,13 @@ def stability_audit(
 ) -> dict:
     """Run many matching trials and count blocking pairs and effort.
 
-    Returns totals plus the worst-case rounds and proposals seen, for
-    checking the convergence bounds proposals <= K2*K1*N and the round
-    count against K1*N.
+    Returns totals plus the worst-case rounds and proposals seen.  The
+    bound proposals <= K2*K1*N holds because a demander never proposes to
+    a BRB twice, and rounds <= proposals.  ``rounds_bound`` K1*N is no
+    bound: displacement gives ``oracle_compare_rows(1, 98)`` 4 rounds with
+    K1*N = 3.  ``trials`` must be at least 1.
     """
+    _require_trials(trials)
     if gen_cfg is None:
         gen_cfg = GenerationConfig()
     base = generate_scenario(gen_cfg, seed=seed)

@@ -18,17 +18,22 @@ BRB twice, and the result is stable in the sense checked by
 from __future__ import annotations
 
 import csv
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .propagation import ChannelRealization, brb_rate, gamma_tensor, rate_tensor
-from .scenario import BandKind, Scenario
+from .scenario import Band, BandKind, Scenario
 
 __all__ = [
     "Brb",
     "Matching",
+    "BrbTable",
     "InconsistentMatchingError",
+    "brb_table",
     "scenario_brbs",
     "brb_global_index",
     "dbs_utility",
@@ -39,6 +44,9 @@ __all__ = [
     "find_blocking_pairs",
     "save_matching_csv",
 ]
+
+
+BRB_TABLE_CACHE_SIZE = 32
 
 
 class InconsistentMatchingError(ValueError):
@@ -84,23 +92,107 @@ class Matching:
     proposals: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class BrbTable:
+    """The canonical BRB axis of one deployment shape, as parallel arrays.
+
+    Flat index ``k`` names ``brbs[k]``; the arrays give its anchor axis
+    (station order), global index ``n`` into the channel tensors, price,
+    band code (0 mmWave, 1 sub-6), index in band, owner id, rank of its
+    (owner, band, index) key, and position in ``tiers``, the distinct
+    prices ascending.  Tables are shared through a cache, so every field is
+    read-only.
+    """
+
+    brbs: tuple[Brb, ...]
+    owner_axis: np.ndarray
+    global_n: np.ndarray
+    price: np.ndarray
+    band_code: np.ndarray
+    index_in_band: np.ndarray
+    owner_id: np.ndarray
+    key_rank: np.ndarray
+    tier: np.ndarray
+    flat_index: Mapping[Brb, int]
+    tiers: tuple[float, ...]
+    tier_sizes: tuple[int, ...]
+
+
+# Resampled trials share one shape; a bounded cache keeps memory flat for
+# streams of distinct shapes such as random micro instances.
+@functools.lru_cache(maxsize=BRB_TABLE_CACHE_SIZE)
+def _cached_brb_table(
+    anchor_ids: tuple[int, ...],
+    mmw_band: Band,
+    sub6_band: Band,
+    prices: tuple[tuple[float, float], ...],
+) -> BrbTable:
+    bands = (mmw_band, sub6_band)
+    # anchors by ascending id, then each anchor's own order, give key ranks
+    rank = {a: r for r, a in enumerate(sorted(anchor_ids))}
+    per_anchor = mmw_band.num_brbs + sub6_band.num_brbs
+    rows = [
+        (i, a, code, idx, code * mmw_band.num_brbs + idx)
+        for i, a in enumerate(anchor_ids)
+        for code, band in enumerate(bands)
+        for idx in range(band.num_brbs)
+    ]
+    brbs = tuple(
+        Brb(
+            owner=a,
+            band=bands[code].kind,
+            index=idx,
+            bandwidth_hz=bands[code].brb_bandwidth_hz,
+            price=prices[i][code],
+        )
+        for i, a, code, idx, _ in rows
+    )
+    tiers = sorted(set(b.price for b in brbs))
+    tier_of = {p: t for t, p in enumerate(tiers)}
+    ints = np.array(
+        [
+            (i, n, code, idx, a, rank[a] * per_anchor + n, tier_of[b.price])
+            for (i, a, code, idx, n), b in zip(rows, brbs)
+        ],
+        dtype=int,
+    ).reshape(-1, 7).T.copy()
+    price = np.array([b.price for b in brbs], dtype=float)
+    ints.setflags(write=False)
+    price.setflags(write=False)
+    return BrbTable(
+        brbs=brbs,
+        owner_axis=ints[0],
+        global_n=ints[1],
+        price=price,
+        band_code=ints[2],
+        index_in_band=ints[3],
+        owner_id=ints[4],
+        key_rank=ints[5],
+        tier=ints[6],
+        flat_index=MappingProxyType({b: k for k, b in enumerate(brbs)}),
+        tiers=tuple(tiers),
+        tier_sizes=tuple(np.bincount(ints[6], minlength=len(tiers)).tolist()),
+    )
+
+
+def brb_table(s: Scenario) -> BrbTable:
+    """The scenario's BRB table, built once per deployment shape.
+
+    The shape is the anchor ids in station order, both bands and every
+    anchor's two prices; station positions, budgets and demands do not
+    enter it.
+    """
+    anchor_ids = s.anchor_ids
+    prices = tuple(
+        (s.prices.per_anchor[a][BandKind.MMWAVE], s.prices.per_anchor[a][BandKind.SUB6])
+        for a in anchor_ids
+    )
+    return _cached_brb_table(anchor_ids, s.mmw_band, s.sub6_band, prices)
+
+
 def scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
-    """All K1 * (N1 + N2) BRBs, sorted by (owner, band, index), mmWave first."""
-    out: list[Brb] = []
-    for anchor in s.anchors:
-        for band in (s.mmw_band, s.sub6_band):
-            price = s.prices.price(anchor.id, band.kind)
-            for idx in range(band.num_brbs):
-                out.append(
-                    Brb(
-                        owner=anchor.id,
-                        band=band.kind,
-                        index=idx,
-                        bandwidth_hz=band.brb_bandwidth_hz,
-                        price=price,
-                    )
-                )
-    return tuple(out)
+    """All K1 * (N1 + N2) BRBs: anchors in station order, mmWave first."""
+    return brb_table(s).brbs
 
 
 def brb_global_index(s: Scenario, brb: Brb) -> int:
@@ -132,31 +224,12 @@ def brb_utility(gamma: float, bandwidth_hz: float) -> float:
 class _ProposalState:
     """Mutable per-demander state inside run_matching."""
 
-    order: np.ndarray          # flat BRB indices in preference order
-    applied: np.ndarray        # bool per flat BRB
+    order: list[int]           # flat BRB indices in preference order
+    applied: bytearray         # nonzero per flat BRB already proposed to
     scan_from: int = 0         # first position possibly unapplied
     cost: float = 0.0
     rate_bps: float = 0.0
     held: set[int] = field(default_factory=set)
-
-
-def _flat_brb_arrays(s: Scenario, brbs: tuple[Brb, ...]):
-    """Per-BRB lookup arrays aligned with the canonical BRB order."""
-    owner_axis = np.empty(len(brbs), dtype=int)
-    global_n = np.empty(len(brbs), dtype=int)
-    price = np.empty(len(brbs), dtype=float)
-    band_code = np.empty(len(brbs), dtype=int)
-    index_in_band = np.empty(len(brbs), dtype=int)
-    owner_id = np.empty(len(brbs), dtype=int)
-    anchor_axis = {a: i for i, a in enumerate(s.anchor_ids)}
-    for k, b in enumerate(brbs):
-        owner_axis[k] = anchor_axis[b.owner]
-        owner_id[k] = b.owner
-        global_n[k] = brb_global_index(s, b)
-        price[k] = b.price
-        band_code[k] = 0 if b.band is BandKind.MMWAVE else 1
-        index_in_band[k] = b.index
-    return owner_axis, owner_id, global_n, price, band_code, index_in_band
 
 
 def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
@@ -168,31 +241,27 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     adds a BRB's rate and price on acceptance and subtracts them on
     displacement, so budgets are never exceeded.
     """
-    brbs = scenario_brbs(s)
-    owner_axis, owner_ids, global_n, price, band_code, index_in_band = _flat_brb_arrays(
-        s, brbs
-    )
-    rates = rate_tensor(s, ch)           # (K1, N, K2) bit/s
+    t = brb_table(s)
     demander_ids = list(ch.demander_ids)
     k2 = len(demander_ids)
-    m_total = len(brbs)
+    m_total = len(t.brbs)
 
     # rate and utility of every flat BRB for every demander
-    r_flat = rates[owner_axis, global_n, :]              # (M, K2)
-    u_flat = r_flat - zeta * price[:, None]
+    r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]   # (M, K2) bit/s
+    u_flat = r_flat - zeta * t.price[:, None]
+    # preference: utility first, then the cheaper block, then (band, owner, index)
+    ties = np.lexsort((t.index_in_band, t.owner_id, t.band_code, t.price))
+    orders = ties[np.argsort(-u_flat[ties].T, axis=1, kind="stable")].tolist()
+    states = [
+        _ProposalState(order=orders[j], applied=bytearray(m_total)) for j in range(k2)
+    ]
 
-    states: list[_ProposalState] = []
-    for j in range(k2):
-        order = np.lexsort(
-            (index_in_band, owner_ids, band_code, price, -u_flat[:, j])
-        )
-        states.append(
-            _ProposalState(order=order, applied=np.zeros(m_total, dtype=bool))
-        )
-
-    budgets = np.array([s.budgets[d] for d in demander_ids], dtype=float)
-    demands = np.array([s.demands_bps[d] for d in demander_ids], dtype=float)
-    holder = np.full(m_total, -1, dtype=int)
+    # Python floats from here on: the same IEEE sums as numpy scalars, faster
+    rates = r_flat.tolist()
+    price = t.price.tolist()
+    budgets = [float(s.budgets[d]) for d in demander_ids]
+    demands = [float(s.demands_bps[d]) for d in demander_ids]
+    holder = [-1] * m_total
     rounds = 0
     proposals = 0
 
@@ -218,44 +287,49 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
                     break
                 pos += 1
             if choice >= 0:
-                applied[choice] = True
+                applied[choice] = 1
                 round_proposals.setdefault(choice, []).append(j)
                 proposals += 1
         if not round_proposals:
             break
         rounds += 1
         for m, applicants in round_proposals.items():
-            best = min(applicants, key=lambda j: (-r_flat[m, j], demander_ids[j]))
+            rate_m = rates[m]
+            best = min(applicants, key=lambda j: (-rate_m[j], demander_ids[j]))
             incumbent = holder[m]
-            if incumbent >= 0 and r_flat[m, best] <= r_flat[m, incumbent]:
+            if incumbent >= 0 and rate_m[best] <= rate_m[incumbent]:
                 continue  # incumbent keeps the BRB, ties included
             if incumbent >= 0:
                 st = states[incumbent]
-                st.rate_bps -= float(r_flat[m, incumbent])
-                st.cost -= float(price[m])
+                st.rate_bps -= rate_m[incumbent]
+                st.cost -= price[m]
                 st.held.discard(m)
             st = states[best]
-            st.rate_bps += float(r_flat[m, best])
-            st.cost += float(price[m])
+            st.rate_bps += rate_m[best]
+            st.cost += price[m]
             st.held.add(m)
             holder[m] = best
 
+    held = [st.held for st in states]
+    rate = [st.rate_bps for st in states]
+    cost = [st.cost for st in states]
+    return _held_matching(t, demander_ids, held, rate, cost, rounds, proposals)
+
+
+def _held_matching(
+    t: BrbTable, demander_ids, held, rate, cost, rounds: int = 0, proposals: int = 0
+) -> Matching:
+    """A Matching from per-demander-axis flat BRB indices and totals."""
     assigned: dict[int, frozenset[Brb]] = {}
     owner_of: dict[Brb, int] = {}
-    rate_out: dict[int, float] = {}
-    cost_out: dict[int, float] = {}
-    for j, d in enumerate(demander_ids):
-        held = frozenset(brbs[m] for m in states[j].held)
-        assigned[d] = held
-        for b in held:
-            owner_of[b] = d
-        rate_out[d] = states[j].rate_bps
-        cost_out[d] = states[j].cost
+    for d, ks in zip(demander_ids, held):
+        assigned[d] = frozenset(t.brbs[k] for k in ks)
+        owner_of.update(dict.fromkeys(assigned[d], d))  # reuses the set's hashes
     return Matching(
         assigned=assigned,
         owner_of=owner_of,
-        rate_bps=rate_out,
-        cost=cost_out,
+        rate_bps={d: float(r) for d, r in zip(demander_ids, rate)},
+        cost={d: float(c) for d, c in zip(demander_ids, cost)},
         rounds=rounds,
         proposals=proposals,
     )
@@ -306,28 +380,37 @@ def recompute_totals(
     return rate_out, cost_out
 
 
-def _check_consistency(m: Matching, s: Scenario, ch: ChannelRealization) -> None:
-    seen: dict[Brb, int] = {}
+def _check_consistency(m: Matching, ch: ChannelRealization, t: BrbTable) -> np.ndarray:
+    """Check that ``assigned`` and ``owner_of`` describe one allocation of
+    the table's BRBs; returns the demander axis holding each flat BRB, -1
+    where free."""
+    axis_of = {d: j for j, d in enumerate(ch.demander_ids)}
+    held_by: dict[int, int] = {}  # flat index -> demander id
     for d, brbs in m.assigned.items():
-        if d not in ch.demander_ids:
+        if d not in axis_of:
             raise InconsistentMatchingError(f"unknown demander id {d}")
         for b in brbs:
-            if b in seen:
+            k = t.flat_index.get(b)
+            if k is None:
                 raise InconsistentMatchingError(
-                    f"BRB {b.key()} assigned to both {seen[b]} and {d}"
+                    f"BRB {b.key()} is not a block of this scenario"
                 )
-            seen[b] = d
-            if b.owner not in ch.anchor_ids:
-                raise InconsistentMatchingError(f"BRB {b.key()} has unknown owner")
-            brb_global_index(s, b)  # range check
-    for b, d in m.owner_of.items():
-        if seen.get(b) != d:
-            raise InconsistentMatchingError(
-                f"owner_of[{b.key()}] = {d} but assigned says {seen.get(b)}"
-            )
-    for b in seen:
-        if b not in m.owner_of:
-            raise InconsistentMatchingError(f"BRB {b.key()} missing from owner_of")
+            if k in held_by:
+                raise InconsistentMatchingError(
+                    f"BRB {b.key()} assigned to both {held_by[k]} and {d}"
+                )
+            held_by[k] = d
+    expected = {t.brbs[k]: d for k, d in held_by.items()}
+    if m.owner_of != expected:
+        listed = {**expected, **m.owner_of}
+        b = next(b for b in listed if m.owner_of.get(b) != expected.get(b))
+        raise InconsistentMatchingError(
+            f"owner_of[{b.key()}] = {m.owner_of.get(b)} "
+            f"but assigned says {expected.get(b)}"
+        )
+    holder = np.full(len(t.brbs), -1, dtype=int)
+    holder[list(held_by)] = [axis_of[d] for d in held_by.values()]
+    return holder
 
 
 def find_blocking_pairs(
@@ -339,63 +422,46 @@ def find_blocking_pairs(
     current holder (or is unassigned) and the demander strictly gains by
     taking the BRB, either adding it within budget while its demand is
     unmet, or swapping out a held BRB of lower utility while staying
-    within budget.
+    within budget.  Pairs come sorted by demander id, then BRB key.
     """
-    _check_consistency(m, s, ch)
-    brbs = scenario_brbs(s)
-    owner_axis, owner_ids, global_n, price, _band, _idx = _flat_brb_arrays(s, brbs)
-    rates = rate_tensor(s, ch)
-    r_flat = rates[owner_axis, global_n, :]          # (M, K2)
-    u_flat = r_flat - zeta * price[:, None]
-    demander_ids = list(ch.demander_ids)
-    axis_of = {d: j for j, d in enumerate(demander_ids)}
-    flat_index = {b: k for k, b in enumerate(brbs)}
+    t = brb_table(s)
+    holder = _check_consistency(m, ch, t)
+    r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]   # (M, K2)
+    u_flat = r_flat - zeta * t.price[:, None]
+    demander_ids = np.array(ch.demander_ids, dtype=int)
+    price = t.price[:, None]
+    cost = np.array([m.cost.get(d, 0.0) for d in ch.demander_ids], dtype=float)
+    rate = np.array([m.rate_bps.get(d, 0.0) for d in ch.demander_ids], dtype=float)
+    budget = np.array([s.budgets[d] for d in ch.demander_ids], dtype=float)
+    demand = np.array([s.demands_bps[d] for d in ch.demander_ids], dtype=float)
 
-    holder_axis = np.full(len(brbs), -1, dtype=int)
-    for b, d in m.owner_of.items():
-        holder_axis[flat_index[b]] = axis_of[d]
+    # every mask below is (M, K2): flat BRB by demander axis
+    held = holder[:, None] == np.arange(len(demander_ids))
+    free = holder < 0
     holder_rate = np.where(
-        holder_axis >= 0,
-        r_flat[np.arange(len(brbs)), np.clip(holder_axis, 0, None)],
-        -np.inf,
+        free, -np.inf, r_flat[np.arange(len(holder)), np.maximum(holder, 0)]
     )
+    # (i) BRB side: unassigned, or strictly prefers this demander
+    brb_wants = free[:, None] | (r_flat > holder_rate[:, None])
+    # (ii-a) beneficial addition within budget while demand is unmet
+    wants_add = (rate < demand) & (cost + price <= budget)
+    # (ii-b) beneficial swap: some held BRB has strictly lower utility and
+    # releasing it keeps the new BRB within budget.  Within one price tier
+    # the held BRB of least utility decides.
+    excess = cost + price - budget
+    held_u = np.where(held, u_flat, np.inf)
+    wants_swap = np.zeros_like(held)
+    for i, tier_price in enumerate(t.tiers):
+        least = held_u[t.tier == i].min(axis=0, initial=np.inf)
+        wants_swap |= (least < u_flat) & (tier_price >= excess)
+    blocking = ~held & brb_wants & (wants_add | wants_swap)
 
-    pairs: list[tuple[int, Brb]] = []
-    m_total = len(brbs)
-    for d in demander_ids:
-        j = axis_of[d]
-        held = sorted(flat_index[b] for b in m.assigned.get(d, ()))
-        cost_j = m.cost.get(d, 0.0)
-        rate_j = m.rate_bps.get(d, 0.0)
-        budget_j = s.budgets[d]
-        demand_j = s.demands_bps[d]
-        not_held = np.ones(m_total, dtype=bool)
-        not_held[held] = False
-        # (i) BRB side: unassigned, or strictly prefers this demander
-        brb_wants = (holder_axis < 0) | (r_flat[:, j] > holder_rate)
-        # (ii-a) beneficial addition within budget while demand is unmet
-        wants_add = (
-            (cost_j + price <= budget_j)
-            if rate_j < demand_j
-            else np.zeros(m_total, dtype=bool)
-        )
-        # (ii-b) beneficial swap: some held BRB has strictly lower utility
-        # and releasing it keeps the new BRB within budget
-        if held:
-            held_utils = u_flat[held, j]
-            sort = np.argsort(held_utils, kind="stable")
-            held_utils_sorted = held_utils[sort]
-            prefix_max_price = np.maximum.accumulate(price[np.array(held)[sort]])
-            cut = np.searchsorted(held_utils_sorted, u_flat[:, j], side="left")
-            wants_swap = (cut > 0) & (
-                prefix_max_price[np.maximum(cut - 1, 0)] >= cost_j + price - budget_j
-            )
-        else:
-            wants_swap = np.zeros(m_total, dtype=bool)
-        blocking = not_held & brb_wants & (wants_add | wants_swap)
-        pairs.extend((d, brbs[k]) for k in np.nonzero(blocking)[0])
-    pairs.sort(key=lambda pair: (pair[0],) + pair[1].key())
-    return pairs
+    ks, js = np.nonzero(blocking)
+    order = np.lexsort((t.key_rank[ks], demander_ids[js]))
+    return [
+        (d, t.brbs[k])
+        for d, k in zip(demander_ids[js[order]].tolist(), ks[order].tolist())
+    ]
 
 
 def save_matching_csv(

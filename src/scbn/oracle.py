@@ -18,10 +18,9 @@ import numpy as np
 from .matching import (
     Brb,
     Matching,
-    _flat_brb_arrays,
+    brb_table,
     matching_from_assignment,
     recompute_totals,
-    scenario_brbs,
 )
 from .propagation import ChannelRealization, rate_tensor
 from .scenario import Scenario
@@ -59,8 +58,8 @@ class OracleSolution:
 
 
 def _enumeration_arrays(s: Scenario, ch: ChannelRealization):
-    brbs = scenario_brbs(s)
-    m_total = len(brbs)
+    t = brb_table(s)
+    m_total = len(t.brbs)
     k2 = len(ch.demander_ids)
     if m_total > MAX_ORACLE_BRBS or k2 > MAX_ORACLE_DEMANDERS:
         raise InstanceTooLargeError(
@@ -68,12 +67,10 @@ def _enumeration_arrays(s: Scenario, ch: ChannelRealization):
             f"oracle is limited to {MAX_ORACLE_BRBS} BRBs and "
             f"{MAX_ORACLE_DEMANDERS} demanders"
         )
-    owner_axis, _, global_n, price, _, _ = _flat_brb_arrays(s, brbs)
-    rates = rate_tensor(s, ch)
-    r_flat = rates[owner_axis, global_n, :]
+    r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]
     budgets = np.array([s.budgets[d] for d in ch.demander_ids], dtype=float)
     demands = np.array([s.demands_bps[d] for d in ch.demander_ids], dtype=float)
-    return brbs, r_flat, price, budgets, demands
+    return t.brbs, r_flat, t.price, budgets, demands
 
 
 def _feasibility(choices: np.ndarray, r_flat, price, budgets, demands):

@@ -52,8 +52,9 @@ class ChannelRealization:
     ``j`` on global BRB index ``n``; indices ``n < num_mmw_brbs`` are the
     mmWave BRBs, the rest the sub-6 ones.  ``los[i, j]`` says whether the
     mmWave line of sight of link (i, j) is clear; obstructed links have
-    zero mmWave gain.  Axis order follows ``anchor_ids`` / ``demander_ids``
-    (ascending station id).  Treat all arrays as read-only.
+    zero mmWave gain.  Axis order follows ``anchor_ids`` / ``demander_ids``:
+    station order, which a loaded scenario need not keep in ascending id.
+    Treat all arrays as read-only.
     """
 
     gains: np.ndarray

@@ -214,6 +214,20 @@ def test_stability_audit_end_to_end(tmp_path, capsys):
     assert summary["blocking_pairs_total"] == 0
 
 
+def test_oracle_compare_of_no_trials_fails(tmp_path, capsys):
+    rc = main(["oracle-compare", "--trials", "-1", "--out", str(tmp_path / "oc")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: trials must be at least 1, got -1\n"
+    assert not (tmp_path / "oc").exists()
+
+
+def test_stability_audit_of_no_trials_fails(tmp_path, capsys):
+    rc = main(["stability-audit", "--trials", "0", "--out", str(tmp_path / "audit")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: trials must be at least 1, got 0\n"
+    assert not (tmp_path / "audit").exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["simulate"])

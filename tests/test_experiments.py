@@ -24,6 +24,8 @@ from scbn.experiments import (
     write_manifest,
     write_n1_csv,
 )
+from scbn.matching import find_blocking_pairs, run_matching
+from scbn.propagation import realize_channels
 from scbn.scenario import ConfigError, GenerationConfig, generate_scenario
 
 
@@ -361,6 +363,27 @@ def test_stability_audit_summary_fields():
     assert 0 < out["max_proposals"] <= out["proposals_bound"]
 
 
+def test_audits_refuse_to_run_no_trials():
+    with pytest.raises(ConfigError, match="trials must be at least 1"):
+        stability_audit(0, seed=1, gen_cfg=_SMALL)
+    with pytest.raises(ConfigError, match="trials must be at least 1"):
+        oracle_compare_rows(-1, seed=0)
+
+
+def test_rounds_may_pass_k1_n_but_never_the_proposals():
+    # the instance of oracle_compare_rows(1, 98), rebuilt step by step:
+    # displacement costs a fourth round although K1*N is 3
+    rng = np.random.default_rng([98, 0xACE])
+    s = generate_scenario(random_micro_config(rng), seed=int(rng.integers(2**31)))
+    ch = realize_channels(s, rng)
+    m = run_matching(s, ch, 1e6)
+    k1, k2, n = len(s.anchors), len(s.demanders), s.brbs_per_anchor
+    assert (k1 * n, k2) == (3, 3)
+    assert (m.rounds, m.proposals) == (4, 7)
+    assert m.rounds <= m.proposals <= k2 * k1 * n
+    assert find_blocking_pairs(m, s, ch, 1e6) == []
+
+
 def test_oracle_compare_rows_shape():
     rows = oracle_compare_rows(10, seed=5)
     assert len(rows) == 10
@@ -379,3 +402,19 @@ def test_random_micro_config_is_within_oracle_bounds():
         cfg = random_micro_config(rng)
         assert cfg.num_anchors * (cfg.num_mmw_brbs + cfg.num_sub6_brbs) <= 8
         assert cfg.num_stations - cfg.num_anchors <= 3
+
+
+# --- worker processes -------------------------------------------------------------
+
+
+def test_two_workers_write_the_same_csv_bytes_as_one(tmp_path):
+    # each worker process builds and caches its own BRB tables; the result
+    # must not depend on which process ran which trial
+    paths = []
+    for workers in (1, 2):
+        cfg = dataclasses.replace(
+            _tiny_sweep_cfg(n1_values=(4, 8)), trials=6, workers=workers
+        )
+        paths.append(tmp_path / f"n1_workers{workers}.csv")
+        write_n1_csv(sweep_n1(cfg), str(paths[-1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()

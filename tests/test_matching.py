@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from scbn.experiments import random_micro_config
 from scbn.matching import (
+    BRB_TABLE_CACHE_SIZE,
     Brb,
     InconsistentMatchingError,
     Matching,
+    _cached_brb_table,
     brb_global_index,
+    brb_table,
     brb_utility,
     dbs_utility,
     find_blocking_pairs,
@@ -31,6 +36,7 @@ from scbn.scenario import (
     Scenario,
     Sub6Params,
     generate_scenario,
+    resample_positions,
 )
 
 
@@ -438,3 +444,48 @@ def test_save_matching_csv_layout(tmp_path):
     assert lines[2].startswith("2,1,mmwave,0,")
     save_matching_csv(m, s, ch, str(tmp_path / "again.csv"))
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+# --- BRB table ------------------------------------------------------------------
+
+
+def test_brb_table_tracks_one_anchors_sub6_price():
+    s = _build([(0, 0), (100, 0)], [(10, 0)], n1=2, n2=2)
+    dearer = replace(
+        s,
+        prices=PriceSchedule(
+            per_anchor={
+                0: {BandKind.MMWAVE: 1.0, BandKind.SUB6: 2.0},
+                1: {BandKind.MMWAVE: 1.0, BandKind.SUB6: 7.0},
+            }
+        ),
+    )
+    a, b = brb_table(s), brb_table(dearer)
+    assert a is not b
+    assert a.price.tolist() == [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]
+    assert b.price.tolist() == [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 7.0, 7.0]
+    assert [x.price for x in b.brbs] == b.price.tolist()
+    assert (a.tiers, a.tier_sizes) == ((1.0, 2.0), (4, 4))
+    assert (b.tiers, b.tier_sizes) == ((1.0, 2.0, 7.0), (4, 2, 2))
+    # positions are not part of the shape
+    assert brb_table(resample_positions(s, np.random.default_rng(1))) is a
+
+
+def test_brb_table_is_read_only():
+    t = brb_table(_build([(0, 0)], [(10, 0)], n1=2, n2=1))
+    for array in (t.price, t.owner_axis, t.key_rank, t.tier):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    with pytest.raises(TypeError):
+        t.flat_index[t.brbs[0]] = 5
+
+
+def test_brb_table_cache_stays_bounded():
+    rng = np.random.default_rng(5)
+    misses = _cached_brb_table.cache_info().misses
+    for seed in range(1000):
+        brb_table(generate_scenario(random_micro_config(rng), seed=seed))
+    info = _cached_brb_table.cache_info()
+    assert info.misses - misses == 1000  # every micro shape is new
+    assert info.maxsize == BRB_TABLE_CACHE_SIZE
+    assert info.currsize <= info.maxsize
