@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matching import Matching, _held_matching, brb_table
+from .matching import Matching, brb_table
 from .propagation import ChannelRealization, rate_tensor
 from .scenario import Scenario
 
@@ -34,7 +34,7 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     t = brb_table(s)
     price = t.price
     r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]  # (M, K2)
-    demander_ids = list(ch.demander_ids)
+    demander_ids = ch.demander_ids
     k2 = len(demander_ids)
     m_total = len(t.brbs)
 
@@ -71,8 +71,13 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
             holder[m] = j
             rate[j] += r_flat[m, j]
             cost[j] += price[m]
-    held = [np.nonzero(holder == j)[0] for j in range(k2)]
-    return _held_matching(t, demander_ids, held, rate, cost)
+    return Matching(
+        table=t,
+        demander_ids=demander_ids,
+        holder=holder,
+        rate_bps=dict(zip(demander_ids, rate.tolist())),
+        cost=dict(zip(demander_ids, cost.tolist())),
+    )
 
 
 def random_allocate(
@@ -85,7 +90,7 @@ def random_allocate(
     eligible taker stay unassigned.  Deterministic for a given ``rng``.
     """
     t = brb_table(s)
-    demander_ids = list(ch.demander_ids)
+    demander_ids = ch.demander_ids
     axes = range(len(demander_ids))
     m_total = len(t.brbs)
 
@@ -95,7 +100,7 @@ def random_allocate(
     price = t.price.tolist()
     budgets = [float(s.budgets[d]) for d in demander_ids]
     demands = [float(s.demands_bps[d]) for d in demander_ids]
-    holder = np.full(m_total, -1, dtype=int)
+    holder = [-1] * m_total
     rate = [0.0 for _ in axes]
     cost = [0.0 for _ in axes]
     for m in rng.permutation(m_total).tolist():
@@ -108,5 +113,10 @@ def random_allocate(
         holder[m] = j
         rate[j] += rates[m][j]
         cost[j] += price[m]
-    held = [np.nonzero(holder == j)[0] for j in axes]
-    return _held_matching(t, demander_ids, held, rate, cost)
+    return Matching(
+        table=t,
+        demander_ids=demander_ids,
+        holder=holder,
+        rate_bps=dict(zip(demander_ids, rate)),
+        cost=dict(zip(demander_ids, cost)),
+    )

@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioFormatError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ScenarioFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

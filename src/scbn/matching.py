@@ -50,7 +50,8 @@ BRB_TABLE_CACHE_SIZE = 32
 
 
 class InconsistentMatchingError(ValueError):
-    """Raised when a matching's bookkeeping contradicts itself."""
+    """Raised when an allocation is not one of the scenario's BRBs to its
+    demanders, each BRB held at most once."""
 
 
 @dataclass(frozen=True)
@@ -70,26 +71,6 @@ class Brb:
 
     def key(self) -> tuple[int, int, int]:
         return (self.owner, 0 if self.band is BandKind.MMWAVE else 1, self.index)
-
-
-@dataclass
-class Matching:
-    """Result of an allocation scheme.
-
-    ``assigned`` maps demander id to its set of BRBs, ``owner_of`` maps
-    each assigned BRB back to its demander.  ``rate_bps`` and ``cost``
-    carry the algorithm's own running totals; they must agree with a
-    recomputation from the channel realization.  ``rounds`` and
-    ``proposals`` count the proposal rounds and individual proposals the
-    scheme used (zero for one-shot schemes).
-    """
-
-    assigned: dict[int, frozenset[Brb]]
-    owner_of: dict[Brb, int]
-    rate_bps: dict[int, float]
-    cost: dict[int, float]
-    rounds: int = 0
-    proposals: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +97,57 @@ class BrbTable:
     flat_index: Mapping[Brb, int]
     tiers: tuple[float, ...]
     tier_sizes: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class Matching:
+    """Result of an allocation scheme, over one scenario's BRB table.
+
+    ``holder[k]`` is the demander axis (position in ``demander_ids``)
+    holding the table's BRB ``k``, or -1 where the BRB is free, so no BRB
+    can have two holders.  ``rate_bps`` and ``cost``, keyed by demander
+    id, carry the scheme's own running totals; they must agree with a
+    recomputation from the channel realization.  ``rounds`` and
+    ``proposals`` count the proposal rounds and individual proposals the
+    scheme used (zero for one-shot schemes).  ``assigned`` (demander id
+    to its set of BRBs) and ``owner_of`` (held BRB to its demander) are
+    read-only views built on first use.
+    """
+
+    table: BrbTable = field(repr=False)
+    demander_ids: tuple[int, ...]
+    holder: np.ndarray
+    rate_bps: dict[int, float]
+    cost: dict[int, float]
+    rounds: int = 0
+    proposals: int = 0
+
+    def __post_init__(self):
+        holder = np.array(self.holder, dtype=int)
+        m_total, k2 = len(self.table.brbs), len(self.demander_ids)
+        low, high = holder.min(initial=-1), holder.max(initial=-1)
+        if holder.shape != (m_total,) or low < -1 or high >= k2:
+            raise InconsistentMatchingError(
+                f"a holder must give each of the {m_total} BRBs -1 or one of "
+                f"{k2} demander axes, got shape {holder.shape}, range [{low}, {high}]"
+            )
+        holder.setflags(write=False)
+        object.__setattr__(self, "holder", holder)
+        object.__setattr__(self, "demander_ids", tuple(self.demander_ids))
+
+    @functools.cached_property
+    def owner_of(self) -> Mapping[Brb, int]:
+        brbs, ids = self.table.brbs, self.demander_ids
+        return MappingProxyType(
+            {brbs[k]: ids[j] for k, j in enumerate(self.holder.tolist()) if j >= 0}
+        )
+
+    @functools.cached_property
+    def assigned(self) -> Mapping[int, frozenset[Brb]]:
+        held: dict[int, set[Brb]] = {d: set() for d in self.demander_ids}
+        for b, d in self.owner_of.items():
+            held[d].add(b)
+        return MappingProxyType({d: frozenset(bs) for d, bs in held.items()})
 
 
 # Resampled trials share one shape; a bounded cache keeps memory flat for
@@ -229,7 +261,6 @@ class _ProposalState:
     scan_from: int = 0         # first position possibly unapplied
     cost: float = 0.0
     rate_bps: float = 0.0
-    held: set[int] = field(default_factory=set)
 
 
 def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
@@ -242,7 +273,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     displacement, so budgets are never exceeded.
     """
     t = brb_table(s)
-    demander_ids = list(ch.demander_ids)
+    demander_ids = ch.demander_ids
     k2 = len(demander_ids)
     m_total = len(t.brbs)
 
@@ -303,114 +334,88 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
                 st = states[incumbent]
                 st.rate_bps -= rate_m[incumbent]
                 st.cost -= price[m]
-                st.held.discard(m)
             st = states[best]
             st.rate_bps += rate_m[best]
             st.cost += price[m]
-            st.held.add(m)
             holder[m] = best
 
-    held = [st.held for st in states]
-    rate = [st.rate_bps for st in states]
-    cost = [st.cost for st in states]
-    return _held_matching(t, demander_ids, held, rate, cost, rounds, proposals)
-
-
-def _held_matching(
-    t: BrbTable, demander_ids, held, rate, cost, rounds: int = 0, proposals: int = 0
-) -> Matching:
-    """A Matching from per-demander-axis flat BRB indices and totals."""
-    assigned: dict[int, frozenset[Brb]] = {}
-    owner_of: dict[Brb, int] = {}
-    for d, ks in zip(demander_ids, held):
-        assigned[d] = frozenset(t.brbs[k] for k in ks)
-        owner_of.update(dict.fromkeys(assigned[d], d))  # reuses the set's hashes
     return Matching(
-        assigned=assigned,
-        owner_of=owner_of,
-        rate_bps={d: float(r) for d, r in zip(demander_ids, rate)},
-        cost={d: float(c) for d, c in zip(demander_ids, cost)},
+        table=t,
+        demander_ids=demander_ids,
+        holder=holder,
+        rate_bps={d: st.rate_bps for d, st in zip(demander_ids, states)},
+        cost={d: st.cost for d, st in zip(demander_ids, states)},
         rounds=rounds,
         proposals=proposals,
     )
 
 
+def _check_axes(m: Matching, t: BrbTable, ch: ChannelRealization) -> None:
+    if len(m.holder) != len(t.brbs) or m.demander_ids != ch.demander_ids:
+        raise InconsistentMatchingError(
+            "the matching is not over this scenario's BRBs and demanders"
+        )
+
+
 def matching_from_assignment(
     s: Scenario, ch: ChannelRealization, assignment: dict[int, set[Brb]]
 ) -> Matching:
-    """Build a Matching with totals recomputed from the channels."""
-    rates = rate_tensor(s, ch)
-    assigned: dict[int, frozenset[Brb]] = {d: frozenset() for d in ch.demander_ids}
-    owner_of: dict[Brb, int] = {}
-    rate_out = {d: 0.0 for d in ch.demander_ids}
-    cost_out = {d: 0.0 for d in ch.demander_ids}
+    """Build a Matching from demander id -> BRB sets, with totals
+    recomputed from the channels."""
+    t = brb_table(s)
+    holder = np.full(len(t.brbs), -1, dtype=int)
     for d, brbs in assignment.items():
-        assigned[d] = frozenset(brbs)
-        j = ch.demander_axis(d)
-        for b in brbs:
-            if b in owner_of:
-                raise InconsistentMatchingError(
-                    f"BRB {b.key()} assigned to both {owner_of[b]} and {d}"
-                )
-            owner_of[b] = d
-            i = ch.anchor_axis(b.owner)
-            rate_out[d] += rates[i, brb_global_index(s, b), j]
-            cost_out[d] += b.price
-    return Matching(
-        assigned=assigned,
-        owner_of=owner_of,
-        rate_bps=rate_out,
-        cost=cost_out,
-    )
-
-
-def recompute_totals(
-    m: Matching, s: Scenario, ch: ChannelRealization
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Independent per-demander rate and cost sums from the realization."""
-    rates = rate_tensor(s, ch)
-    rate_out: dict[int, float] = {}
-    cost_out: dict[int, float] = {}
-    for d, brbs in m.assigned.items():
-        j = ch.demander_axis(d)
-        rate_out[d] = float(
-            sum(rates[ch.anchor_axis(b.owner), brb_global_index(s, b), j] for b in brbs)
-        )
-        cost_out[d] = float(sum(b.price for b in brbs))
-    return rate_out, cost_out
-
-
-def _check_consistency(m: Matching, ch: ChannelRealization, t: BrbTable) -> np.ndarray:
-    """Check that ``assigned`` and ``owner_of`` describe one allocation of
-    the table's BRBs; returns the demander axis holding each flat BRB, -1
-    where free."""
-    axis_of = {d: j for j, d in enumerate(ch.demander_ids)}
-    held_by: dict[int, int] = {}  # flat index -> demander id
-    for d, brbs in m.assigned.items():
-        if d not in axis_of:
+        if d not in ch.demander_ids:
             raise InconsistentMatchingError(f"unknown demander id {d}")
+        j = ch.demander_axis(d)
         for b in brbs:
             k = t.flat_index.get(b)
             if k is None:
                 raise InconsistentMatchingError(
                     f"BRB {b.key()} is not a block of this scenario"
                 )
-            if k in held_by:
+            if holder[k] >= 0:
                 raise InconsistentMatchingError(
-                    f"BRB {b.key()} assigned to both {held_by[k]} and {d}"
+                    f"BRB {b.key()} assigned to both {ch.demander_ids[holder[k]]} and {d}"
                 )
-            held_by[k] = d
-    expected = {t.brbs[k]: d for k, d in held_by.items()}
-    if m.owner_of != expected:
-        listed = {**expected, **m.owner_of}
-        b = next(b for b in listed if m.owner_of.get(b) != expected.get(b))
-        raise InconsistentMatchingError(
-            f"owner_of[{b.key()}] = {m.owner_of.get(b)} "
-            f"but assigned says {expected.get(b)}"
-        )
-    holder = np.full(len(t.brbs), -1, dtype=int)
-    holder[list(held_by)] = [axis_of[d] for d in held_by.values()]
-    return holder
+            holder[k] = j
+    return _matching_from_holder(s, ch, holder)
+
+
+def _matching_from_holder(
+    s: Scenario, ch: ChannelRealization, holder: np.ndarray
+) -> Matching:
+    """A Matching of ``holder`` with totals recomputed from the channels."""
+    t = brb_table(s)
+    rate, cost = _held_totals(t, holder, s, ch)
+    return Matching(
+        table=t, demander_ids=ch.demander_ids, holder=holder, rate_bps=rate, cost=cost
+    )
+
+
+def recompute_totals(
+    m: Matching, s: Scenario, ch: ChannelRealization
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Independent per-demander rate and cost sums from the realization,
+    added up in flat BRB order."""
+    t = brb_table(s)
+    _check_axes(m, t, ch)
+    return _held_totals(t, m.holder, s, ch)
+
+
+def _held_totals(
+    t: BrbTable, holder: np.ndarray, s: Scenario, ch: ChannelRealization
+) -> tuple[dict[int, float], dict[int, float]]:
+    rate = dict.fromkeys(ch.demander_ids, 0.0)
+    cost = dict.fromkeys(ch.demander_ids, 0.0)
+    ks = np.flatnonzero(holder >= 0)
+    js = holder[ks]
+    r_held = rate_tensor(s, ch)[t.owner_axis[ks], t.global_n[ks], js]
+    for j, r, p in zip(js.tolist(), r_held.tolist(), t.price[ks].tolist()):
+        d = ch.demander_ids[j]
+        rate[d] += r
+        cost[d] += p
+    return rate, cost
 
 
 def find_blocking_pairs(
@@ -425,7 +430,8 @@ def find_blocking_pairs(
     within budget.  Pairs come sorted by demander id, then BRB key.
     """
     t = brb_table(s)
-    holder = _check_consistency(m, ch, t)
+    _check_axes(m, t, ch)
+    holder = m.holder
     r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]   # (M, K2)
     u_flat = r_flat - zeta * t.price[:, None]
     demander_ids = np.array(ch.demander_ids, dtype=int)
@@ -468,26 +474,24 @@ def save_matching_csv(
     m: Matching, s: Scenario, ch: ChannelRealization, path: str
 ) -> None:
     """Dump rows of k2, k1, band, n, gamma, rate_bps, price, sorted."""
-    gamma = gamma_tensor(s, ch)
-    rates = rate_tensor(s, ch)
-    rows = []
-    for d in sorted(m.assigned):
-        j = ch.demander_axis(d)
-        for b in sorted(m.assigned[d], key=Brb.key):
-            i = ch.anchor_axis(b.owner)
-            n = brb_global_index(s, b)
-            rows.append(
-                [
-                    d,
-                    b.owner,
-                    b.band.value,
-                    b.index,
-                    repr(float(gamma[i, n, j])),
-                    repr(float(rates[i, n, j])),
-                    repr(float(b.price)),
-                ]
-            )
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    t = brb_table(s)
+    _check_axes(m, t, ch)
+    ks = np.flatnonzero(m.holder >= 0)
+    ids = np.array(ch.demander_ids, dtype=int)[m.holder[ks]]
+    order = np.lexsort((t.key_rank[ks], ids))  # demander id, then BRB key
+    ks, ids = ks[order], ids[order]
+    js = m.holder[ks]
+    i, n = t.owner_axis[ks], t.global_n[ks]
+    band = (s.mmw_band.kind.value, s.sub6_band.kind.value)
+    rows = zip(
+        ids.tolist(),
+        t.owner_id[ks].tolist(),
+        [band[c] for c in t.band_code[ks].tolist()],
+        t.index_in_band[ks].tolist(),
+        map(repr, gamma_tensor(s, ch)[i, n, js].tolist()),
+        map(repr, rate_tensor(s, ch)[i, n, js].tolist()),
+        map(repr, t.price[ks].tolist()),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k2", "k1", "band", "n", "gamma", "rate_bps", "price"])

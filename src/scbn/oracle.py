@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import (
-    Brb,
-    Matching,
-    brb_table,
-    matching_from_assignment,
-    recompute_totals,
-)
+from .matching import Matching, _matching_from_holder, brb_table, recompute_totals
 from .propagation import ChannelRealization, rate_tensor
 from .scenario import Scenario
 
@@ -70,7 +64,7 @@ def _enumeration_arrays(s: Scenario, ch: ChannelRealization):
     r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]
     budgets = np.array([s.budgets[d] for d in ch.demander_ids], dtype=float)
     demands = np.array([s.demands_bps[d] for d in ch.demander_ids], dtype=float)
-    return t.brbs, r_flat, t.price, budgets, demands
+    return r_flat, t.price, budgets, demands
 
 
 def _feasibility(choices: np.ndarray, r_flat, price, budgets, demands):
@@ -96,25 +90,20 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
     ascending id order} with BRBs in (owner, band, index) order, and the
     first minimum in that lexicographic enumeration wins ties.
     """
-    brbs, r_flat, price, budgets, demands = _enumeration_arrays(s, ch)
-    m_total = len(brbs)
+    r_flat, price, budgets, demands = _enumeration_arrays(s, ch)
+    m_total = len(price)
     k2 = len(budgets)
     choices = np.array(
         list(itertools.product(range(k2 + 1), repeat=m_total)), dtype=np.int8
     ).reshape(-1, m_total)
     feasible, total_cost = _feasibility(choices, r_flat, price, budgets, demands)
     if not feasible.any():
-        empty = matching_from_assignment(s, ch, {})
+        empty = _matching_from_holder(s, ch, np.full(m_total, -1, dtype=int))
         return OracleSolution(matching=empty, total_cost=math.inf, feasible=False)
     costs = np.where(feasible, total_cost, np.inf)
     best_row = int(np.argmin(costs))  # argmin takes the first, i.e. lexicographic
-    assignment: dict[int, set[Brb]] = {}
-    for m, c in enumerate(choices[best_row]):
-        if c > 0:
-            d = ch.demander_ids[c - 1]
-            assignment.setdefault(d, set()).add(brbs[m])
     return OracleSolution(
-        matching=matching_from_assignment(s, ch, assignment),
+        matching=_matching_from_holder(s, ch, choices[best_row].astype(int) - 1),
         total_cost=float(costs[best_row]),
         feasible=True,
     )
@@ -131,8 +120,8 @@ def sample_feasible_costs(
     Used as a randomized dominance check: every returned cost must be at
     least the oracle's minimum.
     """
-    brbs, r_flat, price, budgets, demands = _enumeration_arrays(s, ch)
-    choices = rng.integers(0, len(budgets) + 1, size=(samples, len(brbs)), dtype=np.int8)
+    r_flat, price, budgets, demands = _enumeration_arrays(s, ch)
+    choices = rng.integers(0, len(budgets) + 1, size=(samples, len(price)), dtype=np.int8)
     feasible, total_cost = _feasibility(choices, r_flat, price, budgets, demands)
     return total_cost[feasible]
 
@@ -144,10 +133,9 @@ class ConstraintReport:
     Slacks are non-negative exactly when the constraint holds: rate slack
     is rate minus demand (bit/s, recomputed from the channels), budget
     slack is budget minus recomputed cost, per-anchor slack counts BRBs
-    the anchor could still lease.  ``quota_violations`` lists BRBs held
-    by more than one demander.  Integrality is inherent to the set-based
-    representation (a BRB is either assigned or not), so it can only be
-    reported satisfied; it is kept for completeness of the audit.
+    the anchor could still lease.  The BRB quota (at most one holder per
+    block) and integrality (a block is held or not) hold by construction
+    of ``Matching.holder``, so they have no field here.
     """
 
     rate_ok: bool
@@ -156,47 +144,30 @@ class ConstraintReport:
     budget_slack: dict[int, float]
     per_anchor_ok: bool
     per_anchor_slack: dict[int, int]
-    quota_ok: bool
-    quota_violations: tuple[Brb, ...]
-    integrality_ok: bool
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.rate_ok
-            and self.budget_ok
-            and self.per_anchor_ok
-            and self.quota_ok
-            and self.integrality_ok
-        )
+        return self.rate_ok and self.budget_ok and self.per_anchor_ok
 
 
 def check_constraints(
     m: Matching, s: Scenario, ch: ChannelRealization
 ) -> ConstraintReport:
-    """Audit demand, budget, per-anchor capacity and quota constraints.
+    """Audit demand, budget and per-anchor capacity constraints.
 
     Totals are recomputed from the channel realization, so the report is
-    trustworthy even for hand-built or corrupted matchings.
+    trustworthy even for hand-built matchings.
     """
     rate, cost = recompute_totals(m, s, ch)
     rate_slack = {
-        d: rate.get(d, 0.0) - s.demands_bps[d] for d in ch.demander_ids
+        d: rate[d] - s.demands_bps[d] for d in ch.demander_ids
     }
     budget_slack = {
-        d: s.budgets[d] - cost.get(d, 0.0) for d in ch.demander_ids
+        d: s.budgets[d] - cost[d] for d in ch.demander_ids
     }
-    counts: dict[Brb, int] = {}
-    per_anchor_used = {a: 0 for a in ch.anchor_ids}
-    for brbs in m.assigned.values():
-        for b in brbs:
-            counts[b] = counts.get(b, 0) + 1
-            per_anchor_used[b.owner] = per_anchor_used.get(b.owner, 0) + 1
-    quota_violations = tuple(
-        sorted((b for b, c in counts.items() if c > 1), key=Brb.key)
-    )
+    used = np.bincount(m.table.owner_axis[m.holder >= 0], minlength=len(ch.anchor_ids))
     per_anchor_slack = {
-        a: s.brbs_per_anchor - per_anchor_used.get(a, 0) for a in ch.anchor_ids
+        a: s.brbs_per_anchor - int(n) for a, n in zip(ch.anchor_ids, used)
     }
     return ConstraintReport(
         rate_ok=all(v >= 0 for v in rate_slack.values()),
@@ -205,7 +176,4 @@ def check_constraints(
         budget_slack=budget_slack,
         per_anchor_ok=all(v >= 0 for v in per_anchor_slack.values()),
         per_anchor_slack=per_anchor_slack,
-        quota_ok=not quota_violations,
-        quota_violations=quota_violations,
-        integrality_ok=True,
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,79 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "trials" in capsys.readouterr().err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"num_stations": "10"}, "num_stations"),
+        ({"num_stations": 10.5}, "num_stations"),
+        ({"num_anchors": True}, "num_anchors"),
+        ({"budget": "15"}, "budget"),
+    ],
+)
+def test_generate_rejects_a_parameter_of_the_wrong_type(tmp_path, capsys, extra, field):
+    rc = main(
+        [
+            "generate",
+            "--params",
+            _params_file(tmp_path, extra),
+            "--out",
+            str(tmp_path / "s.json"),
+        ]
+    )
+    assert rc == 1
+    assert f"'{field}' must be of type" in _one_error_line(capsys)
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"trials": 2.5}, "trials"),
+        ({"n1_values": [4.7]}, "n1_values"),
+        ({"n1_values": 4}, "n1_values"),
+        ({"zeta_bps_per_unit": "x"}, "zeta_bps_per_unit"),
+        ({"schemes": ["matching", 1]}, "schemes"),
+    ],
+)
+def test_sweep_rejects_a_field_of_the_wrong_type(tmp_path, capsys, extra, field):
+    path = tmp_path / "sweep.json"
+    doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, **extra}), encoding="utf-8")
+    rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"'{field}' must be" in _one_error_line(capsys)
+
+
+def test_sweep_takes_an_int_for_a_float_field(tmp_path):
+    path = tmp_path / "sweep.json"
+    doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
+    doc.update(zeta_bps_per_unit=1000000, budget_values=[10, 15.0], n1_values=[2])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert repr(manifest["config"]["zeta_bps_per_unit"]) == "1000000.0"
+    assert repr(manifest["config"]["budget_values"]) == "[10.0, 15.0]"
+
+
+def test_run_of_a_directory_is_an_error_line(tmp_path, capsys):
+    rc = main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _one_error_line(capsys)
+
+
+def test_generate_into_a_directory_is_an_error_line(tmp_path, capsys):
+    rc = main(["generate", "--out", str(tmp_path)])
+    assert rc == 1
+    _one_error_line(capsys)
 
 
 def test_oracle_compare_end_to_end(tmp_path, capsys):

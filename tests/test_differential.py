@@ -3,7 +3,9 @@ loop-and-tuple implementations they replaced.
 
 The ``_ref_*`` functions below are the earlier ``run_matching``,
 ``find_blocking_pairs``, ``best_effort_allocate`` and ``random_allocate``
-(with their helpers), copied unchanged apart from the names.  They rebuild
+(with their helpers), copied unchanged apart from the names and the
+record they return, ``_RefMatching``, which keeps the allocation as the
+``assigned`` and ``owner_of`` dicts those versions built.  They rebuild
 every ``Brb`` on each call and sort pairs by tuple key.  On random
 instances the current functions must give the very same results: the same
 pairs in the same order, the same holders, bit-identical rates and costs,
@@ -38,6 +40,19 @@ from scbn.scenario import (
     load_scenario,
     save_scenario,
 )
+
+
+@dataclass
+class _RefMatching:
+    """The allocation record the reference implementations return."""
+
+    assigned: dict[int, frozenset[Brb]]
+    owner_of: dict[Brb, int]
+    rate_bps: dict[int, float]
+    cost: dict[int, float]
+    rounds: int = 0
+    proposals: int = 0
+
 
 def _ref_scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
     """All K1 * (N1 + N2) BRBs, sorted by (owner, band, index), mmWave first."""
@@ -90,7 +105,7 @@ def _ref_flat_brb_arrays(s: Scenario, brbs: tuple[Brb, ...]):
     return owner_axis, owner_id, global_n, price, band_code, index_in_band
 
 
-def _ref_run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
+def _ref_run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> _RefMatching:
     """Run the proposal/acceptance rounds to a stable allocation.
 
     ``zeta`` is the price weight in bit/s per price unit.  Rounds are
@@ -182,7 +197,7 @@ def _ref_run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Match
             owner_of[b] = d
         rate_out[d] = states[j].rate_bps
         cost_out[d] = states[j].cost
-    return Matching(
+    return _RefMatching(
         assigned=assigned,
         owner_of=owner_of,
         rate_bps=rate_out,
@@ -293,7 +308,7 @@ def _ref_finalize(
     holder: np.ndarray,
     rate: np.ndarray,
     cost: np.ndarray,
-) -> Matching:
+) -> _RefMatching:
     demander_ids = list(ch.demander_ids)
     assigned: dict[int, frozenset[Brb]] = {}
     owner_of: dict[Brb, int] = {}
@@ -302,7 +317,7 @@ def _ref_finalize(
         assigned[d] = held
         for b in held:
             owner_of[b] = d
-    return Matching(
+    return _RefMatching(
         assigned=assigned,
         owner_of=owner_of,
         rate_bps={d: float(rate[j]) for j, d in enumerate(demander_ids)},
@@ -310,7 +325,7 @@ def _ref_finalize(
     )
 
 
-def _ref_best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
+def _ref_best_effort_allocate(s: Scenario, ch: ChannelRealization) -> _RefMatching:
     """Allocate BRBs by raw link rate in one shot, with no retries.
 
     Every demander requests, in descending rate order (ties in canonical
@@ -367,7 +382,7 @@ def _ref_best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
 
 def _ref_random_allocate(
     s: Scenario, ch: ChannelRealization, rng: np.random.Generator
-) -> Matching:
+) -> _RefMatching:
     """Assign each BRB to a uniformly random eligible demander.
 
     BRBs are visited in a random order; a demander is eligible while its
@@ -503,9 +518,13 @@ def _bits(values: dict) -> dict:
     return {d: float(v).hex() for d, v in values.items()}
 
 
-def _assert_same_matching(new: Matching, old: Matching) -> None:
+def _assert_same_matching(new: Matching, old: _RefMatching) -> None:
     assert new.assigned == old.assigned
     assert new.owner_of == old.owner_of
+    holder = [-1] * len(new.table.brbs)
+    for b, d in old.owner_of.items():
+        holder[new.table.flat_index[b]] = new.demander_ids.index(d)
+    assert new.holder.tolist() == holder
     assert _bits(new.rate_bps) == _bits(old.rate_bps)
     assert _bits(new.cost) == _bits(old.cost)
     assert (new.rounds, new.proposals) == (old.rounds, old.proposals)
@@ -560,14 +579,10 @@ def test_blocking_pairs_match_the_reference_in_order(instances):
     assert found > 1000  # the audit had pairs to order, not just empty lists
 
 
-def test_blocking_pair_audit_rejects_blocks_of_another_scenario(instances):
-    s, ch, zeta, _ = next(
+def test_assignment_of_blocks_of_another_scenario_is_rejected(instances):
+    s, ch, _, _ = next(
         inst for inst in instances if inst[0].mmw_band.num_brbs and inst[0].demanders
     )
     b = replace(_ref_scenario_brbs(s)[0], price=123.0)
-    d = ch.demander_ids[0]
-    m = Matching(
-        assigned={d: frozenset({b})}, owner_of={b: d}, rate_bps={d: 0.0}, cost={d: 123.0}
-    )
     with pytest.raises(InconsistentMatchingError, match="not a block of this scenario"):
-        find_blocking_pairs(m, s, ch, zeta)
+        matching_from_assignment(s, ch, {ch.demander_ids[0]: {b}})

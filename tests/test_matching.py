@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import scbn
 from scbn.experiments import random_micro_config
 from scbn.matching import (
     BRB_TABLE_CACHE_SIZE,
@@ -348,6 +352,37 @@ def test_matching_invariants_hold_on_random_instances():
         assert find_blocking_pairs(m, s, ch, zeta=1e6) == []
 
 
+_TOTALS_SCRIPT = """
+import numpy as np
+from scbn.matching import matching_from_assignment, recompute_totals, run_matching
+from scbn.propagation import realize_channels
+from scbn.scenario import GenerationConfig, generate_scenario
+
+for seed in range(20):
+    s = generate_scenario(GenerationConfig(), seed=seed)
+    ch = realize_channels(s, np.random.default_rng(seed))
+    m = run_matching(s, ch, 1e6)
+    rate, cost = recompute_totals(m, s, ch)
+    rebuilt = matching_from_assignment(s, ch, {d: set(b) for d, b in m.assigned.items()})
+    for totals in (rate, cost, rebuilt.rate_bps, rebuilt.cost):
+        print(*(float(totals[d]).hex() for d in s.demander_ids))
+"""
+
+
+def test_recomputed_totals_do_not_depend_on_the_hash_seed():
+    # Brb hashes, and so set iteration order, change with PYTHONHASHSEED
+    src = os.path.dirname(os.path.dirname(scbn.__file__))
+    outputs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _TOTALS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
 # --- blocking pair detection ----------------------------------------------------
 
 
@@ -395,29 +430,32 @@ def test_no_blocking_pairs_when_nobody_wants_anything():
     assert find_blocking_pairs(m, s, ch, zeta=0.0) == []
 
 
-def test_find_blocking_pairs_rejects_inconsistent_bookkeeping():
+def test_matching_rejects_a_holder_it_cannot_hold():
     s = _build([(0, 0)], [(10, 0), (20, 0)], n1=2)
     ch = _channels(s)
-    b0, b1 = scenario_brbs(s)
-    ok = matching_from_assignment(s, ch, {1: {b0}})
+    ok = matching_from_assignment(s, ch, {1: {scenario_brbs(s)[0]}})
+    assert ok.holder.tolist() == [0, -1]
+    with pytest.raises(ValueError):
+        ok.holder[0] = 1  # read-only
+    for holder in ([0], [0, -1, -1], [0, 2], [-2, 1]):
+        with pytest.raises(InconsistentMatchingError, match="demander axes"):
+            Matching(
+                table=ok.table,
+                demander_ids=ok.demander_ids,
+                holder=np.array(holder),
+                rate_bps=ok.rate_bps,
+                cost=ok.cost,
+            )
 
-    tampered = Matching(
-        assigned=ok.assigned,
-        owner_of={b0: 2},
-        rate_bps=ok.rate_bps,
-        cost=ok.cost,
-    )
-    with pytest.raises(InconsistentMatchingError):
-        find_blocking_pairs(tampered, s, ch, zeta=0.0)
 
-    double = Matching(
-        assigned={1: frozenset({b0}), 2: frozenset({b0})},
-        owner_of={b0: 1},
-        rate_bps={1: 0.0, 2: 0.0},
-        cost={1: 0.0, 2: 0.0},
-    )
-    with pytest.raises(InconsistentMatchingError, match="assigned to both"):
-        find_blocking_pairs(double, s, ch, zeta=0.0)
+def test_audits_reject_a_matching_of_another_scenario():
+    s = _build([(0, 0)], [(10, 0), (20, 0)], n1=2)
+    other = _build([(0, 0)], [(10, 0), (20, 0)], n1=3)
+    m = run_matching(other, _channels(other), zeta=0.0)
+    with pytest.raises(InconsistentMatchingError, match="not over this scenario"):
+        find_blocking_pairs(m, s, _channels(s), zeta=0.0)
+    with pytest.raises(InconsistentMatchingError, match="not over this scenario"):
+        recompute_totals(m, s, _channels(s))
 
 
 def test_matching_from_assignment_rejects_shared_brb():
@@ -426,6 +464,8 @@ def test_matching_from_assignment_rejects_shared_brb():
     (b0,) = scenario_brbs(s)
     with pytest.raises(InconsistentMatchingError, match="assigned to both"):
         matching_from_assignment(s, ch, {1: {b0}, 2: {b0}})
+    with pytest.raises(InconsistentMatchingError, match="unknown demander id 7"):
+        matching_from_assignment(s, ch, {7: {b0}})
 
 
 # --- CSV output -----------------------------------------------------------------
