@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matching import Matching, brb_table
-from .propagation import ChannelRealization, rate_tensor
+from .matching import Matching, _flat_view
+from .propagation import ChannelRealization
 from .scenario import Scenario
 
 __all__ = ["best_effort_allocate", "random_allocate"]
@@ -31,16 +31,13 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     or dropped for lack of money are never re-requested, so an unlucky
     demander can finish both poor and underserved.
     """
-    t = brb_table(s)
+    t, r_flat, budgets, demands = _flat_view(s, ch)  # r_flat: (M, K2)
     price = t.price
-    r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]  # (M, K2)
     demander_ids = ch.demander_ids
-    k2 = len(demander_ids)
-    m_total = len(t.brbs)
+    m_total, k2 = r_flat.shape
 
     requests: list[np.ndarray] = []
-    for j, d in enumerate(demander_ids):
-        need = s.demands_bps[d]
+    for j, need in enumerate(demands):
         order = np.argsort(-r_flat[:, j], kind="stable")
         useful = order[r_flat[order, j] > 0.0]
         if need <= 0.0 or useful.size == 0:
@@ -61,8 +58,7 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     holder = np.full(m_total, -1, dtype=int)
     rate = np.zeros(k2)
     cost = np.zeros(k2)
-    for j, d in enumerate(demander_ids):
-        budget = s.budgets[d]
+    for j, budget in enumerate(budgets):
         for m in requests[j]:
             if winner[m] != j:
                 continue
@@ -89,17 +85,15 @@ def random_allocate(
     demand is unmet and the BRB fits its remaining budget.  BRBs with no
     eligible taker stay unassigned.  Deterministic for a given ``rng``.
     """
-    t = brb_table(s)
+    t, r_flat, budgets, demands = _flat_view(s, ch)
     demander_ids = ch.demander_ids
     axes = range(len(demander_ids))
     m_total = len(t.brbs)
 
     # Python floats: the same IEEE sums as numpy scalars, without per-BRB
     # array overhead
-    rates = rate_tensor(s, ch)[t.owner_axis, t.global_n, :].tolist()
+    rates = r_flat.tolist()
     price = t.price.tolist()
-    budgets = [float(s.budgets[d]) for d in demander_ids]
-    demands = [float(s.demands_bps[d]) for d in demander_ids]
     holder = [-1] * m_total
     rate = [0.0 for _ in axes]
     cost = [0.0 for _ in axes]

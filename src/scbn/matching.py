@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .propagation import ChannelRealization, brb_rate, gamma_tensor, rate_tensor
+from .propagation import ChannelRealization, brb_rate, gamma_tensor
 from .scenario import Band, BandKind, Scenario
 
 __all__ = [
@@ -77,17 +77,16 @@ class Brb:
 class BrbTable:
     """The canonical BRB axis of one deployment shape, as parallel arrays.
 
-    Flat index ``k`` names ``brbs[k]``; the arrays give its anchor axis
-    (station order), global index ``n`` into the channel tensors, price,
-    band code (0 mmWave, 1 sub-6), index in band, owner id, rank of its
-    (owner, band, index) key, and position in ``tiers``, the distinct
-    prices ascending.  Tables are shared through a cache, so every field is
-    read-only.
+    Flat index ``k`` names ``brbs[k]``, the BRB of anchor axis ``k // N``
+    (station order) at global index ``k % N`` into the channel tensors,
+    with ``N`` BRBs per anchor: ``k`` = anchor axis * N + global index.
+    The arrays give its price, band code (0 mmWave, 1 sub-6), index in
+    band, owner id, rank of its (owner, band, index) key, and position in
+    ``tiers``, the distinct prices ascending.  Tables are shared through a
+    cache, so every field is read-only.
     """
 
     brbs: tuple[Brb, ...]
-    owner_axis: np.ndarray
-    global_n: np.ndarray
     price: np.ndarray
     band_code: np.ndarray
     index_in_band: np.ndarray
@@ -183,27 +182,25 @@ def _cached_brb_table(
     tier_of = {p: t for t, p in enumerate(tiers)}
     ints = np.array(
         [
-            (i, n, code, idx, a, rank[a] * per_anchor + n, tier_of[b.price])
-            for (i, a, code, idx, n), b in zip(rows, brbs)
+            (code, idx, a, rank[a] * per_anchor + n, tier_of[b.price])
+            for (_, a, code, idx, n), b in zip(rows, brbs)
         ],
         dtype=int,
-    ).reshape(-1, 7).T.copy()
+    ).reshape(-1, 5).T.copy()
     price = np.array([b.price for b in brbs], dtype=float)
     ints.setflags(write=False)
     price.setflags(write=False)
     return BrbTable(
         brbs=brbs,
-        owner_axis=ints[0],
-        global_n=ints[1],
         price=price,
-        band_code=ints[2],
-        index_in_band=ints[3],
-        owner_id=ints[4],
-        key_rank=ints[5],
-        tier=ints[6],
+        band_code=ints[0],
+        index_in_band=ints[1],
+        owner_id=ints[2],
+        key_rank=ints[3],
+        tier=ints[4],
         flat_index=MappingProxyType({b: k for k, b in enumerate(brbs)}),
         tiers=tuple(tiers),
-        tier_sizes=tuple(np.bincount(ints[6], minlength=len(tiers)).tolist()),
+        tier_sizes=tuple(np.bincount(ints[4], minlength=len(tiers)).tolist()),
     )
 
 
@@ -220,6 +217,33 @@ def brb_table(s: Scenario) -> BrbTable:
         for a in anchor_ids
     )
     return _cached_brb_table(anchor_ids, s.mmw_band, s.sub6_band, prices)
+
+
+def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
+    """``(t, rates, budgets, demands)``: the scenario's BRB table, the
+    ``(M, K2)`` rates of its flat BRBs for each demander axis (a view of
+    ``ch.rates``, as flat index = anchor axis * N + global index), and the
+    budgets and demands in demander-axis order.  Raises
+    InconsistentMatchingError for a realization drawn for another scenario
+    or a matching ``m`` over other BRBs or demanders.
+    """
+    t = brb_table(s)
+    anchor_ids, demander_ids = s.anchor_ids, s.demander_ids
+    drawn_for = (ch.anchor_ids, ch.demander_ids, ch.num_mmw_brbs, ch.rates.shape)
+    shape = (len(anchor_ids), s.brbs_per_anchor, len(demander_ids))
+    if drawn_for != (anchor_ids, demander_ids, s.mmw_band.num_brbs, shape):
+        raise InconsistentMatchingError(
+            "the channel realization was drawn for another scenario: its anchor "
+            "ids, demander ids, mmWave BRB count or rate shape differ"
+        )
+    if m is not None and (len(m.holder) != len(t.brbs) or m.demander_ids != demander_ids):
+        raise InconsistentMatchingError(
+            "the matching is not over this scenario's BRBs and demanders"
+        )
+    rates = ch.rates.reshape(len(t.brbs), len(demander_ids))
+    budgets = [float(s.budgets[d]) for d in demander_ids]
+    demands = [float(s.demands_bps[d]) for d in demander_ids]
+    return t, rates, budgets, demands
 
 
 def scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
@@ -272,13 +296,11 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     adds a BRB's rate and price on acceptance and subtracts them on
     displacement, so budgets are never exceeded.
     """
-    t = brb_table(s)
+    t, r_flat, budgets, demands = _flat_view(s, ch)   # r_flat: (M, K2) bit/s
     demander_ids = ch.demander_ids
-    k2 = len(demander_ids)
-    m_total = len(t.brbs)
+    m_total, k2 = r_flat.shape
 
-    # rate and utility of every flat BRB for every demander
-    r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]   # (M, K2) bit/s
+    # utility of every flat BRB for every demander
     u_flat = r_flat - zeta * t.price[:, None]
     # preference: utility first, then the cheaper block, then (band, owner, index)
     ties = np.lexsort((t.index_in_band, t.owner_id, t.band_code, t.price))
@@ -290,8 +312,6 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     # Python floats from here on: the same IEEE sums as numpy scalars, faster
     rates = r_flat.tolist()
     price = t.price.tolist()
-    budgets = [float(s.budgets[d]) for d in demander_ids]
-    demands = [float(s.demands_bps[d]) for d in demander_ids]
     holder = [-1] * m_total
     rounds = 0
     proposals = 0
@@ -350,13 +370,6 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     )
 
 
-def _check_axes(m: Matching, t: BrbTable, ch: ChannelRealization) -> None:
-    if len(m.holder) != len(t.brbs) or m.demander_ids != ch.demander_ids:
-        raise InconsistentMatchingError(
-            "the matching is not over this scenario's BRBs and demanders"
-        )
-
-
 def matching_from_assignment(
     s: Scenario, ch: ChannelRealization, assignment: dict[int, set[Brb]]
 ) -> Matching:
@@ -386,8 +399,8 @@ def _matching_from_holder(
     s: Scenario, ch: ChannelRealization, holder: np.ndarray
 ) -> Matching:
     """A Matching of ``holder`` with totals recomputed from the channels."""
-    t = brb_table(s)
-    rate, cost = _held_totals(t, holder, s, ch)
+    t, r_flat, _, _ = _flat_view(s, ch)
+    rate, cost = _held_totals(t, r_flat, holder, ch.demander_ids)
     return Matching(
         table=t, demander_ids=ch.demander_ids, holder=holder, rate_bps=rate, cost=cost
     )
@@ -398,21 +411,19 @@ def recompute_totals(
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Independent per-demander rate and cost sums from the realization,
     added up in flat BRB order."""
-    t = brb_table(s)
-    _check_axes(m, t, ch)
-    return _held_totals(t, m.holder, s, ch)
+    t, r_flat, _, _ = _flat_view(s, ch, m)
+    return _held_totals(t, r_flat, m.holder, ch.demander_ids)
 
 
 def _held_totals(
-    t: BrbTable, holder: np.ndarray, s: Scenario, ch: ChannelRealization
+    t: BrbTable, r_flat: np.ndarray, holder: np.ndarray, demander_ids: tuple[int, ...]
 ) -> tuple[dict[int, float], dict[int, float]]:
-    rate = dict.fromkeys(ch.demander_ids, 0.0)
-    cost = dict.fromkeys(ch.demander_ids, 0.0)
+    rate = dict.fromkeys(demander_ids, 0.0)
+    cost = dict.fromkeys(demander_ids, 0.0)
     ks = np.flatnonzero(holder >= 0)
     js = holder[ks]
-    r_held = rate_tensor(s, ch)[t.owner_axis[ks], t.global_n[ks], js]
-    for j, r, p in zip(js.tolist(), r_held.tolist(), t.price[ks].tolist()):
-        d = ch.demander_ids[j]
+    for j, r, p in zip(js.tolist(), r_flat[ks, js].tolist(), t.price[ks].tolist()):
+        d = demander_ids[j]
         rate[d] += r
         cost[d] += p
     return rate, cost
@@ -429,17 +440,13 @@ def find_blocking_pairs(
     unmet, or swapping out a held BRB of lower utility while staying
     within budget.  Pairs come sorted by demander id, then BRB key.
     """
-    t = brb_table(s)
-    _check_axes(m, t, ch)
+    t, r_flat, budget, demand = _flat_view(s, ch, m)   # r_flat: (M, K2)
     holder = m.holder
-    r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]   # (M, K2)
     u_flat = r_flat - zeta * t.price[:, None]
     demander_ids = np.array(ch.demander_ids, dtype=int)
     price = t.price[:, None]
     cost = np.array([m.cost.get(d, 0.0) for d in ch.demander_ids], dtype=float)
     rate = np.array([m.rate_bps.get(d, 0.0) for d in ch.demander_ids], dtype=float)
-    budget = np.array([s.budgets[d] for d in ch.demander_ids], dtype=float)
-    demand = np.array([s.demands_bps[d] for d in ch.demander_ids], dtype=float)
 
     # every mask below is (M, K2): flat BRB by demander axis
     held = holder[:, None] == np.arange(len(demander_ids))
@@ -474,22 +481,21 @@ def save_matching_csv(
     m: Matching, s: Scenario, ch: ChannelRealization, path: str
 ) -> None:
     """Dump rows of k2, k1, band, n, gamma, rate_bps, price, sorted."""
-    t = brb_table(s)
-    _check_axes(m, t, ch)
+    t, r_flat, _, _ = _flat_view(s, ch, m)
     ks = np.flatnonzero(m.holder >= 0)
     ids = np.array(ch.demander_ids, dtype=int)[m.holder[ks]]
     order = np.lexsort((t.key_rank[ks], ids))  # demander id, then BRB key
     ks, ids = ks[order], ids[order]
     js = m.holder[ks]
-    i, n = t.owner_axis[ks], t.global_n[ks]
+    gamma = gamma_tensor(s, ch).reshape(r_flat.shape)
     band = (s.mmw_band.kind.value, s.sub6_band.kind.value)
     rows = zip(
         ids.tolist(),
         t.owner_id[ks].tolist(),
         [band[c] for c in t.band_code[ks].tolist()],
         t.index_in_band[ks].tolist(),
-        map(repr, gamma_tensor(s, ch)[i, n, js].tolist()),
-        map(repr, rate_tensor(s, ch)[i, n, js].tolist()),
+        map(repr, gamma[ks, js].tolist()),
+        map(repr, r_flat[ks, js].tolist()),
         map(repr, t.price[ks].tolist()),
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:

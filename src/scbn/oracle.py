@@ -9,14 +9,13 @@ hold the distributed matching against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import Matching, _matching_from_holder, brb_table, recompute_totals
-from .propagation import ChannelRealization, rate_tensor
+from .matching import Matching, _flat_view, _matching_from_holder, recompute_totals
+from .propagation import ChannelRealization
 from .scenario import Scenario
 
 __all__ = [
@@ -51,20 +50,12 @@ class OracleSolution:
     feasible: bool
 
 
-def _enumeration_arrays(s: Scenario, ch: ChannelRealization):
-    t = brb_table(s)
-    m_total = len(t.brbs)
-    k2 = len(ch.demander_ids)
+def _check_size(m_total: int, k2: int) -> None:
     if m_total > MAX_ORACLE_BRBS or k2 > MAX_ORACLE_DEMANDERS:
         raise InstanceTooLargeError(
-            f"instance has {m_total} BRBs and {k2} demanders; the exhaustive "
-            f"oracle is limited to {MAX_ORACLE_BRBS} BRBs and "
-            f"{MAX_ORACLE_DEMANDERS} demanders"
+            f"instance has {m_total} BRBs and {k2} demanders; the exhaustive oracle "
+            f"is limited to {MAX_ORACLE_BRBS} BRBs and {MAX_ORACLE_DEMANDERS} demanders"
         )
-    r_flat = rate_tensor(s, ch)[t.owner_axis, t.global_n, :]
-    budgets = np.array([s.budgets[d] for d in ch.demander_ids], dtype=float)
-    demands = np.array([s.demands_bps[d] for d in ch.demander_ids], dtype=float)
-    return r_flat, t.price, budgets, demands
 
 
 def _feasibility(choices: np.ndarray, r_flat, price, budgets, demands):
@@ -90,13 +81,12 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
     ascending id order} with BRBs in (owner, band, index) order, and the
     first minimum in that lexicographic enumeration wins ties.
     """
-    r_flat, price, budgets, demands = _enumeration_arrays(s, ch)
-    m_total = len(price)
-    k2 = len(budgets)
-    choices = np.array(
-        list(itertools.product(range(k2 + 1), repeat=m_total)), dtype=np.int8
-    ).reshape(-1, m_total)
-    feasible, total_cost = _feasibility(choices, r_flat, price, budgets, demands)
+    t, r_flat, budgets, demands = _flat_view(s, ch)
+    m_total, k2 = r_flat.shape
+    _check_size(m_total, k2)
+    # every row of choices, in lexicographic order: the last BRB varies fastest
+    choices = np.indices((k2 + 1,) * m_total, dtype=np.int8).reshape(m_total, -1).T
+    feasible, total_cost = _feasibility(choices, r_flat, t.price, budgets, demands)
     if not feasible.any():
         empty = _matching_from_holder(s, ch, np.full(m_total, -1, dtype=int))
         return OracleSolution(matching=empty, total_cost=math.inf, feasible=False)
@@ -120,9 +110,10 @@ def sample_feasible_costs(
     Used as a randomized dominance check: every returned cost must be at
     least the oracle's minimum.
     """
-    r_flat, price, budgets, demands = _enumeration_arrays(s, ch)
-    choices = rng.integers(0, len(budgets) + 1, size=(samples, len(price)), dtype=np.int8)
-    feasible, total_cost = _feasibility(choices, r_flat, price, budgets, demands)
+    t, r_flat, budgets, demands = _flat_view(s, ch)
+    _check_size(*r_flat.shape)
+    choices = rng.integers(0, len(budgets) + 1, size=(samples, len(t.price)), dtype=np.int8)
+    feasible, total_cost = _feasibility(choices, r_flat, t.price, budgets, demands)
     return total_cost[feasible]
 
 
@@ -159,13 +150,9 @@ def check_constraints(
     trustworthy even for hand-built matchings.
     """
     rate, cost = recompute_totals(m, s, ch)
-    rate_slack = {
-        d: rate[d] - s.demands_bps[d] for d in ch.demander_ids
-    }
-    budget_slack = {
-        d: s.budgets[d] - cost[d] for d in ch.demander_ids
-    }
-    used = np.bincount(m.table.owner_axis[m.holder >= 0], minlength=len(ch.anchor_ids))
+    rate_slack = {d: rate[d] - s.demands_bps[d] for d in ch.demander_ids}
+    budget_slack = {d: s.budgets[d] - cost[d] for d in ch.demander_ids}
+    used = (m.holder >= 0).reshape(len(ch.anchor_ids), s.brbs_per_anchor).sum(axis=1)
     per_anchor_slack = {
         a: s.brbs_per_anchor - int(n) for a, n in zip(ch.anchor_ids, used)
     }

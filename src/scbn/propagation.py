@@ -7,9 +7,9 @@ log-distance law with per-BRB Rayleigh fading (unit-mean exponential
 squared envelope) and sees worst-case interference: every other anchor
 is assumed active on the same BRB index.
 
-A :class:`ChannelRealization` freezes one random draw of all link gains
-so that competing allocation schemes can be compared on identical
-channels.
+A :class:`ChannelRealization` freezes one random draw of all link gains,
+and the per-BRB rates they give, so that competing allocation schemes
+can be compared on identical channels.
 """
 
 from __future__ import annotations
@@ -50,14 +50,19 @@ class ChannelRealization:
 
     ``gains[i, n, j]`` is the gain from anchor axis ``i`` to demander axis
     ``j`` on global BRB index ``n``; indices ``n < num_mmw_brbs`` are the
-    mmWave BRBs, the rest the sub-6 ones.  ``los[i, j]`` says whether the
+    mmWave BRBs, the rest the sub-6 ones.  ``rates[i, n, j]`` is the
+    Shannon rate in bit/s those gains give (:func:`rate_tensor`), computed
+    once when the realization is drawn.  ``los[i, j]`` says whether the
     mmWave line of sight of link (i, j) is clear; obstructed links have
     zero mmWave gain.  Axis order follows ``anchor_ids`` / ``demander_ids``:
     station order, which a loaded scenario need not keep in ascending id.
-    Treat all arrays as read-only.
+    A realization belongs to the scenario it was drawn for, whose powers,
+    noise and bandwidths its rates fold in; the schemes and audits reject
+    it for other anchors, demanders or bands.  Arrays are read-only.
     """
 
     gains: np.ndarray
+    rates: np.ndarray
     los: np.ndarray
     num_mmw_brbs: int
     anchor_ids: tuple[int, ...]
@@ -184,7 +189,7 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
     Draw order (fixed for reproducibility): per-link blockage uniforms,
     per-link mmWave shadowing, then per-(link, BRB) sub-6 fades.  All
     mmWave BRBs of a link share one shadowing draw; an obstructed link
-    has zero gain on every mmWave BRB.
+    has zero gain on every mmWave BRB.  Rates are computed here, once.
     """
     k1 = len(s.anchors)
     k2 = len(s.demanders)
@@ -208,13 +213,19 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
     sub6_loss_db = s.sub6.ref_loss_db + 10.0 * s.sub6.pathloss_exponent * np.log10(dist)
     gains[:, n1:, :] = fades * (10.0 ** (-sub6_loss_db / 10.0))[:, None, :]
 
-    return ChannelRealization(
+    rates = np.empty_like(gains)
+    ch = ChannelRealization(
         gains=gains,
+        rates=rates,
         los=los,
         num_mmw_brbs=n1,
         anchor_ids=s.anchor_ids,
         demander_ids=s.demander_ids,
     )
+    rates[...] = rate_tensor(s, ch)  # reads only the gains and the band split
+    gains.setflags(write=False)
+    rates.setflags(write=False)
+    return ch
 
 
 def gamma_tensor(s: Scenario, ch: ChannelRealization) -> np.ndarray:

@@ -241,6 +241,7 @@ def test_numeric_anchors_of_the_propagation_models():
     gains[0, 1, 0] = 3.7e-11
     lone_anchor = ChannelRealization(
         gains=gains,
+        rates=np.zeros_like(gains),
         los=np.ones((1, 1), dtype=bool),
         num_mmw_brbs=1,
         anchor_ids=(0,),

@@ -25,7 +25,9 @@ from scbn.matching import (
     Brb,
     InconsistentMatchingError,
     Matching,
+    _flat_view,
     brb_global_index,
+    brb_table,
     find_blocking_pairs,
     matching_from_assignment,
     run_matching,
@@ -512,6 +514,22 @@ def test_instances_cover_the_awkward_shapes(instances):
         len({p[BandKind.SUB6] for p in s.prices.per_anchor.values()}) > 1
         for s in scenarios
     )
+
+
+def test_flat_index_is_anchor_axis_times_n_plus_global_index(instances):
+    loaded = [
+        (s, ch) for s, ch, _, _ in instances if list(s.anchor_ids) != sorted(s.anchor_ids)
+    ]
+    assert loaded
+    for s, ch in loaded:
+        t, n = brb_table(s), s.brbs_per_anchor
+        for k, b in enumerate(t.brbs):
+            assert b.owner == s.anchor_ids[k // n]
+            assert brb_global_index(s, b) == k % n
+        # so the flat rate matrix is the gather the reference schemes make
+        owner_axis, _, global_n, _, _, _ = _ref_flat_brb_arrays(s, t.brbs)
+        gathered = rate_tensor(s, ch)[owner_axis, global_n, :]
+        assert _flat_view(s, ch)[1].tobytes() == gathered.tobytes()
 
 
 def _bits(values: dict) -> dict:

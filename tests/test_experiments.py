@@ -3,10 +3,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from scbn import propagation
 from scbn.experiments import (
     SCHEMES,
     SweepConfig,
@@ -64,6 +66,28 @@ def test_run_trial_matching_is_stable():
     for t in range(5):
         res = run_trial(s, 1e6, ("matching",), np.random.default_rng([2, t]))
         assert res.per_scheme["matching"].blocking_pairs == 0
+
+
+def test_a_trial_computes_the_rate_tensor_once(monkeypatch):
+    real = propagation.rate_tensor
+    calls = []
+
+    def counting(s, ch):
+        calls.append(None)
+        return real(s, ch)
+
+    patched = [
+        name
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "scbn" and getattr(module, "rate_tensor", None) is real
+    ]
+    assert "scbn.propagation" in patched
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "rate_tensor", counting)
+    base = generate_scenario(GenerationConfig(), seed=0)
+    result = run_trial(base, 1e6, SCHEMES, np.random.default_rng(3))
+    assert set(result.per_scheme) == set(SCHEMES)
+    assert len(calls) == 1
 
 
 def test_run_trial_rejects_unknown_scheme():

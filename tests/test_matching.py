@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import scbn
+from scbn.baselines import best_effort_allocate, random_allocate
 from scbn.experiments import random_micro_config
 from scbn.matching import (
     BRB_TABLE_CACHE_SIZE,
@@ -28,6 +29,7 @@ from scbn.matching import (
     save_matching_csv,
     scenario_brbs,
 )
+from scbn.oracle import brute_force_min_cost, check_constraints
 from scbn.propagation import brb_rate, rate_tensor, realize_channels
 from scbn.scenario import (
     Band,
@@ -458,6 +460,34 @@ def test_audits_reject_a_matching_of_another_scenario():
         recompute_totals(m, s, _channels(s))
 
 
+_ENTRY_POINTS = {
+    "run_matching": lambda s, ch, m: run_matching(s, ch, zeta=0.0),
+    "best_effort_allocate": lambda s, ch, m: best_effort_allocate(s, ch),
+    "random_allocate": lambda s, ch, m: random_allocate(s, ch, np.random.default_rng(0)),
+    "brute_force_min_cost": lambda s, ch, m: brute_force_min_cost(s, ch),
+    "find_blocking_pairs": lambda s, ch, m: find_blocking_pairs(m, s, ch, zeta=0.0),
+    "check_constraints": lambda s, ch, m: check_constraints(m, s, ch),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(_ENTRY_POINTS))
+def test_schemes_and_audits_reject_a_realization_of_another_scenario(entry_point):
+    call = _ENTRY_POINTS[entry_point]
+    s = _build([(0, 0)], [(10, 0), (20, 0)], n1=2, n2=1)
+    ch = _channels(s)
+    m = run_matching(s, ch, zeta=0.0)
+    call(s, ch, m)  # its own realization is accepted
+    foreign = [
+        _channels(_build([(0, 0)], [(10, 0), (20, 0)], n1=4, n2=1)),  # more BRBs
+        _channels(_build([(0, 0)], [(10, 0), (20, 0)], n1=1, n2=2)),  # same shape
+        replace(ch, anchor_ids=(7,)),
+        replace(ch, demander_ids=(2, 1)),
+    ]
+    for other in foreign:
+        with pytest.raises(InconsistentMatchingError, match="another scenario"):
+            call(s, other, m)
+
+
 def test_matching_from_assignment_rejects_shared_brb():
     s = _build([(0, 0)], [(10, 0), (20, 0)], n1=1)
     ch = _channels(s)
@@ -513,7 +543,7 @@ def test_brb_table_tracks_one_anchors_sub6_price():
 
 def test_brb_table_is_read_only():
     t = brb_table(_build([(0, 0)], [(10, 0)], n1=2, n2=1))
-    for array in (t.price, t.owner_axis, t.key_rank, t.tier):
+    for array in (t.price, t.owner_id, t.key_rank, t.tier):
         with pytest.raises(ValueError):
             array[0] = 0
     with pytest.raises(TypeError):

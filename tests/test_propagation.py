@@ -114,6 +114,7 @@ def _two_anchor_realization(signal, interference, n1=1, n2=1):
     gains[1, n1, 0] = interference
     return ChannelRealization(
         gains=gains,
+        rates=np.zeros_like(gains),
         los=np.ones((2, 1), dtype=bool),
         num_mmw_brbs=n1,
         anchor_ids=(0, 1),
@@ -132,6 +133,7 @@ def test_sinr_sub6_single_anchor_reduces_to_snr():
     gains[0, 1, 0] = 4.2e-11
     ch = ChannelRealization(
         gains=gains,
+        rates=np.zeros_like(gains),
         los=np.ones((1, 1), dtype=bool),
         num_mmw_brbs=1,
         anchor_ids=(0,),
@@ -253,6 +255,16 @@ def test_rate_tensor_matches_pointwise_models():
     n1 = ch.num_mmw_brbs
     assert rates[0, 0, 0] == brb_rate(s.mmw_band.brb_bandwidth_hz, gamma[0, 0, 0])
     assert rates[0, n1, 0] == brb_rate(s.sub6_band.brb_bandwidth_hz, gamma[0, n1, 0])
+
+
+def test_realization_carries_its_rate_tensor_read_only():
+    s = generate_scenario(GenerationConfig(), seed=3)
+    ch = realize_channels(s, np.random.default_rng(5))
+    assert ch.rates.dtype == ch.gains.dtype and ch.rates.shape == ch.gains.shape
+    assert ch.rates.tobytes() == rate_tensor(s, ch).tobytes()
+    for array in (ch.rates, ch.gains):
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 1.0
 
 
 def test_save_channels_csv(tmp_path):
