@@ -94,19 +94,29 @@ def random_allocate(
     # array overhead
     rates = r_flat.tolist()
     price = t.price.tolist()
+    tier_of = t.tier.tolist()
     holder = [-1] * m_total
     rate = [0.0 for _ in axes]
     cost = [0.0 for _ in axes]
+
+    def qualifies(j: int, tier_price: float) -> bool:
+        return rate[j] < demands[j] and cost[j] + tier_price <= budgets[j]
+
+    # The eligible demanders of each price tier, ascending.  Rates and
+    # prices are non-negative, so a grant only raises a demander's rate and
+    # cost, and a demander that stops qualifying for a tier never does again.
+    eligible_in = [[j for j in axes if qualifies(j, p)] for p in t.tiers]
     for m in rng.permutation(m_total).tolist():
-        eligible = [
-            j for j in axes if rate[j] < demands[j] and cost[j] + price[m] <= budgets[j]
-        ]
+        eligible = eligible_in[tier_of[m]]
         if not eligible:
             continue
         j = eligible[rng.integers(len(eligible))]
         holder[m] = j
         rate[j] += rates[m][j]
         cost[j] += price[m]
+        for tier_price, tier_eligible in zip(t.tiers, eligible_in):
+            if j in tier_eligible and not qualifies(j, tier_price):
+                tier_eligible.remove(j)
     return Matching(
         table=t,
         demander_ids=demander_ids,

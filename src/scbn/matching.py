@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .propagation import ChannelRealization, brb_rate, gamma_tensor
+from .propagation import ChannelRealization, brb_rate, gamma_tensor, radio_settings
 from .scenario import Band, BandKind, Scenario
 
 __all__ = [
@@ -229,12 +229,16 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     """
     t = brb_table(s)
     anchor_ids, demander_ids = s.anchor_ids, s.demander_ids
-    drawn_for = (ch.anchor_ids, ch.demander_ids, ch.num_mmw_brbs, ch.rates.shape)
+    drawn_for = (
+        ch.anchor_ids, ch.demander_ids, ch.num_mmw_brbs, ch.rates.shape, ch.radio
+    )
     shape = (len(anchor_ids), s.brbs_per_anchor, len(demander_ids))
-    if drawn_for != (anchor_ids, demander_ids, s.mmw_band.num_brbs, shape):
+    if drawn_for != (
+        anchor_ids, demander_ids, s.mmw_band.num_brbs, shape, radio_settings(s)
+    ):
         raise InconsistentMatchingError(
             "the channel realization was drawn for another scenario: its anchor "
-            "ids, demander ids, mmWave BRB count or rate shape differ"
+            "ids, demander ids, mmWave BRB count, rate shape or radio settings differ"
         )
     if m is not None and (len(m.holder) != len(t.brbs) or m.demander_ids != demander_ids):
         raise InconsistentMatchingError(
@@ -278,13 +282,57 @@ def brb_utility(gamma: float, bandwidth_hz: float) -> float:
 
 @dataclass
 class _ProposalState:
-    """Mutable per-demander state inside run_matching."""
+    """Mutable per-demander state inside run_matching.
+
+    Every position of ``order`` before ``scan_from`` has been applied to.
+    A block of one price tier is affordable exactly when every block of
+    that tier is, so a demander applies to each tier's blocks in
+    preference order: within a tier, the applied positions are a prefix.
+    ``tier_positions[i]`` lists the positions in ``order`` of tier ``i``'s
+    blocks, ascending, and ``tier_heads[i]`` indexes its first possibly
+    unapplied one (a head only moves forward); both are built the first
+    time the demander's best untried block is too dear.
+    """
 
     order: list[int]           # flat BRB indices in preference order
     applied: bytearray         # nonzero per flat BRB already proposed to
     scan_from: int = 0         # first position possibly unapplied
     cost: float = 0.0
     rate_bps: float = 0.0
+    tier_positions: list[list[int]] | None = None
+    tier_heads: list[int] | None = None
+
+    def cheaper_head(
+        self, dear_tier: int, tier_of: list[int], tiers: tuple[float, ...], budget: float
+    ) -> int:
+        """The best untried block the budget covers, or -1, when the best
+        untried block is of tier ``dear_tier`` and too dear.
+
+        Tiers ascend in price and a float sum is monotone in each term, so
+        ``dear_tier`` and every dearer tier are unaffordable and the
+        affordable tiers are a prefix of ``tiers``.  Each affordable tier's
+        head is its best untried block; the head placed first in ``order``
+        is the block a scan from ``scan_from`` would reach first, so the
+        choice is the scan's, without walking past the dear blocks.
+        """
+        order, applied = self.order, self.applied
+        if self.tier_positions is None:
+            self.tier_positions = [[] for _ in tiers]
+            for pos, m in enumerate(order):
+                self.tier_positions[tier_of[m]].append(pos)
+            self.tier_heads = [0] * len(tiers)
+        best = len(order)
+        for i in range(dear_tier):
+            # the same float sum run_matching compares and stores as the cost
+            if not self.cost + tiers[i] <= budget:
+                break
+            positions, h = self.tier_positions[i], self.tier_heads[i]
+            while h < len(positions) and applied[order[positions[h]]]:
+                h += 1
+            self.tier_heads[i] = h
+            if h < len(positions) and positions[h] < best:
+                best = positions[h]
+        return order[best] if best < len(order) else -1
 
 
 def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
@@ -295,6 +343,13 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     the start of the round, then every BRB picks its winner.  Bookkeeping
     adds a BRB's rate and price on acceptance and subtracts them on
     displacement, so budgets are never exceeded.
+
+    A demander proposes to the first block of its preference order that
+    it has not tried and can afford.  It skips tried blocks from
+    ``scan_from``; when the block found there is too dear, it takes the
+    best-placed head of the cheaper price tiers it can afford
+    (:meth:`_ProposalState.cheaper_head`), the same block a scan onward
+    would reach, without walking past every dear block in every round.
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)   # r_flat: (M, K2) bit/s
     demander_ids = ch.demander_ids
@@ -312,6 +367,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     # Python floats from here on: the same IEEE sums as numpy scalars, faster
     rates = r_flat.tolist()
     price = t.price.tolist()
+    tier_of = t.tier.tolist()
     holder = [-1] * m_total
     rounds = 0
     proposals = 0
@@ -328,15 +384,13 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
             while pos < m_total and applied[order[pos]]:
                 pos += 1
             st.scan_from = pos
-            choice = -1
-            while pos < m_total:
-                m = order[pos]
-                # the comparison uses the same float sum later stored as
-                # the cost, so cost <= budget can never be violated
-                if not applied[m] and st.cost + price[m] <= budgets[j]:
-                    choice = m
-                    break
-                pos += 1
+            if pos == m_total:
+                continue
+            choice = order[pos]
+            # the comparison uses the same float sum later stored as the
+            # cost, so cost <= budget can never be violated
+            if not st.cost + price[choice] <= budgets[j]:
+                choice = st.cheaper_head(tier_of[choice], tier_of, t.tiers, budgets[j])
             if choice >= 0:
                 applied[choice] = 1
                 round_proposals.setdefault(choice, []).append(j)

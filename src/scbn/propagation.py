@@ -31,6 +31,7 @@ __all__ = [
     "snr_mmw",
     "sinr_sub6",
     "brb_rate",
+    "radio_settings",
     "realize_channels",
     "gamma_tensor",
     "rate_tensor",
@@ -57,8 +58,10 @@ class ChannelRealization:
     zero mmWave gain.  Axis order follows ``anchor_ids`` / ``demander_ids``:
     station order, which a loaded scenario need not keep in ascending id.
     A realization belongs to the scenario it was drawn for, whose powers,
-    noise and bandwidths its rates fold in; the schemes and audits reject
-    it for other anchors, demanders or bands.  Arrays are read-only.
+    noise and bandwidths its rates fold in; ``radio`` records those, as
+    :func:`radio_settings` gives them, and the schemes and audits reject
+    the realization for other anchors, demanders, bands or radio settings.
+    Arrays are read-only.
     """
 
     gains: np.ndarray
@@ -67,6 +70,7 @@ class ChannelRealization:
     num_mmw_brbs: int
     anchor_ids: tuple[int, ...]
     demander_ids: tuple[int, ...]
+    radio: tuple[float, float, float, float]
 
     @property
     def num_brbs(self) -> int:
@@ -183,6 +187,17 @@ def _distance_matrix(s: Scenario) -> np.ndarray:
     return np.maximum(d, MIN_MODEL_DISTANCE_M)
 
 
+def radio_settings(s: Scenario) -> tuple[float, float, float, float]:
+    """What a rate tensor folds in besides the gains: the transmit power,
+    the noise power, and the mmWave and sub-6 BRB bandwidths."""
+    return (
+        s.tx_power_w,
+        s.noise_power_w,
+        s.mmw_band.brb_bandwidth_hz,
+        s.sub6_band.brb_bandwidth_hz,
+    )
+
+
 def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization for every link of the scenario.
 
@@ -221,6 +236,7 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
         num_mmw_brbs=n1,
         anchor_ids=s.anchor_ids,
         demander_ids=s.demander_ids,
+        radio=radio_settings(s),
     )
     rates[...] = rate_tensor(s, ch)  # reads only the gains and the band split
     gains.setflags(write=False)

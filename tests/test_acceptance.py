@@ -246,6 +246,7 @@ def test_numeric_anchors_of_the_propagation_models():
         num_mmw_brbs=1,
         anchor_ids=(0,),
         demander_ids=(1,),
+        radio=(1.0, 1e-12, 4.86e6, 480e3),
     )
     assert sinr_sub6(0, 1, 1, 1.0, lone_anchor, 1e-12) == snr_mmw(1.0, 3.7e-11, 1e-12)
 

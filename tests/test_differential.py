@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scbn.baselines import best_effort_allocate, random_allocate
 from scbn.matching import (
@@ -26,13 +28,19 @@ from scbn.matching import (
     InconsistentMatchingError,
     Matching,
     _flat_view,
+    _ProposalState,
     brb_global_index,
     brb_table,
     find_blocking_pairs,
     matching_from_assignment,
     run_matching,
 )
-from scbn.propagation import ChannelRealization, rate_tensor, realize_channels
+from scbn.propagation import (
+    ChannelRealization,
+    radio_settings,
+    rate_tensor,
+    realize_channels,
+)
 from scbn.scenario import (
     BandKind,
     GenerationConfig,
@@ -40,6 +48,7 @@ from scbn.scenario import (
     Scenario,
     generate_scenario,
     load_scenario,
+    resample_positions,
     save_scenario,
 )
 
@@ -604,3 +613,155 @@ def test_assignment_of_blocks_of_another_scenario_is_rejected(instances):
     b = replace(_ref_scenario_brbs(s)[0], price=123.0)
     with pytest.raises(InconsistentMatchingError, match="not a block of this scenario"):
         matching_from_assignment(s, ch, {ch.demander_ids[0]: {b}})
+
+
+# --- proposals past an unaffordable block ---------------------------------------
+
+
+@pytest.fixture
+def tier_head_choices(monkeypatch):
+    """Records, for each time a demander's best untried block was too dear,
+    whether it proposed to a cheaper tier's head instead."""
+    made: list[bool] = []
+    cheaper_head = _ProposalState.cheaper_head
+
+    def recorded(self, *args):
+        choice = cheaper_head(self, *args)
+        made.append(choice >= 0)
+        return choice
+
+    monkeypatch.setattr(_ProposalState, "cheaper_head", recorded)
+    return made
+
+
+# trials in which demanders run out of money with many dear blocks untried,
+# so that their best untried block is too dear round after round
+_BUDGET_BOUND = GenerationConfig(
+    area_side_m=1000.0, mmw_blockage_prob=0.12, budget=20.0, sub6_price=10.0
+)
+_HEAVY_TAIL_TRIALS = (7, 18, 51, 78, 141)
+
+
+def test_budget_bound_heavy_tail_trials_match_the_reference(tier_head_choices):
+    base = generate_scenario(_BUDGET_BOUND, seed=0)
+    for i in _HEAVY_TAIL_TRIALS:
+        rng = np.random.default_rng([0, i])  # the sweep harness's trial stream
+        s = resample_positions(base, rng)
+        ch = realize_channels(s, rng)
+        _assert_same_matching(run_matching(s, ch, 1e5), _ref_run_matching(s, ch, 1e5))
+    assert tier_head_choices  # the tier-head branch ran
+
+
+def test_three_tier_instance_proposes_to_the_best_placed_affordable_head(
+    tier_head_choices,
+):
+    """One anchor's dear mmWave blocks lead every preference list, the
+    other's mid-priced mmWave blocks come next and the cheap sub-6 blocks
+    last.  The budget covers two mid-priced blocks, never a dear one: the
+    demanders propose past every dear block to the mid tier's head (placed
+    before the cheap tier's), then, with the mid tier out of reach, to the
+    cheap tier's head."""
+    cfg = GenerationConfig(
+        num_stations=4,
+        num_anchors=2,
+        num_mmw_brbs=3,
+        num_sub6_brbs=2,
+        mmw_shadow_sigma_db=0.0,
+        demand_bps=1e12,
+        budget=12.0,
+    )
+    s = generate_scenario(cfg, seed=0)
+    xy = ((100.0, 100.0), (300.0, 100.0), (120.0, 100.0), (140.0, 100.0))
+    s = replace(
+        s,
+        stations=tuple(
+            replace(station, x_m=x, y_m=y) for station, (x, y) in zip(s.stations, xy)
+        ),
+        prices=PriceSchedule(
+            per_anchor={
+                0: {BandKind.MMWAVE: 20.0, BandKind.SUB6: 1.0},
+                1: {BandKind.MMWAVE: 5.0, BandKind.SUB6: 1.0},
+            }
+        ),
+    )
+    t = brb_table(s)
+    assert t.tiers == (1.0, 5.0, 20.0)
+    ch = realize_channels(s, np.random.default_rng(3))
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    assert any(tier_head_choices)
+    _, rates, _, _ = _flat_view(s, ch)
+    for j, d in enumerate(s.demander_ids):
+        # the dear blocks rank first, and the mid-priced before the cheap
+        assert rates[t.tier == 2, j].min() > rates[t.tier == 1, j].max()
+        assert rates[t.tier == 1, j].min() > rates[t.tier == 0, j].max()
+        held = t.tier[m.holder == j].tolist()
+        assert 2 not in held and 1 in held and 0 in held
+        assert m.cost[d] <= s.budgets[d]
+    assert find_blocking_pairs(m, s, ch, zeta=0.0) == []
+
+
+# --- property test over random small instances ------------------------------------
+
+
+@st.composite
+def _small_instances(draw):
+    """A small scenario with per-anchor prices, per-demander budgets that
+    may be below its cheapest block, bands that may be empty, and gains
+    drawn from a few levels, so that equal rates are common."""
+    k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n1, n2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if n1 + n2 == 0:
+        n1 = 1  # a zero-supply band, but some supply overall
+    s = generate_scenario(
+        GenerationConfig(
+            num_stations=k1 + k2, num_anchors=k1, num_mmw_brbs=n1, num_sub6_brbs=n2
+        ),
+        seed=0,
+    )
+    price = st.sampled_from(_PRICES)
+    budget = st.one_of(st.sampled_from((0.05,) + _ROUND_BUDGETS), st.floats(0.01, 30.0))
+    s = replace(
+        s,
+        prices=PriceSchedule(
+            per_anchor={
+                a: {BandKind.MMWAVE: draw(price), BandKind.SUB6: draw(price)}
+                for a in s.anchor_ids
+            }
+        ),
+        budgets={d: draw(budget) for d in s.demander_ids},
+        demands_bps={d: draw(st.floats(1e5, 80e6)) for d in s.demander_ids},
+    )
+    levels = st.sampled_from((0.0, 1e-11, 1e-10, 1e-9))
+    gains = np.array(
+        [draw(levels) for _ in range(k1 * (n1 + n2) * k2)], dtype=float
+    ).reshape(k1, n1 + n2, k2)
+    ch = ChannelRealization(
+        gains=gains,
+        rates=np.zeros_like(gains),
+        los=np.ones((k1, k2), dtype=bool),
+        num_mmw_brbs=n1,
+        anchor_ids=s.anchor_ids,
+        demander_ids=s.demander_ids,
+        radio=radio_settings(s),
+    )
+    ch = replace(ch, rates=rate_tensor(s, ch))
+    zeta = draw(st.sampled_from((0.0, 1e5, 1e6)))
+    return s, ch, zeta, draw(st.integers(0, 2**31))
+
+
+@given(_small_instances())
+def test_schemes_keep_their_guarantees_on_small_instances(instance):
+    s, ch, zeta, seed = instance
+    m = run_matching(s, ch, zeta)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta))
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    random_m = random_allocate(s, ch, rng_new)
+    _assert_same_matching(random_m, _ref_random_allocate(s, ch, rng_old))
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    assert find_blocking_pairs(m, s, ch, zeta) == []
+    for scheme in (m, random_m):
+        assert all(scheme.cost[d] <= s.budgets[d] for d in s.demander_ids)
+    k2, brbs = len(s.demander_ids), len(brb_table(s).brbs)
+    assert m.rounds <= m.proposals <= k2 * brbs

@@ -486,6 +486,19 @@ def test_schemes_and_audits_reject_a_realization_of_another_scenario(entry_point
     for other in foreign:
         with pytest.raises(InconsistentMatchingError, match="another scenario"):
             call(s, other, m)
+    # same shape, other radio settings: the realization's rates do not hold
+    def wider(band):
+        return replace(band, brb_bandwidth_hz=2 * band.brb_bandwidth_hz)
+
+    other_radio = [
+        replace(s, tx_power_w=s.tx_power_w / 100),
+        replace(s, noise_power_dbm=s.noise_power_dbm + 3.0),
+        replace(s, mmw_band=wider(s.mmw_band)),
+        replace(s, sub6_band=wider(s.sub6_band)),
+    ]
+    for other in other_radio:
+        with pytest.raises(InconsistentMatchingError, match="another scenario"):
+            call(other, ch, m)
 
 
 def test_matching_from_assignment_rejects_shared_brb():

@@ -119,6 +119,7 @@ def _two_anchor_realization(signal, interference, n1=1, n2=1):
         num_mmw_brbs=n1,
         anchor_ids=(0, 1),
         demander_ids=(2,),
+        radio=(1.0, 1e-12, 4.86e6, 480e3),
     )
 
 
@@ -138,6 +139,7 @@ def test_sinr_sub6_single_anchor_reduces_to_snr():
         num_mmw_brbs=1,
         anchor_ids=(0,),
         demander_ids=(1,),
+        radio=(1.0, 1e-12, 4.86e6, 480e3),
     )
     assert sinr_sub6(0, 1, 1, 1.0, ch, 1e-12) == snr_mmw(1.0, 4.2e-11, 1e-12)
 
