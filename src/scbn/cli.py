@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,7 +57,14 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _check_zeta(zeta: float) -> None:
+    # argparse reads "nan" and "inf" as floats; they are bad values, not bad usage
+    if not math.isfinite(zeta):
+        raise ConfigError(f"--zeta must be a finite number, got {zeta}")
+
+
 def _cmd_run(args) -> int:
+    _check_zeta(args.zeta)
     scenario = load_scenario(args.scenario)
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng([args.channel_seed, 0xC4A])
@@ -133,6 +141,7 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_stability_audit(args) -> int:
+    _check_zeta(args.zeta)
     gen_cfg = (
         GenerationConfig() if args.params is None else load_generation_config(args.params)
     )
@@ -147,7 +156,7 @@ def _cmd_stability_audit(args) -> int:
         )
     print(
         f"trials={summary['trials']} blocking_pairs_total={summary['blocking_pairs_total']} "
-        f"max_rounds={summary['max_rounds']} (bound {summary['rounds_bound']}) "
+        f"max_rounds={summary['max_rounds']} "
         f"max_proposals={summary['max_proposals']} (bound {summary['proposals_bound']})"
     )
     if summary["blocking_pairs_total"]:

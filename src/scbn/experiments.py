@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -158,7 +159,15 @@ def _typed(value, annotation: str, where: str):
         return value
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where} must be of type {annotation}, got {json.dumps(value)}")
-    return float(value) if annotation == "float" else value
+    if annotation != "float":
+        return value
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
+    return value
 
 
 def _strict_dataclass(cls, doc: dict, context: str):

@@ -13,6 +13,16 @@ exactly one demander.
 The procedure terminates because a demander never proposes to the same
 BRB twice, and the result is stable in the sense checked by
 :func:`find_blocking_pairs`.
+
+Two exact shortcuts keep the rounds cheap without changing them.  A round
+visits only the demanders that proposed or were displaced in the round
+before: any other demander's rate, cost and tried blocks are as they were
+when it last failed to propose.  And since every mmWave BRB of a link
+shares one shadowing draw, an anchor's mmWave blocks are interchangeable
+for each demander, so demanders that want that anchor march down its
+block indices together, one block per round.  After a round in which
+every contested block was free, :func:`_skip_repeats` applies in one step
+every following round that repeats it a block further on.
 """
 
 from __future__ import annotations
@@ -82,8 +92,10 @@ class BrbTable:
     with ``N`` BRBs per anchor: ``k`` = anchor axis * N + global index.
     The arrays give its price, band code (0 mmWave, 1 sub-6), index in
     band, owner id, rank of its (owner, band, index) key, and position in
-    ``tiers``, the distinct prices ascending.  Tables are shared through a
-    cache, so every field is read-only.
+    ``tiers``, the distinct prices ascending.  ``tie_order`` lists the flat
+    indices by (price, band, owner, index), the order in which a demander
+    ranks blocks of equal utility.  Tables are shared through a cache, so
+    every field is read-only.
     """
 
     brbs: tuple[Brb, ...]
@@ -93,6 +105,7 @@ class BrbTable:
     owner_id: np.ndarray
     key_rank: np.ndarray
     tier: np.ndarray
+    tie_order: np.ndarray
     flat_index: Mapping[Brb, int]
     tiers: tuple[float, ...]
     tier_sizes: tuple[int, ...]
@@ -188,8 +201,9 @@ def _cached_brb_table(
         dtype=int,
     ).reshape(-1, 5).T.copy()
     price = np.array([b.price for b in brbs], dtype=float)
-    ints.setflags(write=False)
-    price.setflags(write=False)
+    tie_order = np.lexsort((ints[1], ints[2], ints[0], price))
+    for a in (ints, price, tie_order):
+        a.setflags(write=False)
     return BrbTable(
         brbs=brbs,
         price=price,
@@ -198,6 +212,7 @@ def _cached_brb_table(
         owner_id=ints[2],
         key_rank=ints[3],
         tier=ints[4],
+        tie_order=tie_order,
         flat_index=MappingProxyType({b: k for k, b in enumerate(brbs)}),
         tiers=tuple(tiers),
         tier_sizes=tuple(np.bincount(ints[4], minlength=len(tiers)).tolist()),
@@ -335,6 +350,79 @@ class _ProposalState:
         return order[best] if best < len(order) else -1
 
 
+def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1) -> int:
+    """Play at once every round that repeats the one just played a block
+    further on; return how many rounds that was.
+
+    ``groups`` lists the round's contests as (block m, applicants, winner),
+    each block free before the round, and the applicants of all groups
+    are every demander that proposed in it.  Round ``i`` after it repeats
+    it when, for every group, block m+i lies in m's (anchor, band) class,
+    every applicant's rate on m+i equals its rate on m, m+i is free and
+    the winner can still propose: its demand unmet and cost + price within
+    budget, the same float sum the proposal loop compares.
+
+    Then m+i is each applicant's next choice and the same winner takes it.
+    The class shares one price, so equal rates give equal utility, and
+    the tie order (price, band, owner, index) places m+1 right after m in
+    every applicant's preference order.  m+1 is of m's price tier, and
+    within a tier the applied positions are a prefix (see
+    ``_ProposalState``), so m+1 is untried.  A loser's rate and cost did
+    not move, so it still affords the class.  An applicant that reached m
+    by a scan from ``scan_from`` reaches m+1 next.  One that reached m
+    through :meth:`_ProposalState.cheaper_head` still finds the same too
+    dear block at ``scan_from``, as its cost did not fall, and m's tier
+    head moves on to m+1, which still comes before every other affordable
+    tier's head.  No block is displaced, so no other demander wakes.
+
+    The skipped rounds set the holders and tried flags by slice, move
+    ``scan_from`` along for the applicants that scanned to m, and add
+    each winner's rate and price once per block, so the totals are the
+    very float sums the rounds would have made.
+    """
+    k = n
+    # the class ends and the winners first, as they usually end a run
+    # soonest; a rate that changes is caught below, before any of this is kept
+    for m, _, w in groups:
+        g = m % n  # global index: mmWave below n1, sub-6 from n1 on
+        k = min(k, (n1 if g < n1 else n) - 1 - g)
+        st = states[w]
+        rate, cost, need, budget = st.rate_bps, st.cost, demands[w], budgets[w]
+        i = 0
+        while i < k and rate < need:
+            b = m + i + 1
+            if holder[b] >= 0 or not cost + price[b] <= budget:
+                break
+            rate += rates[b][w]
+            cost += price[b]
+            i += 1
+        k = i
+        if not k:
+            return 0
+    for m, applicants, _ in groups:
+        for j in applicants:
+            r = rates[m][j]
+            i = 0
+            while i < k and rates[m + i + 1][j] == r:
+                i += 1
+            k = i
+        if not k:
+            return 0
+    tried = b"\x01" * k
+    for m, applicants, w in groups:
+        holder[m + 1 : m + k + 1] = [w] * k
+        for j in applicants:
+            st = states[j]
+            st.applied[m + 1 : m + k + 1] = tried
+            if st.order[st.scan_from] == m:
+                st.scan_from += k
+        st = states[w]
+        for b in range(m + 1, m + k + 1):
+            st.rate_bps += rates[b][w]
+            st.cost += price[b]
+    return k
+
+
 def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     """Run the proposal/acceptance rounds to a stable allocation.
 
@@ -350,6 +438,14 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     best-placed head of the cheaper price tiers it can afford
     (:meth:`_ProposalState.cheaper_head`), the same block a scan onward
     would reach, without walking past every dear block in every round.
+
+    A round visits only the demanders that proposed or were displaced in
+    the round before, in ascending axis order, which keeps the order of
+    every float sum: a demander that did neither has the rate, cost and
+    tried blocks with which it last failed to propose.  After a round in
+    which every contested block was free, :func:`_skip_repeats` plays in
+    one step every following round that repeats it a block further on.
+    The rounds and proposals counted are those of the full loop.
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)   # r_flat: (M, K2) bit/s
     demander_ids = ch.demander_ids
@@ -358,7 +454,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     # utility of every flat BRB for every demander
     u_flat = r_flat - zeta * t.price[:, None]
     # preference: utility first, then the cheaper block, then (band, owner, index)
-    ties = np.lexsort((t.index_in_band, t.owner_id, t.band_code, t.price))
+    ties = t.tie_order
     orders = ties[np.argsort(-u_flat[ties].T, axis=1, kind="stable")].tolist()
     states = [
         _ProposalState(order=orders[j], applied=bytearray(m_total)) for j in range(k2)
@@ -368,13 +464,16 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     rates = r_flat.tolist()
     price = t.price.tolist()
     tier_of = t.tier.tolist()
+    n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
     holder = [-1] * m_total
     rounds = 0
     proposals = 0
 
+    active = range(k2)
     while True:
         round_proposals: dict[int, list[int]] = {}
-        for j in range(k2):
+        proposers = []
+        for j in active:
             st = states[j]
             if st.rate_bps >= demands[j]:
                 continue
@@ -394,24 +493,41 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
             if choice >= 0:
                 applied[choice] = 1
                 round_proposals.setdefault(choice, []).append(j)
-                proposals += 1
-        if not round_proposals:
+                proposers.append(j)
+        if not proposers:
             break
         rounds += 1
+        proposals += len(proposers)
+        displaced = []
+        contests = []  # (block, applicants, winner) while every block was free
         for m, applicants in round_proposals.items():
             rate_m = rates[m]
-            best = min(applicants, key=lambda j: (-rate_m[j], demander_ids[j]))
+            if len(applicants) == 1:
+                best = applicants[0]
+            else:
+                best = min(applicants, key=lambda j: (-rate_m[j], demander_ids[j]))
             incumbent = holder[m]
-            if incumbent >= 0 and rate_m[best] <= rate_m[incumbent]:
-                continue  # incumbent keeps the BRB, ties included
             if incumbent >= 0:
+                contests = None
+                if rate_m[best] <= rate_m[incumbent]:
+                    continue  # incumbent keeps the BRB, ties included
                 st = states[incumbent]
                 st.rate_bps -= rate_m[incumbent]
                 st.cost -= price[m]
+                displaced.append(incumbent)
+            elif contests is not None:
+                contests.append((m, applicants, best))
             st = states[best]
             st.rate_bps += rate_m[best]
             st.cost += price[m]
             holder[m] = best
+        active = sorted(set(proposers).union(displaced)) if displaced else proposers
+        if contests is not None:
+            skipped = _skip_repeats(
+                contests, states, holder, rates, price, demands, budgets, n, n1
+            )
+            rounds += skipped
+            proposals += skipped * len(proposers)
 
     return Matching(
         table=t,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -216,6 +216,10 @@ def _check_generation_config(cfg: GenerationConfig) -> None:
         raise ConfigError("BRB counts must be non-negative")
     if cfg.num_mmw_brbs + cfg.num_sub6_brbs == 0:
         raise ConfigError("scenario needs at least one BRB per anchor")
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{f.name} must be finite, got {v}")
     for name in (
         "mmw_brb_bandwidth_hz",
         "sub6_brb_bandwidth_hz",
@@ -309,6 +313,11 @@ def resample_positions(s: Scenario, rng: np.random.Generator) -> Scenario:
     return replace(s, stations=stations)
 
 
+def _positive(v: float) -> bool:
+    """``v`` is a positive finite number (false for NaN)."""
+    return 0 < v < math.inf
+
+
 def validate_scenario(s: Scenario) -> list[str]:
     """Return a list of violation messages; an empty list means valid."""
     problems: list[str] = []
@@ -328,19 +337,28 @@ def validate_scenario(s: Scenario) -> list[str]:
         problems.append("mmw_band has the wrong kind")
     if s.sub6_band.kind is not BandKind.SUB6:
         problems.append("sub6_band has the wrong kind")
+    # every check below is written to fail for NaN, and _positive also
+    # rejects infinity
     for band in (s.mmw_band, s.sub6_band):
         if band.num_brbs < 0:
             problems.append(f"{band.kind.value} band has negative BRB count")
-        if band.brb_bandwidth_hz <= 0:
-            problems.append(f"{band.kind.value} band has non-positive BRB bandwidth")
-        if band.center_frequency_hz <= 0:
-            problems.append(f"{band.kind.value} band has non-positive frequency")
+        if not _positive(band.brb_bandwidth_hz):
+            problems.append(f"{band.kind.value} BRB bandwidth must be positive and finite")
+        if not _positive(band.center_frequency_hz):
+            problems.append(f"{band.kind.value} frequency must be positive and finite")
     if s.brbs_per_anchor <= 0:
         problems.append("scenario has no BRBs at all")
-    if s.tx_power_w <= 0:
-        problems.append("tx_power_w must be positive")
-    if s.area_side_m <= 0:
-        problems.append("area_side_m must be positive")
+    if not _positive(s.tx_power_w):
+        problems.append("tx_power_w must be positive and finite")
+    if not _positive(s.area_side_m):
+        problems.append("area_side_m must be positive and finite")
+    for name, v in (
+        ("noise_power_dbm", s.noise_power_dbm),
+        ("mmw ref_loss_db", s.mmw.ref_loss_db),
+        ("sub6 ref_loss_db", s.sub6.ref_loss_db),
+    ):
+        if not math.isfinite(v):
+            problems.append(f"{name} must be finite, got {v}")
     anchor_ids = set(s.anchor_ids)
     if set(s.prices.per_anchor) != anchor_ids:
         problems.append("price schedule does not cover exactly the anchor ids")
@@ -348,24 +366,24 @@ def validate_scenario(s: Scenario) -> list[str]:
         for a, per_band in s.prices.per_anchor.items():
             if set(per_band) != {BandKind.MMWAVE, BandKind.SUB6}:
                 problems.append(f"anchor {a} must price exactly the two bands")
-            elif any(p < 0 for p in per_band.values()):
-                problems.append(f"anchor {a} has a negative price")
+            elif not all(0 <= p < math.inf for p in per_band.values()):
+                problems.append(f"anchor {a} has a negative or non-finite price")
     demander_ids = set(s.demander_ids)
     for name, mapping in (("budgets", s.budgets), ("demands_bps", s.demands_bps)):
         if set(mapping) != demander_ids:
             problems.append(f"{name} does not cover exactly the demanding ids")
         else:
             for d, v in mapping.items():
-                if v <= 0:
-                    problems.append(f"{name}[{d}] must be positive, got {v}")
-    if s.mmw.pathloss_slope <= 0:
-        problems.append("mmw pathloss slope must be positive")
-    if s.mmw.shadow_sigma_db < 0:
-        problems.append("mmw shadowing sigma must be non-negative")
+                if not _positive(v):
+                    problems.append(f"{name}[{d}] must be positive and finite, got {v}")
+    if not _positive(s.mmw.pathloss_slope):
+        problems.append("mmw pathloss slope must be positive and finite")
+    if not 0 <= s.mmw.shadow_sigma_db < math.inf:
+        problems.append("mmw shadowing sigma must be non-negative and finite")
     if not 0.0 <= s.mmw.blockage_prob <= 1.0:
         problems.append("mmw blockage probability must lie in [0, 1]")
-    if s.sub6.pathloss_exponent <= 0:
-        problems.append("sub6 pathloss exponent must be positive")
+    if not _positive(s.sub6.pathloss_exponent):
+        problems.append("sub6 pathloss exponent must be positive and finite")
     return problems
 
 

@@ -244,6 +244,69 @@ def test_sweep_takes_an_int_for_a_float_field(tmp_path):
     assert repr(manifest["config"]["budget_values"]) == "[10.0, 15.0]"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"budget": float("nan")},
+        {"tx_power_w": float("nan")},
+        {"demand_bps": float("inf")},
+        {"mmw_price": float("-inf")},
+        {"sub6_brb_bandwidth_hz": float("nan")},
+    ],
+)
+def test_generate_rejects_a_non_finite_parameter(tmp_path, capsys, extra):
+    # json writes these as NaN, Infinity and -Infinity, which json reads back
+    rc = main(
+        ["generate", "--params", _params_file(tmp_path, extra), "--out", str(tmp_path / "s.json")]
+    )
+    assert rc == 1
+    assert "must be a finite number" in _one_error_line(capsys)
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_generate_rejects_an_area_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text('{"area_side_m": 1e400}', encoding="utf-8")  # reads as inf
+    rc = main(["generate", "--params", str(path), "--out", str(tmp_path / "s.json")])
+    assert rc == 1
+    assert "'area_side_m' must be a finite number" in _one_error_line(capsys)
+
+
+def test_run_rejects_a_scenario_with_nan_budgets(tmp_path, capsys):
+    path = Path(_generate(tmp_path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["budgets"] = {d: float("nan") for d in doc["budgets"]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "budgets" in _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("zeta", ["nan", "inf", "-inf"])
+def test_run_and_audit_reject_a_non_finite_zeta(tmp_path, capsys, zeta):
+    scenario = _generate(tmp_path)
+    capsys.readouterr()
+    # "--zeta=-inf", as argparse reads a bare "-inf" as a flag
+    rc = main(["run", "--scenario", scenario, f"--zeta={zeta}", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "--zeta must be a finite number" in _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+    rc = main(["stability-audit", "--trials", "2", f"--zeta={zeta}"])
+    assert rc == 1
+    assert "--zeta must be a finite number" in _one_error_line(capsys)
+
+
+def test_sweep_rejects_a_nan_zeta(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, "zeta_bps_per_unit": float("nan")}), encoding="utf-8")
+    rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "'zeta_bps_per_unit' must be a finite number" in _one_error_line(capsys)
+
+
 def test_run_of_a_directory_is_an_error_line(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -280,7 +343,10 @@ def test_stability_audit_end_to_end(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert "blocking_pairs_total=0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "blocking_pairs_total=0" in out
+    # K1*N bounds no rounds, so stdout names no rounds bound
+    assert "max_rounds=" in out and out.count("(bound ") == 1
     summary = json.loads(
         (tmp_path / "audit" / "stability_audit.json").read_text(encoding="utf-8")
     )

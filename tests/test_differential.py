@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scbn import matching
 from scbn.baselines import best_effort_allocate, random_allocate
 from scbn.matching import (
     Brb,
@@ -701,41 +702,42 @@ def test_three_tier_instance_proposes_to_the_best_placed_affordable_head(
     assert find_blocking_pairs(m, s, ch, zeta=0.0) == []
 
 
-# --- property test over random small instances ------------------------------------
+def test_large_k60_trials_match_the_reference():
+    base = generate_scenario(
+        GenerationConfig(num_stations=60, area_side_m=800.0, demand_bps=1e8), seed=0
+    )
+    for i in range(5):
+        rng = np.random.default_rng([0, i])
+        s = resample_positions(base, rng)
+        ch = realize_channels(s, rng)
+        _assert_same_matching(run_matching(s, ch, 1e6), _ref_run_matching(s, ch, 1e6))
 
 
-@st.composite
-def _small_instances(draw):
-    """A small scenario with per-anchor prices, per-demander budgets that
-    may be below its cheapest block, bands that may be empty, and gains
-    drawn from a few levels, so that equal rates are common."""
-    k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    n1, n2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    if n1 + n2 == 0:
-        n1 = 1  # a zero-supply band, but some supply overall
+# --- rounds that repeat the previous one a block further on -----------------------
+
+
+def _hand_built(gains, n1, prices, budgets, demands):
+    """A scenario and realization with the given ``(K1, N, K2)`` gains, of
+    which the first ``n1`` BRBs per anchor are mmWave, one (mmWave, sub-6)
+    price pair per anchor, and one budget and demand per demander."""
+    k1, n, k2 = gains.shape
     s = generate_scenario(
         GenerationConfig(
-            num_stations=k1 + k2, num_anchors=k1, num_mmw_brbs=n1, num_sub6_brbs=n2
+            num_stations=k1 + k2, num_anchors=k1, num_mmw_brbs=n1, num_sub6_brbs=n - n1
         ),
         seed=0,
     )
-    price = st.sampled_from(_PRICES)
-    budget = st.one_of(st.sampled_from((0.05,) + _ROUND_BUDGETS), st.floats(0.01, 30.0))
     s = replace(
         s,
         prices=PriceSchedule(
             per_anchor={
-                a: {BandKind.MMWAVE: draw(price), BandKind.SUB6: draw(price)}
-                for a in s.anchor_ids
+                a: {BandKind.MMWAVE: mmw, BandKind.SUB6: sub6}
+                for a, (mmw, sub6) in zip(s.anchor_ids, prices)
             }
         ),
-        budgets={d: draw(budget) for d in s.demander_ids},
-        demands_bps={d: draw(st.floats(1e5, 80e6)) for d in s.demander_ids},
+        budgets=dict(zip(s.demander_ids, budgets)),
+        demands_bps=dict(zip(s.demander_ids, demands)),
     )
-    levels = st.sampled_from((0.0, 1e-11, 1e-10, 1e-9))
-    gains = np.array(
-        [draw(levels) for _ in range(k1 * (n1 + n2) * k2)], dtype=float
-    ).reshape(k1, n1 + n2, k2)
     ch = ChannelRealization(
         gains=gains,
         rates=np.zeros_like(gains),
@@ -745,7 +747,185 @@ def _small_instances(draw):
         demander_ids=s.demander_ids,
         radio=radio_settings(s),
     )
-    ch = replace(ch, rates=rate_tensor(s, ch))
+    return s, replace(ch, rates=rate_tensor(s, ch))
+
+
+@pytest.fixture
+def skipped_rounds(monkeypatch):
+    """Records how many rounds each call of ``_skip_repeats`` played at once."""
+    made: list[int] = []
+    skip_repeats = matching._skip_repeats
+
+    def recorded(*args):
+        k = skip_repeats(*args)
+        made.append(k)
+        return k
+
+    monkeypatch.setattr(matching, "_skip_repeats", recorded)
+    return made
+
+
+def _convoy_gains(k2, n, link_gains=(1e-9, 5e-10, 2e-10, 1e-10)):
+    """One anchor whose blocks all give demander ``j`` the gain
+    ``link_gains[j]``, as its mmWave blocks do under one shared shadowing
+    draw."""
+    return np.tile(np.array(link_gains[:k2]), (1, n, 1))
+
+
+_RICH = 1e12  # a budget or demand no test instance reaches
+
+
+def test_a_convoy_over_one_mmwave_class_is_skipped_to_its_end(skipped_rounds):
+    s, ch = _hand_built(_convoy_gains(3, 9), 8, [(0.1, 1.0)], [_RICH] * 3, [_RICH] * 3)
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    # the strongest demander takes all eight mmWave blocks, and the seven
+    # rounds after the first one repeat it a block further on
+    assert m.holder.tolist()[:8] == [0] * 8
+    assert max(skipped_rounds) == 7
+    assert m.proposals >= 3 * 8
+
+
+def test_a_run_stops_at_the_end_of_its_class(skipped_rounds):
+    """Every block costs the same and gives no rate, so the tie order
+    alone ranks them: both anchors' mmWave blocks come before any sub-6
+    block, and anchor 0's sub-6 blocks, next to its mmWave blocks on the
+    flat axis, are not next in the demander's preferences."""
+    s, ch = _hand_built(np.zeros((2, 5, 1)), 2, [(1.0, 1.0)] * 2, [_RICH], [_RICH])
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    assert m.holder.tolist() == [0] * 10
+    assert skipped_rounds[0] == 1
+
+
+def test_a_rate_that_differs_mid_class_ends_the_run_before_it(skipped_rounds):
+    gains = _convoy_gains(3, 8)
+    gains[0, 4, 1] = 3e-10  # demander 1 likes block 4 less than its neighbours
+    s, ch = _hand_built(gains, 8, [(0.1, 1.0)], [_RICH] * 3, [_RICH] * 3)
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    # the first run plays blocks 1..3 only: at block 4 demander 1 turns
+    # to block 5 instead
+    assert skipped_rounds[0] == 3
+
+
+def test_a_trailing_convoy_stops_at_the_leading_one_first_held_block(skipped_rounds):
+    # demanders 0 and 1 rate all eight blocks alike; demanders 2 and 3
+    # rate blocks 3..7 above blocks 0..2, so they start at block 3
+    gains = _convoy_gains(4, 8)
+    gains[0, 3:, 2:] *= 10.0
+    s, ch = _hand_built(gains, 8, [(0.1, 1.0)], [_RICH] * 4, [_RICH] * 4)
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    # both convoys advance two blocks at once; the trailing one then
+    # meets block 3, held by the leading convoy's winner
+    assert skipped_rounds[0] == 2
+    assert m.holder.tolist()[:3] == [0] * 3
+
+
+def test_a_winner_whose_demand_is_met_ends_the_run(skipped_rounds):
+    s, ch = _hand_built(_convoy_gains(3, 10), 10, [(0.1, 1.0)], [_RICH] * 3, [_RICH] * 3)
+    per_block = float(ch.rates[0, 0, 0])
+    s = replace(s, demands_bps={**s.demands_bps, s.demander_ids[0]: 3.5 * per_block})
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    # demander 0 stops after four blocks; demander 1 wins the rest
+    assert m.holder.tolist() == [0] * 4 + [1] * 6
+    assert skipped_rounds[0] == 3
+
+
+def test_a_winner_whose_budget_runs_out_exactly_ends_the_run(skipped_rounds):
+    # 0.5 per block and a budget of 2.0: the fourth block makes
+    # cost + price == budget exactly, which is still affordable
+    s, ch = _hand_built(_convoy_gains(3, 10), 10, [(0.5, 1.0)], [2.0, _RICH, _RICH], [_RICH] * 3)
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    assert m.holder.tolist() == [0] * 4 + [1] * 6
+    assert m.cost[s.demander_ids[0]] == 2.0
+    assert skipped_rounds[0] == 3
+
+
+def test_an_applicant_that_entered_the_class_past_a_dear_block(
+    skipped_rounds, tier_head_choices
+):
+    """Anchor 0's dear mmWave blocks lead demander 0's preferences, but
+    its budget covers only anchor 1's cheap ones, so its ``scan_from``
+    stays on an untried dear block while it follows the convoy on anchor
+    1, which demander 1 reaches by scanning."""
+    gains = np.zeros((2, 6, 2))
+    gains[0, :, 0] = 1e-9   # demander 0: anchor 0 first ...
+    gains[1, :, 0] = 5e-10  # ... then anchor 1
+    gains[1, :, 1] = 1e-9   # demander 1: anchor 1 first
+    s, ch = _hand_built(gains, 6, [(20.0, 1.0), (1.0, 1.0)], [4.0, _RICH], [_RICH] * 2)
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    assert any(tier_head_choices)
+    assert skipped_rounds[0] == 5  # anchor 1's six blocks in two steps
+    # demander 1 wins anchor 1's class; demander 0 holds nothing of it
+    assert m.holder.tolist()[6:] == [1] * 6
+
+
+def test_a_displaced_cheaper_head_applicant_returns_to_the_dear_blocks(
+    skipped_rounds, tier_head_choices
+):
+    """Demander 0 holds a dear block of anchor 0 and, too poor for a
+    second one, follows the convoy on anchor 1 past anchor 0's untried
+    dear blocks.  Once demander 2, done with anchor 2, displaces it, the
+    dear blocks are affordable again, and it must resume at the first of
+    them, where its ``scan_from`` stayed."""
+    gains = np.zeros((3, 5, 3))   # anchors 0, 1, 2; four mmWave blocks and one sub-6
+    gains[0, :4, 0] = 1e-9        # demander 0: anchor 0's mmWave first ...
+    gains[1, :4, 0] = 5e-13       # ... then anchor 1's
+    gains[1, 4, 1] = 4e-9         # demander 1: anchor 1's sub-6 block first ...
+    gains[1, :4, 1] = 1e-12       # ... then its mmWave
+    gains[2, :4, 2] = 1e-7        # demander 2: anchor 2's mmWave first ...
+    gains[0, :4, 2] = 1e-8        # ... then anchor 0's, above demander 0
+    s, ch = _hand_built(
+        gains, 4, [(10.0, 10.0), (1.0, 1.0), (1.0, 1.0)], [11.5, _RICH, _RICH], [_RICH] * 3
+    )
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    assert any(tier_head_choices)
+    # round 2's convoys on anchors 1 and 2 move on together until anchor
+    # 2's class ends
+    assert skipped_rounds[:2] == [0, 2]
+
+
+# --- property test over random small instances ------------------------------------
+
+
+@st.composite
+def _small_instances(draw):
+    """A small scenario with per-anchor prices, per-demander budgets that
+    may be below its cheapest block, bands that may be empty, and gains
+    drawn from a few levels, so that equal rates are common.  The mmWave
+    gains are either drawn per block or, much as in the channel model,
+    shared by the blocks of a link, from its first block up to a step and
+    from the step on: demanders then march down a class together, and a
+    step lets a second group start mid-class."""
+    k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n1, n2 = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+    if n1 + n2 == 0:
+        n1 = 1  # a zero-supply band, but some supply overall
+    levels = st.sampled_from((0.0, 1e-11, 1e-10, 1e-9))
+    gains = np.array(
+        [draw(levels) for _ in range(k1 * (n1 + n2) * k2)], dtype=float
+    ).reshape(k1, n1 + n2, k2)
+    if n1 and draw(st.booleans()):
+        for a in range(k1):
+            for j in range(k2):
+                step = draw(st.integers(0, n1))
+                gains[a, :step, j] = gains[a, 0, j]
+                gains[a, step:n1, j] = gains[a, n1 - 1, j]
+    price = st.sampled_from(_PRICES)
+    budget = st.one_of(st.sampled_from((0.05,) + _ROUND_BUDGETS), st.floats(0.01, 30.0))
+    s, ch = _hand_built(
+        gains,
+        n1,
+        [(draw(price), draw(price)) for _ in range(k1)],
+        [draw(budget) for _ in range(k2)],
+        [draw(st.floats(1e5, 400e6)) for _ in range(k2)],
+    )
     zeta = draw(st.sampled_from((0.0, 1e5, 1e6)))
     return s, ch, zeta, draw(st.integers(0, 2**31))
 

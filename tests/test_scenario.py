@@ -11,6 +11,7 @@ from scbn.scenario import (
     BandKind,
     ConfigError,
     GenerationConfig,
+    PriceSchedule,
     Role,
     ScenarioFormatError,
     friis_reference_loss_db,
@@ -91,6 +92,39 @@ def test_generate_rejects_bad_config(kwargs, fragment):
     with pytest.raises(ConfigError) as err:
         generate_scenario(GenerationConfig(**kwargs), seed=0)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["budget", "demand_bps", "mmw_price", "sub6_price", "mmw_brb_bandwidth_hz",
+     "sub6_center_frequency_hz", "tx_power_w", "area_side_m", "noise_power_dbm"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_generate_rejects_a_non_finite_value(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        generate_scenario(GenerationConfig(**{field: value}), seed=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_reports_non_finite_budgets_demands_and_prices(value):
+    s = generate_scenario(GenerationConfig(), seed=0)
+    d, a = s.demander_ids[0], s.anchor_ids[0]
+    bad = dataclasses.replace(
+        s,
+        budgets={**s.budgets, d: value},
+        demands_bps={**s.demands_bps, d: value},
+        prices=PriceSchedule(
+            per_anchor={**s.prices.per_anchor, a: {BandKind.MMWAVE: value, BandKind.SUB6: 1.0}}
+        ),
+        tx_power_w=value,
+        mmw_band=dataclasses.replace(s.mmw_band, brb_bandwidth_hz=value),
+    )
+    problems = " ".join(validate_scenario(bad))
+    for fragment in (
+        f"budgets[{d}]", f"demands_bps[{d}]", f"anchor {a} has a negative or non-finite price",
+        "tx_power_w", "mmwave BRB bandwidth",
+    ):
+        assert fragment in problems
 
 
 def test_sub6_reference_loss_defaults_to_free_space():
