@@ -32,41 +32,53 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     demander can finish both poor and underserved.
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)  # r_flat: (M, K2)
-    price = t.price
     demander_ids = ch.demander_ids
     m_total, k2 = r_flat.shape
+    axes = np.arange(k2)
 
-    requests: list[np.ndarray] = []
-    for j, need in enumerate(demands):
-        order = np.argsort(-r_flat[:, j], kind="stable")
-        useful = order[r_flat[order, j] > 0.0]
-        if need <= 0.0 or useful.size == 0:
-            requests.append(useful[:0])
-            continue
-        covered = np.cumsum(r_flat[useful, j])
-        cut = int(np.searchsorted(covered, need)) + 1
-        requests.append(useful[:cut])
+    # column j of ``order`` lists demander j's blocks by descending rate,
+    # ties in canonical order; its positive rates lead, so the blocks worth
+    # asking for are a prefix of it
+    order = np.argsort(-r_flat, axis=0, kind="stable")
+    r_sorted = r_flat[order, axes]
+    useful = np.count_nonzero(r_sorted > 0.0, axis=0)
+    # a demander asks for blocks up to the first whose running rate covers
+    # its demand.  Past the positive prefix the running rate adds 0.0 and
+    # stays put, so the sums below the demand counted over the whole column
+    # are those of the prefix, or the whole column
+    need = np.array(demands)
+    covered = np.cumsum(r_sorted, axis=0)
+    asks = np.where(
+        need > 0.0,
+        np.minimum(np.count_nonzero(covered < need, axis=0) + 1, useful),
+        0,
+    )
+    depth = int(asks.max())
+    order, r_sorted = order[:depth], r_sorted[:depth]
+    asked = np.arange(depth)[:, None] < asks
 
-    best = np.zeros(m_total)
-    winner = np.full(m_total, -1, dtype=int)
-    for j in range(k2):
-        req = requests[j]
-        won = req[r_flat[req, j] > best[req]]
-        winner[won] = j
-        best[won] = r_flat[won, j]
+    # each asked block goes to its strongest requester, ties to the lower
+    # axis; an asked rate is positive, so a block nobody asked for bids 0
+    bid = np.zeros((m_total, k2))
+    bid[order[asked], np.nonzero(asked)[1]] = r_sorted[asked]
+    winner = np.where(bid.any(axis=1), bid.argmax(axis=1), -1)
+
+    # winners buy their grants in asking order and stop at the first they
+    # cannot pay for.  A running sum of non-negative prices never falls, so
+    # every grant after that one is too dear as well.  The running sums add
+    # the same floats in the same order as a purchase loop, and x + 0.0 == x
+    won = asked & (winner[order] == axes)
+    spent = np.cumsum(np.where(won, t.price[order], 0.0), axis=0)
+    bought = won & (spent <= np.array(budgets))
+    rate = np.zeros(k2)
+    if depth:
+        rate = np.cumsum(np.where(bought, r_sorted, 0.0), axis=0)[-1]
+    # the running cost at a demander's last purchase
+    cost = np.where(bought, spent, 0.0).max(axis=0, initial=0.0)
 
     holder = np.full(m_total, -1, dtype=int)
-    rate = np.zeros(k2)
-    cost = np.zeros(k2)
-    for j, budget in enumerate(budgets):
-        for m in requests[j]:
-            if winner[m] != j:
-                continue
-            if cost[j] + price[m] > budget:
-                break
-            holder[m] = j
-            rate[j] += r_flat[m, j]
-            cost[j] += price[m]
+    rows, cols = np.nonzero(bought)
+    holder[order[rows, cols]] = cols
     return Matching(
         table=t,
         demander_ids=demander_ids,
@@ -91,32 +103,45 @@ def random_allocate(
     m_total = len(t.brbs)
 
     # Python floats: the same IEEE sums as numpy scalars, without per-BRB
-    # array overhead
-    rates = r_flat.tolist()
+    # array overhead.  Only granted rates are read, one ``item`` each.
+    rate_of = r_flat.item
     price = t.price.tolist()
     tier_of = t.tier.tolist()
+    tiers = t.tiers
     holder = [-1] * m_total
     rate = [0.0 for _ in axes]
     cost = [0.0 for _ in axes]
 
-    def qualifies(j: int, tier_price: float) -> bool:
-        return rate[j] < demands[j] and cost[j] + tier_price <= budgets[j]
+    def reach(j: int, upto: int) -> int:
+        """How many of the first ``upto`` tiers demander j qualifies for:
+        its demand unmet and cost + tier price within budget."""
+        if not rate[j] < demands[j]:
+            return 0
+        while upto and not cost[j] + tiers[upto - 1] <= budgets[j]:
+            upto -= 1
+        return upto
 
-    # The eligible demanders of each price tier, ascending.  Rates and
-    # prices are non-negative, so a grant only raises a demander's rate and
-    # cost, and a demander that stops qualifying for a tier never does again.
-    eligible_in = [[j for j in axes if qualifies(j, p)] for p in t.tiers]
+    # The eligible demanders of each price tier, ascending.  Tiers ascend in
+    # price, so the tiers a demander qualifies for are a prefix of them.
+    # Rates and prices are non-negative, so a grant only raises a demander's
+    # rate and cost, and that prefix only ever shrinks.
+    reached = [reach(j, len(tiers)) for j in axes]
+    eligible_in = [[j for j in axes if reached[j] > i] for i in range(len(tiers))]
     for m in rng.permutation(m_total).tolist():
         eligible = eligible_in[tier_of[m]]
         if not eligible:
             continue
         j = eligible[rng.integers(len(eligible))]
         holder[m] = j
-        rate[j] += rates[m][j]
+        rate[j] += rate_of(m, j)
         cost[j] += price[m]
-        for tier_price, tier_eligible in zip(t.tiers, eligible_in):
-            if j in tier_eligible and not qualifies(j, tier_price):
-                tier_eligible.remove(j)
+        # j qualified for this block's tier, so was >= 1, and j keeps all
+        # its tiers while it still qualifies for the dearest of them
+        was = reached[j]
+        if not (rate[j] < demands[j] and cost[j] + tiers[was - 1] <= budgets[j]):
+            now = reached[j] = reach(j, was)
+            for i in range(now, was):
+                eligible_in[i].remove(j)
     return Matching(
         table=t,
         demander_ids=demander_ids,

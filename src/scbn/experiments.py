@@ -233,13 +233,19 @@ def _budget_bound_fraction(s: Scenario, m: Matching) -> float:
     """Fraction of demanders stopped by money: demand unmet and even the
     cheapest unheld BRB no longer fits the remaining budget."""
     t = m.table
+    n_tiers = len(t.tiers)
+    # blocks held per (demander axis, tier), one row per demander
+    held = m.holder >= 0
+    held_at = np.bincount(
+        m.holder[held] * n_tiers + t.tier[held],
+        minlength=len(m.demander_ids) * n_tiers,
+    ).reshape(-1, n_tiers).tolist()
     bound = 0
-    for j, d in enumerate(m.demander_ids):
+    for d, counts in zip(m.demander_ids, held_at):
         if m.rate_bps[d] >= s.demands_bps[d]:
             continue
-        held_at = np.bincount(t.tier[m.holder == j], minlength=len(t.tiers))
         cheapest_unheld = next(
-            (p for p, n, c in zip(t.tiers, t.tier_sizes, held_at) if c < n), None
+            (p for p, n, c in zip(t.tiers, t.tier_sizes, counts) if c < n), None
         )
         if cheapest_unheld is None:
             continue

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import csv
 import functools
-from collections.abc import Mapping
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -43,6 +44,7 @@ __all__ = [
     "Matching",
     "BrbTable",
     "InconsistentMatchingError",
+    "BlockingPairs",
     "brb_table",
     "scenario_brbs",
     "brb_global_index",
@@ -62,6 +64,13 @@ BRB_TABLE_CACHE_SIZE = 32
 class InconsistentMatchingError(ValueError):
     """Raised when an allocation is not one of the scenario's BRBs to its
     demanders, each BRB held at most once."""
+
+
+def _check_zeta(zeta: float) -> None:
+    # a NaN or infinite utility makes every comparison in the proposal and
+    # swap tests meaningless, and an audit that tests nothing finds nothing
+    if not math.isfinite(zeta):
+        raise ValueError(f"zeta must be a finite number, got {zeta!r}")
 
 
 @dataclass(frozen=True)
@@ -446,7 +455,9 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     which every contested block was free, :func:`_skip_repeats` plays in
     one step every following round that repeats it a block further on.
     The rounds and proposals counted are those of the full loop.
+    Raises ValueError for a non-finite ``zeta``.
     """
+    _check_zeta(zeta)
     t, r_flat, budgets, demands = _flat_view(s, ch)   # r_flat: (M, K2) bit/s
     demander_ids = ch.demander_ids
     m_total, k2 = r_flat.shape
@@ -599,27 +610,82 @@ def _held_totals(
     return rate, cost
 
 
+class BlockingPairs(Sequence):
+    """The blocking pairs of one allocation: a read-only sequence of
+    (demander id, Brb), sorted by demander id, then BRB key.
+
+    Built from the audit's ``(M, K2)`` mask over (flat BRB, demander
+    axis).  Its length is the mask's count of true entries; the pairs are
+    listed, sorted and turned into ``Brb`` objects only on first indexing
+    or iteration, so an audit that only counts pays for no tuples.  It
+    equals a list or BlockingPairs of the same pairs in the same order,
+    and is falsy when empty.
+    """
+
+    __slots__ = ("_blocking", "_table", "_demander_ids", "_count", "_pairs")
+
+    def __init__(
+        self, blocking: np.ndarray, table: BrbTable, demander_ids: tuple[int, ...]
+    ):
+        self._blocking = blocking
+        self._table = table
+        self._demander_ids = demander_ids
+        self._count = int(np.count_nonzero(blocking))
+        self._pairs: list[tuple[int, Brb]] | None = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _listed(self) -> list[tuple[int, Brb]]:
+        if self._pairs is None:
+            t = self._table
+            ids = np.array(self._demander_ids, dtype=int)
+            ks, js = np.nonzero(self._blocking)
+            order = np.lexsort((t.key_rank[ks], ids[js]))
+            self._pairs = [
+                (d, t.brbs[k]) for d, k in zip(ids[js[order]].tolist(), ks[order].tolist())
+            ]
+        return self._pairs
+
+    def __getitem__(self, i):
+        return self._listed()[i]
+
+    def __iter__(self):
+        return iter(self._listed())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, BlockingPairs)):
+            return len(self) == len(other) and self._listed() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"BlockingPairs({self._listed()!r})"
+
+
 def find_blocking_pairs(
     m: Matching, s: Scenario, ch: ChannelRealization, zeta: float
-) -> list[tuple[int, Brb]]:
+) -> BlockingPairs:
     """All (demander, BRB) pairs that would break the matching.
 
     A pair blocks when the BRB strictly prefers the demander to its
     current holder (or is unassigned) and the demander strictly gains by
     taking the BRB, either adding it within budget while its demand is
     unmet, or swapping out a held BRB of lower utility while staying
-    within budget.  Pairs come sorted by demander id, then BRB key.
+    within budget.  Pairs come sorted by demander id, then BRB key, as a
+    :class:`BlockingPairs` sequence: its length is counted from the
+    (BRB, demander) mask of the test, and the pairs are listed on first
+    indexing or iteration.  Raises ValueError for a non-finite ``zeta``.
     """
+    _check_zeta(zeta)
     t, r_flat, budget, demand = _flat_view(s, ch, m)   # r_flat: (M, K2)
     holder = m.holder
     u_flat = r_flat - zeta * t.price[:, None]
-    demander_ids = np.array(ch.demander_ids, dtype=int)
     price = t.price[:, None]
     cost = np.array([m.cost.get(d, 0.0) for d in ch.demander_ids], dtype=float)
     rate = np.array([m.rate_bps.get(d, 0.0) for d in ch.demander_ids], dtype=float)
 
     # every mask below is (M, K2): flat BRB by demander axis
-    held = holder[:, None] == np.arange(len(demander_ids))
+    held = holder[:, None] == np.arange(len(ch.demander_ids))
     free = holder < 0
     holder_rate = np.where(
         free, -np.inf, r_flat[np.arange(len(holder)), np.maximum(holder, 0)]
@@ -638,13 +704,7 @@ def find_blocking_pairs(
         least = held_u[t.tier == i].min(axis=0, initial=np.inf)
         wants_swap |= (least < u_flat) & (tier_price >= excess)
     blocking = ~held & brb_wants & (wants_add | wants_swap)
-
-    ks, js = np.nonzero(blocking)
-    order = np.lexsort((t.key_rank[ks], demander_ids[js]))
-    return [
-        (d, t.brbs[k])
-        for d, k in zip(demander_ids[js[order]].tolist(), ks[order].tolist())
-    ]
+    return BlockingPairs(blocking, t, ch.demander_ids)
 
 
 def save_matching_csv(

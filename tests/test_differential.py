@@ -601,7 +601,9 @@ def test_blocking_pairs_match_the_reference_in_order(instances):
             _arbitrary_assignment(s, ch, rng),
         ):
             pairs = find_blocking_pairs(m, s, ch, zeta)
-            assert pairs == _ref_find_blocking_pairs(m, s, ch, zeta)
+            ref = _ref_find_blocking_pairs(m, s, ch, zeta)
+            assert len(pairs) == len(ref)  # counted from the mask, before listing
+            assert pairs == ref
             assert all(type(d) is int for d, _ in pairs)
             found += len(pairs)
     assert found > 1000  # the audit had pairs to order, not just empty lists
@@ -891,6 +893,60 @@ def test_a_displaced_cheaper_head_applicant_returns_to_the_dear_blocks(
     assert skipped_rounds[:2] == [0, 2]
 
 
+# --- best effort on hand-built edge cases -----------------------------------------
+
+
+def _best_effort_against_the_reference(s, ch) -> Matching:
+    m = best_effort_allocate(s, ch)
+    _assert_same_matching(m, _ref_best_effort_allocate(s, ch))
+    return m
+
+
+def test_best_effort_with_zero_demand_asks_for_nothing():
+    gains = np.full((1, 3, 2), 1e-9)
+    s, ch = _hand_built(gains, 3, [(0.1, 0.1)], [5.0, 5.0], [0.0, 0.0])
+    m = _best_effort_against_the_reference(s, ch)
+    assert m.holder.tolist() == [-1, -1, -1]
+    assert list(m.cost.values()) == [0.0, 0.0]
+
+
+def test_best_effort_demander_without_a_usable_link_buys_nothing():
+    gains = np.full((1, 3, 2), 1e-9)
+    gains[..., 0] = 0.0  # demander axis 0 sees no rate anywhere
+    s, ch = _hand_built(gains, 3, [(0.1, 0.1)], [5.0, 5.0], [1e12, 1e12])
+    m = _best_effort_against_the_reference(s, ch)
+    assert m.holder.tolist() == [1, 1, 1]
+    assert m.rate_bps[s.demander_ids[0]] == 0.0
+
+
+def test_best_effort_tie_on_a_block_goes_to_the_lower_axis():
+    gains = np.full((1, 2, 2), 1e-9)  # both demanders equally strong everywhere
+    s, ch = _hand_built(gains, 2, [(0.1, 0.1)], [5.0, 5.0], [1e12, 1e12])
+    m = _best_effort_against_the_reference(s, ch)
+    assert m.holder.tolist() == [0, 0]
+    assert m.cost[s.demander_ids[1]] == 0.0
+
+
+def test_best_effort_keeps_every_block_when_the_budget_is_the_exact_price_sum():
+    gains = np.full((1, 3, 1), 1e-9)
+    budget = 0.1 + 0.1 + 0.1  # 0.30000000000000004, the running cost
+    s, ch = _hand_built(gains, 3, [(0.1, 0.1)], [budget], [1e12])
+    m = _best_effort_against_the_reference(s, ch)
+    assert m.holder.tolist() == [0, 0, 0]
+    assert m.cost[s.demander_ids[0]] == budget
+
+
+def test_best_effort_stops_buying_at_a_dear_block_before_a_cheaper_one():
+    # one block per anchor, asked for in the order cheap, dear, cheap: the
+    # purchase ends at the dear block, and the cheap block after it, which
+    # the budget would cover, stays free
+    gains = np.array([1e-9, 5e-10, 2e-10]).reshape(3, 1, 1)
+    s, ch = _hand_built(gains, 1, [(0.1, 0.1), (10.0, 10.0), (0.1, 0.1)], [1.0], [1e12])
+    m = _best_effort_against_the_reference(s, ch)
+    assert m.holder.tolist() == [0, -1, -1]
+    assert m.cost[s.demander_ids[0]] == 0.1
+
+
 # --- property test over random small instances ------------------------------------
 
 
@@ -935,13 +991,21 @@ def test_schemes_keep_their_guarantees_on_small_instances(instance):
     s, ch, zeta, seed = instance
     m = run_matching(s, ch, zeta)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta))
+    best_m = best_effort_allocate(s, ch)
+    _assert_same_matching(best_m, _ref_best_effort_allocate(s, ch))
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     random_m = random_allocate(s, ch, rng_new)
     _assert_same_matching(random_m, _ref_random_allocate(s, ch, rng_old))
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
     assert find_blocking_pairs(m, s, ch, zeta) == []
-    for scheme in (m, random_m):
+    for scheme in (m, best_m, random_m):
         assert all(scheme.cost[d] <= s.budgets[d] for d in s.demander_ids)
+        pairs = find_blocking_pairs(scheme, s, ch, zeta)
+        ref = _ref_find_blocking_pairs(scheme, s, ch, zeta)
+        # the count and truth value come from the mask, before any listing
+        assert len(pairs) == len(ref)
+        assert bool(pairs) == bool(ref)
+        assert list(pairs) == ref
     k2, brbs = len(s.demander_ids), len(brb_table(s).brbs)
     assert m.rounds <= m.proposals <= k2 * brbs

@@ -394,6 +394,16 @@ def test_audits_refuse_to_run_no_trials():
         oracle_compare_rows(-1, seed=0)
 
 
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf])
+def test_audits_reject_a_non_finite_zeta(zeta):
+    # a NaN utility fails every comparison of the swap test, so an audit
+    # that ran would report a stable matching it never checked
+    with pytest.raises(ValueError, match="zeta must be a finite number"):
+        stability_audit(2, seed=0, gen_cfg=_SMALL, zeta=zeta)
+    with pytest.raises(ValueError, match="zeta must be a finite number"):
+        oracle_compare_rows(1, seed=0, zeta=zeta)
+
+
 def test_rounds_may_pass_k1_n_but_never_the_proposals():
     # the instance of oracle_compare_rows(1, 98), rebuilt step by step:
     # displacement costs a fourth round although K1*N is 3

@@ -460,6 +460,17 @@ def test_audits_reject_a_matching_of_another_scenario():
         recompute_totals(m, s, _channels(s))
 
 
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf])
+def test_matching_and_audit_reject_a_non_finite_zeta(zeta):
+    s = _build([(0, 0)], [(10, 0), (20, 0)], n1=2, n2=1)
+    ch = _channels(s)
+    m = run_matching(s, ch, zeta=0.0)
+    with pytest.raises(ValueError, match="zeta must be a finite number"):
+        run_matching(s, ch, zeta=zeta)
+    with pytest.raises(ValueError, match="zeta must be a finite number"):
+        find_blocking_pairs(m, s, ch, zeta=zeta)
+
+
 _ENTRY_POINTS = {
     "run_matching": lambda s, ch, m: run_matching(s, ch, zeta=0.0),
     "best_effort_allocate": lambda s, ch, m: best_effort_allocate(s, ch),
