@@ -249,7 +249,8 @@ def _budget_bound_fraction(s: Scenario, m: Matching) -> float:
         )
         if cheapest_unheld is None:
             continue
-        if s.budgets[d] - m.cost[d] < cheapest_unheld:
+        # the float sum every scheme compares with the budget
+        if not m.cost[d] + cheapest_unheld <= s.budgets[d]:
             bound += 1
     return bound / len(s.demander_ids)
 

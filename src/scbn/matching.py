@@ -23,12 +23,20 @@ for each demander, so demanders that want that anchor march down its
 block indices together, one block per round.  After a round in which
 every contested block was free, :func:`_skip_repeats` applies in one step
 every following round that repeats it a block further on.
+
+The set-up works per mmWave class and per price tier too.  An anchor's
+mmWave rates, bitwise equal across its blocks, become one Python row
+shared by the class (:func:`_rate_rows`), which also gives each block the
+end of its run of equal rows, so the fast-forward compares rates block by
+block only where a class's rows differ.  A demander's blocks are grouped
+by price tier with one stable sort, the first time it needs them.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -319,6 +327,7 @@ class _ProposalState:
     """
 
     order: list[int]           # flat BRB indices in preference order
+    order_array: np.ndarray    # the same order, as the numpy row it came from
     applied: bytearray         # nonzero per flat BRB already proposed to
     scan_from: int = 0         # first position possibly unapplied
     cost: float = 0.0
@@ -326,24 +335,24 @@ class _ProposalState:
     tier_positions: list[list[int]] | None = None
     tier_heads: list[int] | None = None
 
-    def cheaper_head(
-        self, dear_tier: int, tier_of: list[int], tiers: tuple[float, ...], budget: float
-    ) -> int:
+    def cheaper_head(self, dear_tier: int, t: BrbTable, budget: float) -> int:
         """The best untried block the budget covers, or -1, when the best
         untried block is of tier ``dear_tier`` and too dear.
 
         Tiers ascend in price and a float sum is monotone in each term, so
         ``dear_tier`` and every dearer tier are unaffordable and the
-        affordable tiers are a prefix of ``tiers``.  Each affordable tier's
-        head is its best untried block; the head placed first in ``order``
-        is the block a scan from ``scan_from`` would reach first, so the
-        choice is the scan's, without walking past the dear blocks.
+        affordable tiers are a prefix of ``t.tiers``.  Each affordable
+        tier's head is its best untried block; the head placed first in
+        ``order`` is the block a scan from ``scan_from`` would reach first,
+        so the choice is the scan's, without walking past the dear blocks.
         """
-        order, applied = self.order, self.applied
+        order, applied, tiers = self.order, self.applied, t.tiers
         if self.tier_positions is None:
-            self.tier_positions = [[] for _ in tiers]
-            for pos, m in enumerate(order):
-                self.tier_positions[tier_of[m]].append(pos)
+            # positions grouped by tier, ascending within each: a stable sort
+            by_tier = np.argsort(t.tier[self.order_array], kind="stable").tolist()
+            self.tier_positions = []
+            for end, size in zip(itertools.accumulate(t.tier_sizes), t.tier_sizes):
+                self.tier_positions.append(by_tier[end - size : end])
             self.tier_heads = [0] * len(tiers)
         best = len(order)
         for i in range(dear_tier):
@@ -359,7 +368,41 @@ class _ProposalState:
         return order[best] if best < len(order) else -1
 
 
-def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1) -> int:
+def _rate_rows(r: np.ndarray, n1: int) -> tuple[list[list[float]], list[int]]:
+    """``(rows, run_end)`` for the ``(K1, N, K2)`` rates ``r``: ``rows[k]``
+    lists flat BRB ``k``'s rates as Python floats, one per demander axis,
+    and every row from ``k`` to ``run_end[k]`` equals row ``k``.
+
+    An anchor's mmWave rows are equal by construction, as its links share
+    one shadowing draw.  When they are bitwise equal and free of NaN, so
+    that ``==`` agrees, the class shares one row list and runs to its last
+    block; any other row is converted alone and its run ends at itself.
+    """
+    k1, n, _ = r.shape
+    rows: list[list[float]] = []
+    run_end: list[int] = []
+    for a in range(k1):
+        lo = a * n
+        mmw = r[a, :n1]
+        head = mmw[0].tolist() if n1 else []
+        if (
+            n1
+            and mmw.tobytes() == mmw[0].tobytes() * n1
+            and not any(map(math.isnan, head))
+        ):
+            rows += [head] * n1
+            run_end += [lo + n1 - 1] * n1
+        else:
+            rows += mmw.tolist()
+            run_end += range(lo, lo + n1)
+        rows += r[a, n1:].tolist()
+        run_end += range(lo + n1, lo + n)
+    return rows, run_end
+
+
+def _skip_repeats(
+    groups, states, holder, rates, run_end, price, demands, budgets, n, n1
+) -> int:
     """Play at once every round that repeats the one just played a block
     further on; return how many rounds that was.
 
@@ -384,12 +427,18 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1)
     head moves on to m+1, which still comes before every other affordable
     tier's head.  No block is displaced, so no other demander wakes.
 
+    Rates are compared from ``run_end[m]`` on (see :func:`_rate_rows`):
+    up to it every row equals m's, so only a class whose rows differ is
+    compared block by block.
+
     The skipped rounds set the holders and tried flags by slice, move
     ``scan_from`` along for the applicants that scanned to m, and add
     each winner's rate and price once per block, so the totals are the
-    very float sums the rounds would have made.
+    very float sums the rounds would have made.  The winner's sums are
+    those of the first pass when its run set the final length.
     """
     k = n
+    reach = []  # per group: the winner's run length and its sums after it
     # the class ends and the winners first, as they usually end a run
     # soonest; a rate that changes is caught below, before any of this is kept
     for m, _, w in groups:
@@ -397,28 +446,28 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1)
         k = min(k, (n1 if g < n1 else n) - 1 - g)
         st = states[w]
         rate, cost, need, budget = st.rate_bps, st.cost, demands[w], budgets[w]
+        p = price[m]  # the class shares one price
         i = 0
-        while i < k and rate < need:
-            b = m + i + 1
-            if holder[b] >= 0 or not cost + price[b] <= budget:
-                break
-            rate += rates[b][w]
-            cost += price[b]
+        while i < k and rate < need and holder[m + i + 1] < 0 and cost + p <= budget:
             i += 1
+            rate += rates[m + i][w]
+            cost += p
         k = i
         if not k:
             return 0
+        reach.append((i, rate, cost))
     for m, applicants, _ in groups:
+        same = run_end[m] - m
         for j in applicants:
             r = rates[m][j]
-            i = 0
+            i = min(k, same)
             while i < k and rates[m + i + 1][j] == r:
                 i += 1
             k = i
         if not k:
             return 0
     tried = b"\x01" * k
-    for m, applicants, w in groups:
+    for (m, applicants, w), (i, rate, cost) in zip(groups, reach):
         holder[m + 1 : m + k + 1] = [w] * k
         for j in applicants:
             st = states[j]
@@ -426,6 +475,9 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1)
             if st.order[st.scan_from] == m:
                 st.scan_from += k
         st = states[w]
+        if i == k:
+            st.rate_bps, st.cost = rate, cost
+            continue
         for b in range(m + 1, m + k + 1):
             st.rate_bps += rates[b][w]
             st.cost += price[b]
@@ -466,16 +518,17 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     u_flat = r_flat - zeta * t.price[:, None]
     # preference: utility first, then the cheaper block, then (band, owner, index)
     ties = t.tie_order
-    orders = ties[np.argsort(-u_flat[ties].T, axis=1, kind="stable")].tolist()
+    order_arrays = ties[np.argsort(-u_flat[ties].T, axis=1, kind="stable")]
     states = [
-        _ProposalState(order=orders[j], applied=bytearray(m_total)) for j in range(k2)
+        _ProposalState(order=order, order_array=row, applied=bytearray(m_total))
+        for order, row in zip(order_arrays.tolist(), order_arrays)
     ]
 
     # Python floats from here on: the same IEEE sums as numpy scalars, faster
-    rates = r_flat.tolist()
+    n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
+    rates, run_end = _rate_rows(ch.rates, n1)
     price = t.price.tolist()
     tier_of = t.tier.tolist()
-    n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
     holder = [-1] * m_total
     rounds = 0
     proposals = 0
@@ -500,7 +553,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
             # the comparison uses the same float sum later stored as the
             # cost, so cost <= budget can never be violated
             if not st.cost + price[choice] <= budgets[j]:
-                choice = st.cheaper_head(tier_of[choice], tier_of, t.tiers, budgets[j])
+                choice = st.cheaper_head(tier_of[choice], t, budgets[j])
             if choice >= 0:
                 applied[choice] = 1
                 round_proposals.setdefault(choice, []).append(j)
@@ -535,7 +588,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
         active = sorted(set(proposers).union(displaced)) if displaced else proposers
         if contests is not None:
             skipped = _skip_repeats(
-                contests, states, holder, rates, price, demands, budgets, n, n1
+                contests, states, holder, rates, run_end, price, demands, budgets, n, n1
             )
             rounds += skipped
             proposals += skipped * len(proposers)
@@ -675,35 +728,49 @@ def find_blocking_pairs(
     :class:`BlockingPairs` sequence: its length is counted from the
     (BRB, demander) mask of the test, and the pairs are listed on first
     indexing or iteration.  Raises ValueError for a non-finite ``zeta``.
+
+    Only the BRB side and the utilities vary block by block.  A block's
+    price is its price tier's, so the demander side is decided in
+    ``(T, K2)`` tables over (tier, demander axis) and gathered by each
+    block's tier: the spend ``cost + price``, whether an addition fits,
+    and the least utility the demander holds in a tier or any dearer one,
+    read at the first tier whose price covers the excess over the budget.
     """
     _check_zeta(zeta)
     t, r_flat, budget, demand = _flat_view(s, ch, m)   # r_flat: (M, K2)
     holder = m.holder
     u_flat = r_flat - zeta * t.price[:, None]
-    price = t.price[:, None]
     cost = np.array([m.cost.get(d, 0.0) for d in ch.demander_ids], dtype=float)
     rate = np.array([m.rate_bps.get(d, 0.0) for d in ch.demander_ids], dtype=float)
+    tiers = np.array(t.tiers)
+    ks = np.flatnonzero(holder >= 0)
+    js = holder[ks]
 
-    # every mask below is (M, K2): flat BRB by demander axis
-    held = holder[:, None] == np.arange(len(ch.demander_ids))
+    # (i) BRB side: unassigned, or strictly prefers this demander; (M, K2).
+    # No block strictly prefers its holder to itself, so this also rules
+    # out every block its demander already holds.
     free = holder < 0
     holder_rate = np.where(
         free, -np.inf, r_flat[np.arange(len(holder)), np.maximum(holder, 0)]
     )
-    # (i) BRB side: unassigned, or strictly prefers this demander
     brb_wants = free[:, None] | (r_flat > holder_rate[:, None])
+    # (ii) demander side, as (T, K2) tables over (price tier, demander
+    # axis): a block's price is its tier's, so ``spend`` is the very float
+    # cost + price that every scheme compares with the budget
+    spend = cost + tiers[:, None]
     # (ii-a) beneficial addition within budget while demand is unmet
-    wants_add = (rate < demand) & (cost + price <= budget)
+    add_ok = (rate < demand) & (spend <= budget)
     # (ii-b) beneficial swap: some held BRB has strictly lower utility and
-    # releasing it keeps the new BRB within budget.  Within one price tier
-    # the held BRB of least utility decides.
-    excess = cost + price - budget
-    held_u = np.where(held, u_flat, np.inf)
-    wants_swap = np.zeros_like(held)
-    for i, tier_price in enumerate(t.tiers):
-        least = held_u[t.tier == i].min(axis=0, initial=np.inf)
-        wants_swap |= (least < u_flat) & (tier_price >= excess)
-    blocking = ~held & brb_wants & (wants_add | wants_swap)
+    # releasing it keeps the new BRB within budget, i.e. its tier's price
+    # covers the excess.  The least held utility per tier, then over that
+    # tier and every dearer one, read at the first tier that covers it.
+    k2 = len(ch.demander_ids)
+    least = np.full((len(tiers) + 1) * k2, np.inf)
+    np.minimum.at(least, t.tier[ks] * k2 + js, u_flat[ks, js])
+    least = np.minimum.accumulate(least.reshape(-1, k2)[::-1], axis=0)[::-1]
+    cover = np.searchsorted(tiers, spend - budget, side="left")
+    bar = np.take_along_axis(least, cover, axis=0)
+    blocking = brb_wants & (add_ok[t.tier] | (bar[t.tier] < u_flat))
     return BlockingPairs(blocking, t, ch.demander_ids)
 
 

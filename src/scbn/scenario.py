@@ -19,6 +19,7 @@ Unit conventions (also used by the JSON file format):
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -138,29 +139,39 @@ class Scenario:
     area_side_m: float
     seed: int
 
-    @property
+    # ``stations`` is a tuple of frozen stations, so the views below are
+    # computed once per scenario and cannot go stale
+    @functools.cached_property
     def anchors(self) -> tuple[BaseStation, ...]:
         return tuple(s for s in self.stations if s.role is Role.ANCHOR)
 
-    @property
+    @functools.cached_property
     def demanders(self) -> tuple[BaseStation, ...]:
         return tuple(s for s in self.stations if s.role is Role.DEMANDING)
 
-    @property
+    @functools.cached_property
     def anchor_ids(self) -> tuple[int, ...]:
         return tuple(s.id for s in self.anchors)
 
-    @property
+    @functools.cached_property
     def demander_ids(self) -> tuple[int, ...]:
         return tuple(s.id for s in self.demanders)
 
     @property
     def noise_power_w(self) -> float:
-        return 10.0 ** ((self.noise_power_dbm - 30.0) / 10.0)
+        return _dbm_to_w(self.noise_power_dbm)
 
     @property
     def brbs_per_anchor(self) -> int:
         return self.mmw_band.num_brbs + self.sub6_band.num_brbs
+
+
+def _dbm_to_w(dbm: float) -> float:
+    """``dbm`` in watts; inf beyond the float range, 0 below it."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def friis_reference_loss_db(frequency_hz: float) -> float:
@@ -231,6 +242,10 @@ def _check_generation_config(cfg: GenerationConfig) -> None:
     ):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
+    if not _positive(_dbm_to_w(cfg.noise_power_dbm)):
+        raise ConfigError(
+            f"noise_power_dbm {cfg.noise_power_dbm} gives no positive, finite noise power"
+        )
     if cfg.budget < 0 or cfg.mmw_price < 0 or cfg.sub6_price < 0:
         raise ConfigError("budget and prices must be non-negative")
     if cfg.mmw_shadow_sigma_db < 0:
@@ -307,8 +322,8 @@ def resample_positions(s: Scenario, rng: np.random.Generator) -> Scenario:
     """Redraw all station positions, keeping ids, roles and everything else."""
     xy = rng.uniform(0.0, s.area_side_m, size=(len(s.stations), 2))
     stations = tuple(
-        replace(st, x_m=float(xy[i, 0]), y_m=float(xy[i, 1]))
-        for i, st in enumerate(s.stations)
+        BaseStation(id=st.id, role=st.role, x_m=x, y_m=y)
+        for st, (x, y) in zip(s.stations, xy.tolist())
     )
     return replace(s, stations=stations)
 
@@ -359,6 +374,10 @@ def validate_scenario(s: Scenario) -> list[str]:
     ):
         if not math.isfinite(v):
             problems.append(f"{name} must be finite, got {v}")
+    if math.isfinite(s.noise_power_dbm) and not _positive(s.noise_power_w):
+        problems.append(
+            f"noise_power_dbm {s.noise_power_dbm} gives no positive, finite noise power"
+        )
     anchor_ids = set(s.anchor_ids)
     if set(s.prices.per_anchor) != anchor_ids:
         problems.append("price schedule does not cover exactly the anchor ids")

@@ -893,6 +893,53 @@ def test_a_displaced_cheaper_head_applicant_returns_to_the_dear_blocks(
     assert skipped_rounds[:2] == [0, 2]
 
 
+# --- swaps in the tier-table audit ------------------------------------------------
+
+
+def _three_tier_holding(gains, budget, held):
+    """Three anchors of two blocks each, priced 1, 5 and 20, and one
+    demander whose demand is met, holding the flat blocks ``held``: its
+    only blocking pairs are swaps."""
+    prices = [(1.0, 1.0), (5.0, 5.0), (20.0, 20.0)]
+    s, ch = _hand_built(gains.reshape(3, 2, 1), 2, prices, [budget], [1.0])
+    holder = np.full(6, -1)
+    holder[list(held)] = 0
+    m = matching._matching_from_holder(s, ch, holder)
+    assert brb_table(s).tiers == (1.0, 5.0, 20.0)
+    return s, ch, m
+
+
+def _blocks_in_pairs(s, ch, m) -> list[int]:
+    pairs = find_blocking_pairs(m, s, ch, zeta=0.0)
+    assert pairs == _ref_find_blocking_pairs(m, s, ch, zeta=0.0)
+    return sorted(brb_table(s).flat_index[b] for _, b in pairs)
+
+
+def test_a_swap_can_release_a_block_of_a_dearer_tier_than_it_needs():
+    """Holding a strong price-1 block and a weak price-20 one at cost 21
+    within a budget of 23, a price-5 block (excess 3) needs a release of
+    price 3 or more.  No price-5 block is held, so only the weak price-20
+    block, a dearer tier, frees the money: the suffix minimum over the
+    tiers at least as dear as the excess finds it."""
+    gains = np.array([1e-6, 1e-6, 1e-8, 1e-8, 1e-10, 1e-10])
+    s, ch, m = _three_tier_holding(gains, 23.0, held=(0, 4))
+    assert m.cost[s.demander_ids[0]] == 21.0
+    # the price-1 block 1 (excess -1) and the price-5 blocks 2 and 3 (excess
+    # 3) swap for block 4; the price-20 block 5 (excess 18) gains nothing
+    assert _blocks_in_pairs(s, ch, m) == [1, 2, 3]
+
+
+def test_a_swap_whose_excess_equals_a_tier_price_is_within_budget():
+    """Holding a price-1 and a weak price-5 block at cost 6 with a budget
+    of 6, the stronger price-5 block 3 costs exactly 5 too many: releasing
+    the weak one leaves the cost at 6, within budget, so it blocks."""
+    gains = np.array([1e-6, 1e-6, 1e-10, 1e-8, 1e-10, 1e-10])
+    s, ch, m = _three_tier_holding(gains, 6.0, held=(0, 2))
+    assert m.cost[s.demander_ids[0]] == 6.0
+    # the price-1 block 1 (excess 1) swaps for the weak block too
+    assert _blocks_in_pairs(s, ch, m) == [1, 3]
+
+
 # --- best effort on hand-built edge cases -----------------------------------------
 
 

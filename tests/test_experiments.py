@@ -11,6 +11,7 @@ import pytest
 from scbn import propagation
 from scbn.experiments import (
     SCHEMES,
+    _budget_bound_fraction,
     SweepConfig,
     load_sweep_config,
     oracle_compare_rows,
@@ -103,6 +104,40 @@ def test_fully_blocked_network_carries_nothing():
     for scheme in SCHEMES:
         assert res.per_scheme[scheme].avg_rate_bps == 0.0
         assert res.per_scheme[scheme].demand_met_fraction == 0.0
+
+
+def test_budget_bound_fraction_uses_the_schemes_affordability_sum():
+    """Five blocks at 0.1 and budgets 0.2 and 0.4: the stronger, poorer
+    demander buys two blocks, the other three at cost 0.30000000000000004.
+    A fourth block would fit the richer one's budget by the schemes' own
+    sum, 0.30000000000000004 + 0.1 <= 0.4, although 0.4 minus that cost
+    falls just short of 0.1; only the poorer demander is stopped by money."""
+    cfg = GenerationConfig(
+        num_stations=3,
+        num_anchors=1,
+        num_mmw_brbs=5,
+        num_sub6_brbs=0,
+        mmw_price=0.1,
+        mmw_shadow_sigma_db=0.0,
+        demand_bps=1e12,
+    )
+    s = generate_scenario(cfg, seed=0)
+    xy = ((100.0, 100.0), (110.0, 100.0), (300.0, 100.0))
+    s = dataclasses.replace(
+        s,
+        stations=tuple(
+            dataclasses.replace(st, x_m=x, y_m=y) for st, (x, y) in zip(s.stations, xy)
+        ),
+        budgets=dict(zip(s.demander_ids, (0.2, 0.4))),
+    )
+    m = run_matching(s, realize_channels(s, np.random.default_rng(0)), zeta=0.0)
+    poor, rich = s.demander_ids
+    assert m.holder.tolist() == [0, 0, 1, 1, 1]
+    assert m.cost[rich] == 0.1 + 0.1 + 0.1 == 0.30000000000000004
+    # the edge: the schemes' sum fits, the remaining budget falls short
+    assert m.cost[rich] + 0.1 <= s.budgets[rich]
+    assert s.budgets[rich] - m.cost[rich] < 0.1
+    assert _budget_bound_fraction(s, m) == 0.5
 
 
 def _one_point_sweep(trials):

@@ -127,6 +127,14 @@ def test_validate_reports_non_finite_budgets_demands_and_prices(value):
         assert fragment in problems
 
 
+@pytest.mark.parametrize("dbm", [1e308, -1e308])
+def test_validate_reports_a_noise_power_beyond_the_float_range(dbm):
+    s = dataclasses.replace(generate_scenario(GenerationConfig(), seed=0), noise_power_dbm=dbm)
+    assert validate_scenario(s) == [
+        f"noise_power_dbm {dbm} gives no positive, finite noise power"
+    ]
+
+
 def test_sub6_reference_loss_defaults_to_free_space():
     s = generate_scenario(GenerationConfig(), seed=0)
     assert s.sub6.ref_loss_db == friis_reference_loss_db(5.8e9)
