@@ -15,8 +15,6 @@ from .matching import (
     Brb,
     InconsistentMatchingError,
     Matching,
-    brb_utility,
-    dbs_utility,
     find_blocking_pairs,
     run_matching,
     scenario_brbs,
@@ -28,17 +26,7 @@ from .oracle import (
     brute_force_min_cost,
     check_constraints,
 )
-from .propagation import (
-    ChannelRealization,
-    WrongBandError,
-    brb_rate,
-    mmw_pathloss_db,
-    realize_channels,
-    sample_mmw_shadowing,
-    sinr_sub6,
-    snr_mmw,
-    sub6_gain,
-)
+from .propagation import ChannelRealization, realize_channels
 from .scenario import (
     Band,
     BandKind,
@@ -77,25 +65,16 @@ __all__ = [
     "Scenario",
     "ScenarioFormatError",
     "Sub6Params",
-    "WrongBandError",
     "best_effort_allocate",
-    "brb_rate",
-    "brb_utility",
     "brute_force_min_cost",
     "check_constraints",
-    "dbs_utility",
     "find_blocking_pairs",
     "generate_scenario",
     "load_scenario",
-    "mmw_pathloss_db",
     "random_allocate",
     "realize_channels",
     "run_matching",
-    "sample_mmw_shadowing",
     "save_scenario",
     "scenario_brbs",
-    "sinr_sub6",
-    "snr_mmw",
-    "sub6_gain",
     "validate_scenario",
 ]

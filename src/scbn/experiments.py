@@ -44,7 +44,6 @@ __all__ = [
     "SweepConfig",
     "load_generation_config",
     "load_sweep_config",
-    "sweep_config_to_doc",
     "run_scheme",
     "run_trial",
     "sweep_n1",
@@ -222,11 +221,6 @@ def load_sweep_config(path: str) -> SweepConfig:
     if cfg.workers < 1:
         raise ConfigError(f"{path}: workers must be at least 1")
     return cfg
-
-
-def sweep_config_to_doc(cfg: SweepConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    return doc
 
 
 def _budget_bound_fraction(s: Scenario, m: Matching) -> float:

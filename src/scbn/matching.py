@@ -44,7 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .propagation import ChannelRealization, brb_rate, gamma_tensor, radio_settings
+from .propagation import ChannelRealization, gamma_tensor, radio_settings
 from .scenario import Band, BandKind, Scenario
 
 __all__ = [
@@ -55,9 +55,6 @@ __all__ = [
     "BlockingPairs",
     "brb_table",
     "scenario_brbs",
-    "brb_global_index",
-    "dbs_utility",
-    "brb_utility",
     "run_matching",
     "matching_from_assignment",
     "recompute_totals",
@@ -285,31 +282,6 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
 def scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
     """All K1 * (N1 + N2) BRBs: anchors in station order, mmWave first."""
     return brb_table(s).brbs
-
-
-def brb_global_index(s: Scenario, brb: Brb) -> int:
-    """Global BRB axis index (mmWave block first, then sub-6)."""
-    band = s.mmw_band if brb.band is BandKind.MMWAVE else s.sub6_band
-    if not 0 <= brb.index < band.num_brbs:
-        raise InconsistentMatchingError(
-            f"BRB index {brb.index} out of range for band {brb.band.value}"
-        )
-    if brb.band is BandKind.MMWAVE:
-        return brb.index
-    return s.mmw_band.num_brbs + brb.index
-
-
-def dbs_utility(brb: Brb, gamma: float, zeta: float) -> float:
-    """Demander-side utility of one BRB: rate minus price at exchange rate zeta.
-
-    ``zeta`` converts price units into bit/s, so a BRB is attractive when
-    its rate buys more than its price costs.
-    """
-    return brb_rate(brb.bandwidth_hz, gamma) - zeta * brb.price
-
-def brb_utility(gamma: float, bandwidth_hz: float) -> float:
-    """BRB-side utility of serving a station: just the achievable rate."""
-    return brb_rate(bandwidth_hz, gamma)
 
 
 @dataclass
@@ -614,7 +586,7 @@ def matching_from_assignment(
     for d, brbs in assignment.items():
         if d not in ch.demander_ids:
             raise InconsistentMatchingError(f"unknown demander id {d}")
-        j = ch.demander_axis(d)
+        j = ch.demander_ids.index(d)
         for b in brbs:
             k = t.flat_index.get(b)
             if k is None:

@@ -25,7 +25,6 @@ __all__ = [
     "MAX_ORACLE_BRBS",
     "MAX_ORACLE_DEMANDERS",
     "brute_force_min_cost",
-    "sample_feasible_costs",
     "check_constraints",
 ]
 
@@ -48,14 +47,6 @@ class OracleSolution:
     matching: Matching
     total_cost: float
     feasible: bool
-
-
-def _check_size(m_total: int, k2: int) -> None:
-    if m_total > MAX_ORACLE_BRBS or k2 > MAX_ORACLE_DEMANDERS:
-        raise InstanceTooLargeError(
-            f"instance has {m_total} BRBs and {k2} demanders; the exhaustive oracle "
-            f"is limited to {MAX_ORACLE_BRBS} BRBs and {MAX_ORACLE_DEMANDERS} demanders"
-        )
 
 
 def _feasibility(choices: np.ndarray, r_flat, price, budgets, demands):
@@ -83,7 +74,11 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)
     m_total, k2 = r_flat.shape
-    _check_size(m_total, k2)
+    if m_total > MAX_ORACLE_BRBS or k2 > MAX_ORACLE_DEMANDERS:
+        raise InstanceTooLargeError(
+            f"instance has {m_total} BRBs and {k2} demanders; the exhaustive oracle "
+            f"is limited to {MAX_ORACLE_BRBS} BRBs and {MAX_ORACLE_DEMANDERS} demanders"
+        )
     # every row of choices, in lexicographic order: the last BRB varies fastest
     choices = np.indices((k2 + 1,) * m_total, dtype=np.int8).reshape(m_total, -1).T
     feasible, total_cost = _feasibility(choices, r_flat, t.price, budgets, demands)
@@ -97,24 +92,6 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
         total_cost=float(costs[best_row]),
         feasible=True,
     )
-
-
-def sample_feasible_costs(
-    s: Scenario,
-    ch: ChannelRealization,
-    samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Costs of uniformly sampled assignments that happen to be feasible.
-
-    Used as a randomized dominance check: every returned cost must be at
-    least the oracle's minimum.
-    """
-    t, r_flat, budgets, demands = _flat_view(s, ch)
-    _check_size(*r_flat.shape)
-    choices = rng.integers(0, len(budgets) + 1, size=(samples, len(t.price)), dtype=np.int8)
-    feasible, total_cost = _feasibility(choices, r_flat, t.price, budgets, demands)
-    return total_cost[feasible]
 
 
 @dataclass(frozen=True)

@@ -15,22 +15,14 @@ can be compared on identical channels.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import BandKind, Scenario
+from .scenario import Scenario
 
 __all__ = [
     "ChannelRealization",
-    "WrongBandError",
-    "mmw_pathloss_db",
-    "sample_mmw_shadowing",
-    "sub6_gain",
-    "snr_mmw",
-    "sinr_sub6",
-    "brb_rate",
     "radio_settings",
     "realize_channels",
     "gamma_tensor",
@@ -39,10 +31,6 @@ __all__ = [
 ]
 
 MIN_MODEL_DISTANCE_M = 1.0
-
-
-class WrongBandError(ValueError):
-    """Raised when a BRB index is used with the wrong carrier's model."""
 
 
 @dataclass(frozen=True)
@@ -75,108 +63,6 @@ class ChannelRealization:
     @property
     def num_brbs(self) -> int:
         return self.gains.shape[1]
-
-    def anchor_axis(self, anchor_id: int) -> int:
-        return self.anchor_ids.index(anchor_id)
-
-    def demander_axis(self, demander_id: int) -> int:
-        return self.demander_ids.index(demander_id)
-
-
-def mmw_pathloss_db(
-    distance_m: float,
-    slope: float,
-    ref_loss_db: float,
-    shadowing_db: float = 0.0,
-) -> float:
-    """mmWave path loss in dB at ``distance_m`` meters.
-
-    Log-distance fit: loss = ref_loss + slope * 10 * log10(d) + shadowing,
-    valid from the 1 m reference distance outward.
-    """
-    if distance_m < MIN_MODEL_DISTANCE_M:
-        raise ValueError(
-            f"distance {distance_m} m is below the {MIN_MODEL_DISTANCE_M} m "
-            "model reference"
-        )
-    return ref_loss_db + slope * 10.0 * math.log10(distance_m) + shadowing_db
-
-
-def sample_mmw_shadowing(sigma_db: float, rng: np.random.Generator) -> float:
-    """One zero-mean Gaussian shadowing draw (dB) with deviation sigma_db."""
-    if sigma_db < 0:
-        raise ValueError(f"shadowing sigma must be non-negative, got {sigma_db}")
-    return float(rng.normal(0.0, sigma_db))
-
-
-def sub6_gain(
-    distance_m: float,
-    pathloss_exponent: float,
-    ref_loss_db: float,
-    fade: float,
-) -> float:
-    """Linear sub-6 GHz power gain: Rayleigh fade over log-distance loss.
-
-    ``fade`` is the squared fading envelope (unit-mean exponential draws
-    in simulation; pass 1.0 for the median-fade gain).
-    """
-    if distance_m < MIN_MODEL_DISTANCE_M:
-        raise ValueError(
-            f"distance {distance_m} m is below the {MIN_MODEL_DISTANCE_M} m "
-            "model reference"
-        )
-    if fade < 0:
-        raise ValueError(f"fade must be non-negative, got {fade}")
-    loss_db = ref_loss_db + 10.0 * pathloss_exponent * math.log10(distance_m)
-    return fade * 10.0 ** (-loss_db / 10.0)
-
-
-def snr_mmw(tx_power_w: float, gain: float, noise_power_w: float) -> float:
-    """mmWave links are noise-limited: SNR = P * g / sigma^2."""
-    if noise_power_w <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power_w}")
-    return tx_power_w * gain / noise_power_w
-
-
-def sinr_sub6(
-    anchor_id: int,
-    n: int,
-    demander_id: int,
-    tx_power_w,
-    ch: ChannelRealization,
-    noise_power_w: float,
-) -> float:
-    """Sub-6 SINR of BRB ``n`` from ``anchor_id`` at ``demander_id``.
-
-    Every other anchor is counted as an interferer on the same BRB index
-    (worst case: full load).  ``tx_power_w`` may be a scalar shared by all
-    anchors or a sequence with one power per anchor axis.
-    """
-    if noise_power_w <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power_w}")
-    if not ch.num_mmw_brbs <= n < ch.num_brbs:
-        raise WrongBandError(
-            f"BRB index {n} is not a sub-6 BRB "
-            f"(sub-6 range is [{ch.num_mmw_brbs}, {ch.num_brbs}))"
-        )
-    i = ch.anchor_axis(anchor_id)
-    j = ch.demander_axis(demander_id)
-    powers = np.broadcast_to(np.asarray(tx_power_w, dtype=float), (len(ch.anchor_ids),))
-    signal = powers[i] * ch.gains[i, n, j]
-    interference = 0.0
-    for other in range(len(ch.anchor_ids)):
-        if other != i:
-            interference += powers[other] * ch.gains[other, n, j]
-    return float(signal / (interference + noise_power_w))
-
-
-def brb_rate(bandwidth_hz: float, gamma: float) -> float:
-    """Shannon rate of one BRB in bit/s: bandwidth * log2(1 + gamma)."""
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    return bandwidth_hz * math.log2(1.0 + gamma)
 
 
 def _distance_matrix(s: Scenario) -> np.ndarray:

@@ -113,9 +113,6 @@ class PriceSchedule:
 
     per_anchor: dict[int, dict[BandKind, float]]
 
-    def price(self, anchor_id: int, kind: BandKind) -> float:
-        return self.per_anchor[anchor_id][kind]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -216,6 +213,10 @@ class GenerationConfig:
 
 
 def _check_generation_config(cfg: GenerationConfig) -> None:
+    """What must hold before the draw: the station counts, finite values,
+    and the positive area and sub-6 carrier that ``rng.uniform`` and
+    :func:`friis_reference_loss_db` need.  :func:`validate_scenario`
+    checks everything else on the scenario drawn."""
     if cfg.num_anchors < 1:
         raise ConfigError(f"need at least one anchor, got {cfg.num_anchors}")
     if cfg.num_anchors >= cfg.num_stations:
@@ -223,37 +224,13 @@ def _check_generation_config(cfg: GenerationConfig) -> None:
             f"num_anchors ({cfg.num_anchors}) must be smaller than "
             f"num_stations ({cfg.num_stations}); no demanding stations left"
         )
-    if cfg.num_mmw_brbs < 0 or cfg.num_sub6_brbs < 0:
-        raise ConfigError("BRB counts must be non-negative")
-    if cfg.num_mmw_brbs + cfg.num_sub6_brbs == 0:
-        raise ConfigError("scenario needs at least one BRB per anchor")
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         if isinstance(v, float) and not math.isfinite(v):
             raise ConfigError(f"{f.name} must be finite, got {v}")
-    for name in (
-        "mmw_brb_bandwidth_hz",
-        "sub6_brb_bandwidth_hz",
-        "mmw_center_frequency_hz",
-        "sub6_center_frequency_hz",
-        "tx_power_w",
-        "demand_bps",
-        "area_side_m",
-    ):
+    for name in ("area_side_m", "sub6_center_frequency_hz"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
-    if not _positive(_dbm_to_w(cfg.noise_power_dbm)):
-        raise ConfigError(
-            f"noise_power_dbm {cfg.noise_power_dbm} gives no positive, finite noise power"
-        )
-    if cfg.budget < 0 or cfg.mmw_price < 0 or cfg.sub6_price < 0:
-        raise ConfigError("budget and prices must be non-negative")
-    if cfg.mmw_shadow_sigma_db < 0:
-        raise ConfigError("shadowing sigma must be non-negative")
-    if not 0.0 <= cfg.mmw_blockage_prob <= 1.0:
-        raise ConfigError(
-            f"mmw_blockage_prob must lie in [0, 1], got {cfg.mmw_blockage_prob}"
-        )
 
 
 def generate_scenario(cfg: GenerationConfig, seed: int) -> Scenario:
@@ -261,6 +238,8 @@ def generate_scenario(cfg: GenerationConfig, seed: int) -> Scenario:
 
     Deterministic for a given (cfg, seed).  Station ids are 0..K-1 in
     draw order and the first ``num_anchors`` stations are the anchors.
+    Raises ConfigError for a config whose scenario :func:`validate_scenario`
+    rejects.
     """
     _check_generation_config(cfg)
     rng = np.random.default_rng(seed)
@@ -279,7 +258,7 @@ def generate_scenario(cfg: GenerationConfig, seed: int) -> Scenario:
         sub6_ref = friis_reference_loss_db(cfg.sub6_center_frequency_hz)
     anchor_ids = [s.id for s in stations if s.role is Role.ANCHOR]
     demander_ids = [s.id for s in stations if s.role is Role.DEMANDING]
-    return Scenario(
+    scenario = Scenario(
         stations=stations,
         mmw_band=Band(
             kind=BandKind.MMWAVE,
@@ -316,6 +295,10 @@ def generate_scenario(cfg: GenerationConfig, seed: int) -> Scenario:
         area_side_m=cfg.area_side_m,
         seed=int(seed),
     )
+    problems = validate_scenario(scenario)
+    if problems:
+        raise ConfigError("generated scenario is invalid: " + "; ".join(problems))
+    return scenario
 
 
 def resample_positions(s: Scenario, rng: np.random.Generator) -> Scenario:
@@ -356,13 +339,13 @@ def validate_scenario(s: Scenario) -> list[str]:
     # rejects infinity
     for band in (s.mmw_band, s.sub6_band):
         if band.num_brbs < 0:
-            problems.append(f"{band.kind.value} band has negative BRB count")
+            problems.append(f"{band.kind.value} BRB count must be non-negative")
         if not _positive(band.brb_bandwidth_hz):
             problems.append(f"{band.kind.value} BRB bandwidth must be positive and finite")
         if not _positive(band.center_frequency_hz):
             problems.append(f"{band.kind.value} frequency must be positive and finite")
     if s.brbs_per_anchor <= 0:
-        problems.append("scenario has no BRBs at all")
+        problems.append("scenario needs at least one BRB per anchor")
     if not _positive(s.tx_power_w):
         problems.append("tx_power_w must be positive and finite")
     if not _positive(s.area_side_m):
@@ -386,7 +369,10 @@ def validate_scenario(s: Scenario) -> list[str]:
             if set(per_band) != {BandKind.MMWAVE, BandKind.SUB6}:
                 problems.append(f"anchor {a} must price exactly the two bands")
             elif not all(0 <= p < math.inf for p in per_band.values()):
-                problems.append(f"anchor {a} has a negative or non-finite price")
+                problems.append(
+                    f"anchor {a} has a negative or non-finite price "
+                    "(prices must be non-negative and finite)"
+                )
     demander_ids = set(s.demander_ids)
     for name, mapping in (("budgets", s.budgets), ("demands_bps", s.demands_bps)):
         if set(mapping) != demander_ids:

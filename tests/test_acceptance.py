@@ -18,19 +18,13 @@ import time
 
 import numpy as np
 import pytest
+import reference_model as ref
 
 from scbn.cli import main
 from scbn.experiments import SweepConfig, random_micro_config, sweep_k, sweep_n1
 from scbn.matching import find_blocking_pairs, run_matching
-from scbn.oracle import brute_force_min_cost, check_constraints, sample_feasible_costs
-from scbn.propagation import (
-    ChannelRealization,
-    brb_rate,
-    mmw_pathloss_db,
-    realize_channels,
-    sinr_sub6,
-    snr_mmw,
-)
+from scbn.oracle import brute_force_min_cost, check_constraints
+from scbn.propagation import gamma_tensor, realize_channels
 from scbn.scenario import GenerationConfig, generate_scenario, resample_positions
 
 ZETA = 1e6
@@ -136,7 +130,7 @@ def micro_oracle_audit():
             stats["met"] += 1
             if sum(m.cost.values()) < sol.total_cost - 1e-9:
                 stats["met_and_cheaper_than_oracle"] += 1
-        costs = sample_feasible_costs(s, ch, 500, np.random.default_rng([0, 0xD1CE, t]))
+        costs = ref.sample_feasible_costs(s, ch, 500, np.random.default_rng([0, 0xD1CE, t]))
         stats["sampled_feasible"] += len(costs)
         # infeasible instances have floor inf, so any sample counts as a failure
         floor = sol.total_cost if sol.feasible else math.inf
@@ -224,7 +218,9 @@ def test_rounds_grow_linearly_with_network_size(rounds_sweep):
 
 
 def test_numeric_anchors_of_the_propagation_models():
-    assert mmw_pathloss_db(1.0, 2.0, 70.0) == 70.0
+    # the path loss and the rate are pinned on the reference model, which
+    # tests/test_propagation.py holds to the package's gain and rate tensors
+    assert ref.mmw_pathloss_db(1.0, 2.0, 70.0) == 70.0
 
     # 2 anchors x 625 sub-6 BRBs x 8 demanders = 10000 fade draws
     cfg = GenerationConfig(num_mmw_brbs=1, num_sub6_brbs=625)
@@ -237,20 +233,17 @@ def test_numeric_anchors_of_the_propagation_models():
     fades = ch.gains[:, 1:, :] / (10.0 ** (-loss_db / 10.0))[:, None, :]
     assert 0.95 <= fades.mean() <= 1.05
 
-    gains = np.zeros((1, 2, 1))
-    gains[0, 1, 0] = 3.7e-11
-    lone_anchor = ChannelRealization(
-        gains=gains,
-        rates=np.zeros_like(gains),
-        los=np.ones((1, 1), dtype=bool),
-        num_mmw_brbs=1,
-        anchor_ids=(0,),
-        demander_ids=(1,),
-        radio=(1.0, 1e-12, 4.86e6, 480e3),
+    # a lone anchor's sub-6 SINR is its SNR, on the package path
+    lone = generate_scenario(
+        GenerationConfig(num_stations=2, num_anchors=1, num_mmw_brbs=1, num_sub6_brbs=1),
+        seed=0,
     )
-    assert sinr_sub6(0, 1, 1, 1.0, lone_anchor, 1e-12) == snr_mmw(1.0, 3.7e-11, 1e-12)
+    ch = realize_channels(lone, np.random.default_rng(0))
+    assert gamma_tensor(lone, ch)[0, 1, 0] == ref.snr_mmw(
+        lone.tx_power_w, ch.gains[0, 1, 0], lone.noise_power_w
+    )
 
-    assert brb_rate(480e3, 1.0) == 480000.0
+    assert ref.brb_rate(480e3, 1.0) == 480000.0
 
 
 # --- bytewise command-line reproducibility -------------------------------------

@@ -1,0 +1,24 @@
+"""The public surface: every exported name resolves, and the README's
+library quick start runs as written."""
+
+from __future__ import annotations
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+_MODULES = ["baselines", "experiments", "matching", "oracle", "propagation", "scenario"]
+
+
+@pytest.mark.parametrize("module", ["scbn"] + [f"scbn.{m}" for m in _MODULES])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})

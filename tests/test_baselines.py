@@ -4,9 +4,10 @@ import dataclasses
 import math
 
 import numpy as np
+import reference_model as ref
 
 from scbn.baselines import best_effort_allocate, random_allocate
-from scbn.matching import brb_global_index, recompute_totals, scenario_brbs
+from scbn.matching import recompute_totals, scenario_brbs
 from scbn.propagation import rate_tensor, realize_channels
 from scbn.scenario import (
     Band,
@@ -74,9 +75,9 @@ def _reference_best_effort(s, ch):
 
     def rate_of(m, d):
         b = brbs[m]
-        return float(
-            rates[ch.anchor_axis(b.owner), brb_global_index(s, b), ch.demander_axis(d)]
-        )
+        return float(rates[
+            ch.anchor_ids.index(b.owner), ref.brb_global_index(s, b), ch.demander_ids.index(d)
+        ])
 
     requests = {}
     for d in demanders:

@@ -240,6 +240,21 @@ def test_sweep_rejects_a_field_of_the_wrong_type(tmp_path, capsys, extra, field)
     assert f"'{field}' must be" in _one_error_line(capsys)
 
 
+# values a config may hold but a scenario may not: the sweep refuses them
+# as generation does, before any trial runs
+@pytest.mark.parametrize(
+    "extra", [{"budget": 0.0}, {"mmw_pathloss_slope": -2.0}, {"sub6_pathloss_exponent": 0.0}]
+)
+def test_sweep_rejects_a_base_that_gives_an_invalid_scenario(tmp_path, capsys, extra):
+    path = tmp_path / "sweep.json"
+    doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, "base": {**doc["base"], **extra}}), encoding="utf-8")
+    rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "generated scenario is invalid" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "results_n1.csv").exists()
+
+
 def test_sweep_takes_an_int_for_a_float_field(tmp_path):
     path = tmp_path / "sweep.json"
     doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import reference_model as ref
 
 from scbn import matching
 from scbn.baselines import best_effort_allocate, random_allocate
@@ -30,7 +31,6 @@ from scbn.matching import (
     Matching,
     _flat_view,
     _ProposalState,
-    brb_global_index,
     brb_table,
     find_blocking_pairs,
     matching_from_assignment,
@@ -71,7 +71,7 @@ def _ref_scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
     out: list[Brb] = []
     for anchor in s.anchors:
         for band in (s.mmw_band, s.sub6_band):
-            price = s.prices.price(anchor.id, band.kind)
+            price = s.prices.per_anchor[anchor.id][band.kind]
             for idx in range(band.num_brbs):
                 out.append(
                     Brb(
@@ -110,7 +110,7 @@ def _ref_flat_brb_arrays(s: Scenario, brbs: tuple[Brb, ...]):
     for k, b in enumerate(brbs):
         owner_axis[k] = anchor_axis[b.owner]
         owner_id[k] = b.owner
-        global_n[k] = brb_global_index(s, b)
+        global_n[k] = ref.brb_global_index(s, b)
         price[k] = b.price
         band_code[k] = 0 if b.band is BandKind.MMWAVE else 1
         index_in_band[k] = b.index
@@ -233,7 +233,6 @@ def _ref_check_consistency(m: Matching, s: Scenario, ch: ChannelRealization) -> 
             seen[b] = d
             if b.owner not in ch.anchor_ids:
                 raise InconsistentMatchingError(f"BRB {b.key()} has unknown owner")
-            brb_global_index(s, b)  # range check
     for b, d in m.owner_of.items():
         if seen.get(b) != d:
             raise InconsistentMatchingError(
@@ -535,7 +534,7 @@ def test_flat_index_is_anchor_axis_times_n_plus_global_index(instances):
         t, n = brb_table(s), s.brbs_per_anchor
         for k, b in enumerate(t.brbs):
             assert b.owner == s.anchor_ids[k // n]
-            assert brb_global_index(s, b) == k % n
+            assert ref.brb_global_index(s, b) == k % n
         # so the flat rate matrix is the gather the reference schemes make
         owner_axis, _, global_n, _, _, _ = _ref_flat_brb_arrays(s, t.brbs)
         gathered = rate_tensor(s, ch)[owner_axis, global_n, :]

@@ -19,7 +19,6 @@ from scbn.experiments import (
     run_trial,
     stability_audit,
     sweep_budget_price,
-    sweep_config_to_doc,
     sweep_k,
     sweep_n1,
     write_budget_price_csv,
@@ -316,7 +315,7 @@ def test_load_sweep_config_round_trip(tmp_path):
         demand_levels_bps=(50e6, 100e6),
     )
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(sweep_config_to_doc(cfg)), encoding="utf-8")
+    path.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
     assert load_sweep_config(str(path)) == cfg
 
 

@@ -8,20 +8,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference_model as ref
 
 import scbn
 from scbn.baselines import best_effort_allocate, random_allocate
 from scbn.experiments import random_micro_config
 from scbn.matching import (
     BRB_TABLE_CACHE_SIZE,
-    Brb,
     InconsistentMatchingError,
     Matching,
     _cached_brb_table,
-    brb_global_index,
     brb_table,
-    brb_utility,
-    dbs_utility,
     find_blocking_pairs,
     matching_from_assignment,
     recompute_totals,
@@ -30,7 +27,7 @@ from scbn.matching import (
     scenario_brbs,
 )
 from scbn.oracle import brute_force_min_cost, check_constraints
-from scbn.propagation import brb_rate, rate_tensor, realize_channels
+from scbn.propagation import rate_tensor, realize_channels
 from scbn.scenario import (
     Band,
     BandKind,
@@ -106,18 +103,27 @@ def _held_keys(m, d):
 
 
 def test_dbs_utility_known_value():
-    b = Brb(owner=0, band=BandKind.SUB6, index=0, bandwidth_hz=480e3, price=10.0)
-    assert dbs_utility(b, gamma=1.0, zeta=1e6) == -9520000.0
+    rate = ref.brb_rate(480e3, 1.0)
+    assert ref.dbs_utility(rate, price=10.0, zeta=1e6) == -9520000.0
 
 
 def test_dbs_utility_free_resources_reduce_to_rate():
-    b = Brb(owner=0, band=BandKind.MMWAVE, index=3, bandwidth_hz=4.86e6, price=7.0)
-    assert dbs_utility(b, gamma=12.5, zeta=0.0) == brb_rate(4.86e6, 12.5)
+    rate = ref.brb_rate(4.86e6, 12.5)
+    assert ref.dbs_utility(rate, price=7.0, zeta=0.0) == rate
 
 
 def test_brb_utility_is_the_achievable_rate():
-    assert brb_utility(1000.0, 4.86e6) == brb_rate(4.86e6, 1000.0)
-    assert brb_utility(2.0, 480e3) > brb_utility(1.0, 480e3)
+    # of three applicants, a block keeps the one its link gives the highest rate
+    s = _build([(0, 0)], [(30, 0), (10, 0), (20, 0)], mmw_prices=[3.0])
+    m = run_matching(s, _channels(s), zeta=1e6)
+    rates = {
+        d.id: ref.brb_rate(
+            1e6,
+            ref.snr_mmw(1.0, 10.0 ** (-ref.mmw_pathloss_db(x, 2.0, 70.0) / 10.0), 1e-12),
+        )
+        for d, x in zip(s.demanders, (30.0, 10.0, 20.0))
+    }
+    assert m.owner_of == {scenario_brbs(s)[0]: max(rates, key=rates.get)}
 
 
 # --- hand-built game instances ------------------------------------------------
@@ -214,15 +220,15 @@ def _reference_matching(s, ch, zeta):
 
     def rate_of(m, d):
         b = brbs[m]
-        return float(
-            rates[ch.anchor_axis(b.owner), brb_global_index(s, b), ch.demander_axis(d)]
-        )
+        return float(rates[
+            ch.anchor_ids.index(b.owner), ref.brb_global_index(s, b), ch.demander_ids.index(d)
+        ])
 
     prefs = {}
     for d in demanders:
         def sort_key(m, d=d):
             b = brbs[m]
-            u = rate_of(m, d) - zeta * b.price
+            u = ref.dbs_utility(rate_of(m, d), b.price, zeta)
             band = 0 if b.band is BandKind.MMWAVE else 1
             return (-u, b.price, band, b.owner, b.index)
 

@@ -4,15 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import reference_model as ref
 
 from scbn.experiments import random_micro_config
 from scbn.matching import matching_from_assignment, run_matching, scenario_brbs
-from scbn.oracle import (
-    InstanceTooLargeError,
-    brute_force_min_cost,
-    check_constraints,
-    sample_feasible_costs,
-)
+from scbn.oracle import InstanceTooLargeError, brute_force_min_cost, check_constraints
 from scbn.propagation import realize_channels
 from scbn.scenario import (
     Band,
@@ -123,7 +119,7 @@ def test_random_feasible_assignments_never_beat_the_oracle():
         s = generate_scenario(cfg, seed=int(rng.integers(2**31)))
         ch = realize_channels(s, rng)
         sol = brute_force_min_cost(s, ch)
-        costs = sample_feasible_costs(s, ch, 10_000, rng)
+        costs = ref.sample_feasible_costs(s, ch, 10_000, rng)
         if not sol.feasible:
             assert costs.size == 0
             continue

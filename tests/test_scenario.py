@@ -48,8 +48,7 @@ def test_generate_default_scenario_shape():
     assert s.budgets == {d: 60.0 for d in range(2, 10)}
     assert s.demands_bps == {d: 100e6 for d in range(2, 10)}
     for a in s.anchor_ids:
-        assert s.prices.price(a, BandKind.MMWAVE) == 0.1
-        assert s.prices.price(a, BandKind.SUB6) == 10.0
+        assert s.prices.per_anchor[a] == {BandKind.MMWAVE: 0.1, BandKind.SUB6: 10.0}
     for st in s.stations:
         assert 0.0 <= st.x_m <= s.area_side_m
         assert 0.0 <= st.y_m <= s.area_side_m
@@ -86,6 +85,10 @@ def test_generate_rejects_all_anchor_network():
         (dict(mmw_shadow_sigma_db=-1.0), "non-negative"),
         (dict(demand_bps=0.0), "must be positive"),
         (dict(area_side_m=-5.0), "must be positive"),
+        # rules validate_scenario checks on the scenario drawn
+        (dict(budget=0.0), "budgets[2] must be positive"),
+        (dict(mmw_pathloss_slope=-2.0), "mmw pathloss slope must be positive"),
+        (dict(sub6_pathloss_exponent=0.0), "sub6 pathloss exponent must be positive"),
     ],
 )
 def test_generate_rejects_bad_config(kwargs, fragment):
