@@ -105,9 +105,8 @@ def random_allocate(
     # Python floats: the same IEEE sums as numpy scalars, without per-BRB
     # array overhead.  Only granted rates are read, one ``item`` each.
     rate_of = r_flat.item
-    price = t.price.tolist()
-    tier_of = t.tier.tolist()
-    tiers = t.tiers
+    price, tier_of, tiers = t.price_of, t.tier_of, t.tiers
+    draw = rng.integers
     holder = [-1] * m_total
     rate = [0.0 for _ in axes]
     cost = [0.0 for _ in axes]
@@ -131,7 +130,7 @@ def random_allocate(
         eligible = eligible_in[tier_of[m]]
         if not eligible:
             continue
-        j = eligible[rng.integers(len(eligible))]
+        j = eligible[draw(len(eligible))]
         holder[m] = j
         rate[j] += rate_of(m, j)
         cost[j] += price[m]

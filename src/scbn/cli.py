@@ -62,13 +62,14 @@ def _check_zeta(zeta: float) -> None:
 def _cmd_run(args) -> int:
     _check_zeta(args.zeta)
     scenario = load_scenario(args.scenario)
-    os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng([args.channel_seed, 0xC4A])
     ch = realize_channels(scenario, rng)
     schemes = args.schemes.split(",")
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme '{scheme}' (choices: {', '.join(SCHEMES)})")
+    # only now, so that a bad scenario or scheme leaves no directory behind
+    os.makedirs(args.out, exist_ok=True)
     if args.dump_channels:
         save_channels_csv(ch, os.path.join(args.out, "channels.csv"))
     for scheme in schemes:
@@ -105,9 +106,10 @@ _SWEEPS = {
 
 def _cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     sweep, filename, write = _SWEEPS[args.axis]
     result = sweep(cfg)
+    # only now, so that a config the sweep rejects leaves no directory behind
+    os.makedirs(args.out, exist_ok=True)
     out_csv = os.path.join(args.out, filename)
     write(result, out_csv)
     write_manifest(args.out, f"sweep {args.axis}", dataclasses.asdict(cfg), cfg.seed)

@@ -20,16 +20,21 @@ before: any other demander's rate, cost and tried blocks are as they were
 when it last failed to propose.  And since every mmWave BRB of a link
 shares one shadowing draw, an anchor's mmWave blocks are interchangeable
 for each demander, so demanders that want that anchor march down its
-block indices together, one block per round.  After a round in which
-every contested block was free, :func:`_skip_repeats` applies in one step
-every following round that repeats it a block further on.
+block indices together, one block per round: as a convoy over free
+blocks, whose strongest member takes each block, or as a rejection run
+over blocks held by a stronger demander, which keeps each one.  After a
+round in which no block changed holder, :func:`_skip_repeats` applies in
+one step every following round that repeats it a block further on.
 
 The set-up works per mmWave class and per price tier too.  An anchor's
 mmWave rates, bitwise equal across its blocks, become one Python row
 shared by the class (:func:`_rate_rows`), which also gives each block the
 end of its run of equal rows, so the fast-forward compares rates block by
-block only where a class's rows differ.  A demander's blocks are grouped
-by price tier with one stable sort, the first time it needs them.
+block only where a class's rows differ.  Each preference order is read
+through a memoryview of its numpy row, of which the rounds touch only a
+short prefix, and prices and tiers come as Python sequences built once
+per table.  A demander's blocks are grouped by price tier with one
+stable sort, the first time it needs them.
 """
 
 from __future__ import annotations
@@ -108,8 +113,10 @@ class BrbTable:
     band, owner id, rank of its (owner, band, index) key, and position in
     ``tiers``, the distinct prices ascending.  ``tie_order`` lists the flat
     indices by (price, band, owner, index), the order in which a demander
-    ranks blocks of equal utility.  Tables are shared through a cache, so
-    every field is read-only.
+    ranks blocks of equal utility.  ``price_of`` and ``tier_of`` hold the
+    prices and tier positions as Python numbers too, for the per-block
+    loops of the matching and the random baseline.  Tables are shared
+    through a cache, so every field is read-only.
     """
 
     brbs: tuple[Brb, ...]
@@ -123,6 +130,8 @@ class BrbTable:
     flat_index: Mapping[Brb, int]
     tiers: tuple[float, ...]
     tier_sizes: tuple[int, ...]
+    price_of: tuple[float, ...]
+    tier_of: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,10 +215,10 @@ def _cached_brb_table(
         for i, a, code, idx, _ in rows
     )
     tiers = sorted(set(b.price for b in brbs))
-    tier_of = {p: t for t, p in enumerate(tiers)}
+    tier_of_price = {p: t for t, p in enumerate(tiers)}
     ints = np.array(
         [
-            (code, idx, a, rank[a] * per_anchor + n, tier_of[b.price])
+            (code, idx, a, rank[a] * per_anchor + n, tier_of_price[b.price])
             for (_, a, code, idx, n), b in zip(rows, brbs)
         ],
         dtype=int,
@@ -230,6 +239,8 @@ def _cached_brb_table(
         flat_index=MappingProxyType({b: k for k, b in enumerate(brbs)}),
         tiers=tuple(tiers),
         tier_sizes=tuple(np.bincount(ints[4], minlength=len(tiers)).tolist()),
+        price_of=tuple(price.tolist()),
+        tier_of=tuple(ints[4].tolist()),
     )
 
 
@@ -288,7 +299,9 @@ def scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
 class _ProposalState:
     """Mutable per-demander state inside run_matching.
 
-    Every position of ``order`` before ``scan_from`` has been applied to.
+    ``order`` is a memoryview of the demander's argsorted numpy row: the
+    rounds read only a short prefix of it, so it is never converted to a
+    list as a whole.  Every position of ``order`` before ``scan_from`` has been applied to.
     A block of one price tier is affordable exactly when every block of
     that tier is, so a demander applies to each tier's blocks in
     preference order: within a tier, the applied positions are a prefix.
@@ -298,8 +311,7 @@ class _ProposalState:
     time the demander's best untried block is too dear.
     """
 
-    order: list[int]           # flat BRB indices in preference order
-    order_array: np.ndarray    # the same order, as the numpy row it came from
+    order: memoryview          # flat BRB indices in preference order
     applied: bytearray         # nonzero per flat BRB already proposed to
     scan_from: int = 0         # first position possibly unapplied
     cost: float = 0.0
@@ -321,7 +333,7 @@ class _ProposalState:
         order, applied, tiers = self.order, self.applied, t.tiers
         if self.tier_positions is None:
             # positions grouped by tier, ascending within each: a stable sort
-            by_tier = np.argsort(t.tier[self.order_array], kind="stable").tolist()
+            by_tier = np.argsort(t.tier[order], kind="stable").tolist()
             self.tier_positions = []
             for end, size in zip(itertools.accumulate(t.tier_sizes), t.tier_sizes):
                 self.tier_positions.append(by_tier[end - size : end])
@@ -379,55 +391,83 @@ def _skip_repeats(
     further on; return how many rounds that was.
 
     ``groups`` lists the round's contests as (block m, applicants, winner),
-    each block free before the round, and the applicants of all groups
-    are every demander that proposed in it.  Round ``i`` after it repeats
-    it when, for every group, block m+i lies in m's (anchor, band) class,
-    every applicant's rate on m+i equals its rate on m, m+i is free and
-    the winner can still propose: its demand unmet and cost + price within
-    budget, the same float sum the proposal loop compares.
+    and the applicants of all groups are every demander that proposed in
+    it.  No block changed holder in the round: a free block went to its
+    winner (a convoy), or a held block's holder kept it against every
+    applicant (a rejection, winner -1).  Round ``i`` after it repeats it
+    when, for every group, block m+i lies in m's (anchor, band) class and
+    every applicant's rate on m+i equals its rate on m, and
+      - for a convoy, m+i is free and the winner can still propose: its
+        demand unmet and cost + price within budget, the same float sum
+        the proposal loop compares;
+      - for a rejection, m+i is held and its holder's rate on it is at
+        least the best applicant's, so the holder keeps it, ties included.
+    Free and held are read at the start of the run.
 
-    Then m+i is each applicant's next choice and the same winner takes it.
-    The class shares one price, so equal rates give equal utility, and
-    the tie order (price, band, owner, index) places m+1 right after m in
-    every applicant's preference order.  m+1 is of m's price tier, and
-    within a tier the applied positions are a prefix (see
-    ``_ProposalState``), so m+1 is untried.  A loser's rate and cost did
-    not move, so it still affords the class.  An applicant that reached m
-    by a scan from ``scan_from`` reaches m+1 next.  One that reached m
-    through :meth:`_ProposalState.cheaper_head` still finds the same too
-    dear block at ``scan_from``, as its cost did not fall, and m's tier
-    head moves on to m+1, which still comes before every other affordable
-    tier's head.  No block is displaced, so no other demander wakes.
+    Then m+i is each applicant's next choice, and the convoy's winner takes
+    it or the rejection's holder keeps it.  The class shares one price, so
+    equal rates give equal utility, and the tie order (price, band, owner,
+    index) places m+1 right after m in every applicant's preference order.
+    m+1 is of m's price tier, and within a tier the applied positions are a
+    prefix (see ``_ProposalState``), so m+1 is untried.  An applicant that
+    reached m by a scan from ``scan_from`` reaches m+1 next.  One that
+    reached m through :meth:`_ProposalState.cheaper_head` still finds the
+    same too dear block at ``scan_from``, as its cost did not fall, and m's
+    tier head moves on to m+1, which still comes before every other
+    affordable tier's head.
+
+    The holders read at the start hold for the whole run, because a
+    repeated round displaces nobody: a convoy's target is free, and a
+    rejected block keeps its holder.  No block is ever freed, so a convoy's
+    targets, free at the start, are taken by no other group first, and a
+    rejection's targets, held at the start, stay held by the same holder.
+    Only a convoy's winner gains anything; a convoy loser's or a rejected
+    applicant's rate and cost do not move, so it still affords the class,
+    and no demander outside the round's applicants wakes.
 
     Rates are compared from ``run_end[m]`` on (see :func:`_rate_rows`):
     up to it every row equals m's, so only a class whose rows differ is
     compared block by block.
 
-    The skipped rounds set the holders and tried flags by slice, move
-    ``scan_from`` along for the applicants that scanned to m, and add
-    each winner's rate and price once per block, so the totals are the
-    very float sums the rounds would have made.  The winner's sums are
-    those of the first pass when its run set the final length.
+    The skipped rounds set the tried flags by slice and move ``scan_from``
+    along for the applicants that scanned to m.  A convoy's holders are set
+    by slice and its winner's rate and price added once per block, so the
+    totals are the very float sums the rounds would have made; they are
+    those of the first pass when its run set the final length.  A
+    rejection changes no holder and no total.
     """
     k = n
-    reach = []  # per group: the winner's run length and its sums after it
-    # the class ends and the winners first, as they usually end a run
-    # soonest; a rate that changes is caught below, before any of this is kept
-    for m, _, w in groups:
+    # per convoy, the winner's run length and its sums after it; None for
+    # a rejection
+    reach = []
+    # the class ends, the winners and the holders first, as they usually
+    # end a run soonest; a rate that changes is caught below, before any of
+    # this is kept
+    for m, applicants, w in groups:
         g = m % n  # global index: mmWave below n1, sub-6 from n1 on
         k = min(k, (n1 if g < n1 else n) - 1 - g)
-        st = states[w]
-        rate, cost, need, budget = st.rate_bps, st.cost, demands[w], budgets[w]
-        p = price[m]  # the class shares one price
         i = 0
-        while i < k and rate < need and holder[m + i + 1] < 0 and cost + p <= budget:
-            i += 1
-            rate += rates[m + i][w]
-            cost += p
+        if w < 0:
+            rate_m = rates[m]
+            top = max(rate_m[j] for j in applicants)
+            while i < k:
+                h = holder[m + i + 1]
+                if h < 0 or not top <= rates[m + i + 1][h]:
+                    break
+                i += 1
+            reach.append(None)
+        else:
+            st = states[w]
+            rate, cost, need, budget = st.rate_bps, st.cost, demands[w], budgets[w]
+            p = price[m]  # the class shares one price
+            while i < k and rate < need and holder[m + i + 1] < 0 and cost + p <= budget:
+                i += 1
+                rate += rates[m + i][w]
+                cost += p
+            reach.append((i, rate, cost))
         k = i
         if not k:
             return 0
-        reach.append((i, rate, cost))
     for m, applicants, _ in groups:
         same = run_end[m] - m
         for j in applicants:
@@ -439,13 +479,16 @@ def _skip_repeats(
         if not k:
             return 0
     tried = b"\x01" * k
-    for (m, applicants, w), (i, rate, cost) in zip(groups, reach):
-        holder[m + 1 : m + k + 1] = [w] * k
+    for (m, applicants, w), run in zip(groups, reach):
         for j in applicants:
             st = states[j]
             st.applied[m + 1 : m + k + 1] = tried
             if st.order[st.scan_from] == m:
                 st.scan_from += k
+        if run is None:
+            continue
+        holder[m + 1 : m + k + 1] = [w] * k
+        i, rate, cost = run
         st = states[w]
         if i == k:
             st.rate_bps, st.cost = rate, cost
@@ -476,10 +519,11 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     the round before, in ascending axis order, which keeps the order of
     every float sum: a demander that did neither has the rate, cost and
     tried blocks with which it last failed to propose.  After a round in
-    which every contested block was free, :func:`_skip_repeats` plays in
-    one step every following round that repeats it a block further on.
-    The rounds and proposals counted are those of the full loop.
-    Raises ValueError for a non-finite ``zeta``.
+    which no block changed holder, each contested block was either free
+    and taken (a convoy) or held and kept (a rejection), and
+    :func:`_skip_repeats` plays in one step every following round that
+    repeats it a block further on.  The rounds and proposals counted are
+    those of the full loop.  Raises ValueError for a non-finite ``zeta``.
     """
     _check_zeta(zeta)
     t, r_flat, budgets, demands = _flat_view(s, ch)   # r_flat: (M, K2) bit/s
@@ -492,15 +536,14 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     ties = t.tie_order
     order_arrays = ties[np.argsort(-u_flat[ties].T, axis=1, kind="stable")]
     states = [
-        _ProposalState(order=order, order_array=row, applied=bytearray(m_total))
-        for order, row in zip(order_arrays.tolist(), order_arrays)
+        _ProposalState(order=memoryview(row), applied=bytearray(m_total))
+        for row in order_arrays
     ]
 
     # Python floats from here on: the same IEEE sums as numpy scalars, faster
     n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
     rates, run_end = _rate_rows(ch.rates, n1)
-    price = t.price.tolist()
-    tier_of = t.tier.tolist()
+    price, tier_of = t.price_of, t.tier_of
     holder = [-1] * m_total
     rounds = 0
     proposals = 0
@@ -535,7 +578,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
         rounds += 1
         proposals += len(proposers)
         displaced = []
-        contests = []  # (block, applicants, winner) while every block was free
+        contests = []  # (block, applicants, winner or -1) until a block changes holder
         for m, applicants in round_proposals.items():
             rate_m = rates[m]
             if len(applicants) == 1:
@@ -544,9 +587,12 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
                 best = min(applicants, key=lambda j: (-rate_m[j], demander_ids[j]))
             incumbent = holder[m]
             if incumbent >= 0:
-                contests = None
                 if rate_m[best] <= rate_m[incumbent]:
-                    continue  # incumbent keeps the BRB, ties included
+                    # incumbent keeps the BRB, ties included
+                    if contests is not None:
+                        contests.append((m, applicants, -1))
+                    continue
+                contests = None
                 st = states[incumbent]
                 st.rate_bps -= rate_m[incumbent]
                 st.cost -= price[m]

@@ -121,6 +121,7 @@ def test_run_rejects_unknown_scheme(tmp_path, capsys):
     )
     assert rc == 1
     assert "unknown scheme 'telepathy'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_a_truncated_scenario_file(tmp_path, capsys):
@@ -129,6 +130,7 @@ def test_run_rejects_a_truncated_scenario_file(tmp_path, capsys):
     rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _sweep_config_file(tmp_path):
@@ -189,6 +191,7 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "trials" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _one_error_line(capsys) -> str:
@@ -252,7 +255,7 @@ def test_sweep_rejects_a_base_that_gives_an_invalid_scenario(tmp_path, capsys, e
     rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "generated scenario is invalid" in _one_error_line(capsys)
-    assert not (tmp_path / "out" / "results_n1.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_takes_an_int_for_a_float_field(tmp_path):

@@ -892,6 +892,118 @@ def test_a_displaced_cheaper_head_applicant_returns_to_the_dear_blocks(
     assert skipped_rounds[:2] == [0, 2]
 
 
+# --- rounds that repeat a rejection a block further on ----------------------------
+
+
+def _two_classes(d1_on_class_0, d0_demand_blocks):
+    """Two anchors of eight mmWave blocks.  Demander 0 wants anchor 0 and
+    nothing of anchor 1, with a demand met after ``d0_demand_blocks``
+    blocks; demander 1 wants anchor 1 first and then anchor 0 at the gain
+    ``d1_on_class_0``.  Both classes go to convoys in the first round, so
+    demander 1 reaches anchor 0 after demander 0 took what it wanted."""
+    gains = np.zeros((2, 8, 2))
+    gains[0, :, 0] = 5e-10
+    gains[1, :, 1] = 1e-9
+    gains[0, :, 1] = d1_on_class_0
+    s, ch = _hand_built(gains, 8, [(0.1, 1.0)] * 2, [_RICH] * 2, [_RICH] * 2)
+    per_block = float(ch.rates[0, 0, 0])
+    demand = (d0_demand_blocks - 0.5) * per_block
+    return replace(s, demands_bps={**s.demands_bps, s.demander_ids[0]: demand}), ch
+
+
+def test_a_class_held_by_a_stronger_demander_is_skipped_in_one_step(skipped_rounds):
+    s, ch = _two_classes(2e-10, 8)
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    assert m.holder.tolist() == [0] * 8 + [1] * 8
+    # both convoys, then demander 1 refused by anchor 0's eight blocks:
+    # the first refusal is played, the seven after it skipped at once
+    assert skipped_rounds == [7, 7]
+    assert (m.rounds, m.proposals) == (16, 24)
+
+
+def test_an_equal_rate_keeps_the_block_and_the_rejection_run_goes_on(skipped_rounds):
+    s, ch = _two_classes(5e-10, 8)
+    assert ch.rates[0, 0, 1] == ch.rates[0, 0, 0]
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    # a tie keeps the incumbent, on every block of the class
+    assert m.holder.tolist() == [0] * 8 + [1] * 8
+    assert skipped_rounds == [7, 7]
+
+
+def test_a_rejection_run_ends_at_a_free_block(skipped_rounds):
+    s, ch = _two_classes(2e-10, 5)
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    # demander 0 stops after five blocks of anchor 0; demander 1, refused
+    # by those five, takes the three free ones in a convoy of its own
+    assert m.holder.tolist() == [0] * 5 + [1] * 3 + [1] * 8
+    assert skipped_rounds == [4, 2, 4, 2]
+
+
+def test_a_rejection_run_ends_where_a_second_holder_rates_below_it(skipped_rounds):
+    """Demander 0 takes anchor 0's blocks 0..3 and stops; demander 2, the
+    convoy's loser, takes blocks 4..7.  Demander 1 comes from anchor 1 and
+    is refused by demander 0's blocks, but outrates demander 2."""
+    gains = np.zeros((2, 8, 3))
+    gains[0, :, 0] = 1e-9
+    gains[1, :, 1] = 1e-9
+    gains[0, :, 1] = 5e-10
+    gains[0, :, 2] = 2e-10
+    s, ch = _hand_built(gains, 8, [(0.1, 1.0)] * 2, [_RICH] * 3, [_RICH] * 3)
+    per_block = float(ch.rates[0, 0, 0])
+    s = replace(s, demands_bps={**s.demands_bps, s.demander_ids[0]: 3.5 * per_block})
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    # two convoys twice, then demander 1's refusals stop at block 4, which
+    # it takes from demander 2
+    assert skipped_rounds[:3] == [3, 3, 3]
+    assert m.holder.tolist() == [0] * 4 + [1] * 4 + [1] * 8
+
+
+def test_a_round_of_one_convoy_and_one_rejection_is_skipped_together(skipped_rounds):
+    """Demander 0 wants anchor 0, then anchor 2; demander 1 wants anchor 1,
+    then anchor 0.  In the ninth round demander 0 starts a convoy on anchor
+    2 while demander 1 is refused by anchor 0, and both repeat."""
+    gains = np.zeros((3, 8, 2))
+    gains[0, :, 0] = 1e-9
+    gains[2, :, 0] = 5e-10
+    gains[1, :, 1] = 1e-9
+    gains[0, :, 1] = 5e-10
+    s, ch = _hand_built(gains, 8, [(0.1, 1.0)] * 3, [_RICH] * 2, [_RICH] * 2)
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    assert m.holder.tolist() == [0] * 8 + [1] * 8 + [0] * 8
+    # then each is refused by the other's class
+    assert skipped_rounds == [7, 7, 7]
+
+
+def test_an_applicant_refused_after_a_dear_block_moves_its_tier_head(
+    skipped_rounds, tier_head_choices
+):
+    """Anchor 0's dear blocks lead demander 0's preferences, and its
+    budget covers only the cheap ones: it takes anchor 2's class through
+    :meth:`_ProposalState.cheaper_head`, then goes on to anchor 1's, held
+    by demander 1, with its ``scan_from`` still on the first dear block."""
+    gains = np.zeros((3, 6, 2))
+    gains[0, :, 0] = 1e-9
+    gains[2, :, 0] = 5e-10
+    gains[1, :, 0] = 2e-10
+    gains[1, :, 1] = 1e-9
+    s, ch = _hand_built(
+        gains, 6, [(20.0, 1.0), (1.0, 1.0), (1.0, 1.0)], [10.0, _RICH], [_RICH] * 2
+    )
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    assert any(tier_head_choices)
+    # two convoys, then two refusals (demander 0 on anchor 1, demander 1
+    # on anchor 2), then demander 1 takes anchor 0's dear class
+    assert skipped_rounds == [5, 5, 5]
+    assert m.holder.tolist() == [1] * 6 + [1] * 6 + [0] * 6
+    assert m.cost[s.demander_ids[0]] == 6.0
+
+
 # --- swaps in the tier-table audit ------------------------------------------------
 
 
