@@ -18,20 +18,17 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
-    SCHEMES,
+    SWEEPS,
+    check_schemes,
     load_generation_config,
     load_sweep_config,
     oracle_compare_rows,
     run_scheme,
     stability_audit,
-    sweep_budget_price,
-    sweep_k,
-    sweep_n1,
-    write_budget_price_csv,
-    write_k_csv,
+    sweep,
     write_manifest,
-    write_n1_csv,
     write_oracle_csv,
+    write_sweep_csv,
 )
 from .matching import save_matching_csv
 from .propagation import realize_channels, save_channels_csv
@@ -65,9 +62,7 @@ def _cmd_run(args) -> int:
     rng = np.random.default_rng([args.channel_seed, 0xC4A])
     ch = realize_channels(scenario, rng)
     schemes = args.schemes.split(",")
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme '{scheme}' (choices: {', '.join(SCHEMES)})")
+    check_schemes(schemes)
     # only now, so that a bad scenario or scheme leaves no directory behind
     os.makedirs(args.out, exist_ok=True)
     if args.dump_channels:
@@ -96,22 +91,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-# sweep axis -> (sweep, result file, writer)
-_SWEEPS = {
-    "n1": (sweep_n1, "results_n1.csv", write_n1_csv),
-    "budget-price": (sweep_budget_price, "results_budget_price.csv", write_budget_price_csv),
-    "k": (sweep_k, "results_k.csv", write_k_csv),
-}
-
-
 def _cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
-    sweep, filename, write = _SWEEPS[args.axis]
-    result = sweep(cfg)
+    result = sweep(cfg, args.axis)
     # only now, so that a config the sweep rejects leaves no directory behind
     os.makedirs(args.out, exist_ok=True)
-    out_csv = os.path.join(args.out, filename)
-    write(result, out_csv)
+    out_csv = os.path.join(args.out, SWEEPS[args.axis].filename)
+    write_sweep_csv(result, out_csv)
     write_manifest(args.out, f"sweep {args.axis}", dataclasses.asdict(cfg), cfg.seed)
     print(f"wrote {out_csv} ({len(result.points)} sweep points, {cfg.trials} trials each)")
     return 0
@@ -187,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="run a Monte Carlo parameter sweep")
-    p.add_argument("axis", choices=list(_SWEEPS))
+    p.add_argument("axis", choices=list(SWEEPS))
     p.add_argument("--config", required=True, help="sweep config JSON path")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_sweep)

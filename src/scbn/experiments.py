@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
 import statistics
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -42,16 +44,15 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepConfig",
+    "SweepAxis",
+    "SWEEPS",
+    "check_schemes",
     "load_generation_config",
     "load_sweep_config",
     "run_scheme",
     "run_trial",
-    "sweep_n1",
-    "sweep_budget_price",
-    "sweep_k",
-    "write_n1_csv",
-    "write_budget_price_csv",
-    "write_k_csv",
+    "sweep",
+    "write_sweep_csv",
     "write_manifest",
     "random_micro_config",
     "oracle_compare_rows",
@@ -117,12 +118,10 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: a base deployment plus the axis being varied.
+    """One sweep: a base deployment plus the axis values being varied.
 
-    Only the value list matching the sweep kind is consulted:
-    ``n1_values`` for the mmWave supply sweep, ``budget_values`` with
-    ``sub6_price_values`` for the budget/price grid, ``k_values`` with
-    ``demand_levels_bps`` for the network-size sweep.
+    A sweep consults only the value lists its axis's ``SWEEPS`` entry
+    names in its grid.
     """
 
     base: GenerationConfig
@@ -200,6 +199,18 @@ def _read_json_object(path: str) -> dict:
     return doc
 
 
+def check_schemes(schemes) -> None:
+    """ConfigError unless ``schemes`` names at least one scheme, each a
+    known one and none twice."""
+    if not schemes:
+        raise ConfigError(f"no scheme given (choices: {', '.join(SCHEMES)})")
+    for i, scheme in enumerate(schemes):
+        if scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme '{scheme}' (choices: {', '.join(SCHEMES)})")
+        if scheme in schemes[:i]:
+            raise ConfigError(f"scheme '{scheme}' is given twice")
+
+
 def load_generation_config(path: str) -> GenerationConfig:
     """Read a JSON object holding any subset of the GenerationConfig fields."""
     return _strict_dataclass(GenerationConfig, _read_json_object(path), path)
@@ -213,9 +224,10 @@ def load_sweep_config(path: str) -> SweepConfig:
         raise ConfigError(f"{path}: 'base' must be an object")
     base = _strict_dataclass(GenerationConfig, base_doc, f"{path}: base")
     cfg = _strict_dataclass(SweepConfig, {"base": base, **doc}, path)
-    for scheme in cfg.schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"{path}: unknown scheme '{scheme}'")
+    try:
+        check_schemes(cfg.schemes)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if cfg.trials < 1:
         raise ConfigError(f"{path}: trials must be at least 1")
     if cfg.workers < 1:
@@ -302,8 +314,7 @@ def run_trial(
 
 
 def _trial_job(args) -> TrialResult:
-    gen_cfg, zeta, schemes, seed, trial_idx = args
-    base = generate_scenario(gen_cfg, seed=seed)
+    base, zeta, schemes, seed, trial_idx = args
     # the stream depends on the trial alone, so sweep points that share a
     # deployment shape see the very same placements and channels: curves
     # over the swept axis are paired, not merely seeded alike
@@ -347,70 +358,37 @@ def _aggregate(trials: list[TrialResult], schemes) -> dict[str, AggregateMetrics
     return out
 
 
-def _run_points(
-    cfg: SweepConfig, point_cfgs: list[tuple[dict, GenerationConfig]]
-) -> list[SweepPoint]:
-    jobs = []
-    for _, gen_cfg in point_cfgs:
-        for trial_idx in range(cfg.trials):
-            jobs.append(
-                (gen_cfg, cfg.zeta_bps_per_unit, cfg.schemes, cfg.seed, trial_idx)
-            )
+def sweep(cfg: SweepConfig, axis: str) -> SweepResult:
+    """Run the grid of ``SWEEPS[axis]``, ``cfg.trials`` paired trials per point.
+
+    Every point's base scenario is built before the first trial, so a
+    grid value that gives no valid scenario fails the sweep at once.
+    """
+    grid = SWEEPS[axis].grid
+    value_lists = [getattr(cfg, values) for _, values, _ in grid]
+    if not all(value_lists):
+        raise ConfigError(f"{axis} sweep needs {' and '.join(v for _, v, _ in grid)}")
+    values, bases = [], []
+    for combo in itertools.product(*value_lists):
+        values.append({name: float(v) for (name, _, _), v in zip(grid, combo)})
+        fields = {field: _FIELD_CASTS[field](v) for (_, _, field), v in zip(grid, combo)}
+        bases.append(generate_scenario(replace(cfg.base, **fields), seed=cfg.seed))
+    jobs = [
+        (base, cfg.zeta_bps_per_unit, cfg.schemes, cfg.seed, trial_idx)
+        for base in bases
+        for trial_idx in range(cfg.trials)
+    ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_trial_job, jobs, chunksize=8))
     else:
         results = [_trial_job(j) for j in jobs]
-    points = []
-    for point_idx, (values, _) in enumerate(point_cfgs):
-        trials = results[point_idx * cfg.trials : (point_idx + 1) * cfg.trials]
-        points.append(
-            SweepPoint(values=values, per_scheme=_aggregate(trials, cfg.schemes))
-        )
-    return points
-
-
-def sweep_n1(cfg: SweepConfig) -> SweepResult:
-    """Sweep the per-anchor mmWave BRB supply."""
-    if not cfg.n1_values:
-        raise ConfigError("n1 sweep needs n1_values")
-    point_cfgs = [
-        ({"n1": float(v)}, replace(cfg.base, num_mmw_brbs=int(v)))
-        for v in cfg.n1_values
-    ]
-    return SweepResult(kind="n1", points=tuple(_run_points(cfg, point_cfgs)))
-
-
-def sweep_budget_price(cfg: SweepConfig) -> SweepResult:
-    """Sweep the (budget, sub-6 price) grid."""
-    if not cfg.budget_values or not cfg.sub6_price_values:
-        raise ConfigError("budget-price sweep needs budget_values and sub6_price_values")
-    point_cfgs = []
-    for b in cfg.budget_values:
-        for p in cfg.sub6_price_values:
-            point_cfgs.append(
-                (
-                    {"budget": float(b), "sub6_price": float(p)},
-                    replace(cfg.base, budget=float(b), sub6_price=float(p)),
-                )
-            )
-    return SweepResult(kind="budget_price", points=tuple(_run_points(cfg, point_cfgs)))
-
-
-def sweep_k(cfg: SweepConfig) -> SweepResult:
-    """Sweep the station count at each configured demand level."""
-    if not cfg.k_values or not cfg.demand_levels_bps:
-        raise ConfigError("k sweep needs k_values and demand_levels_bps")
-    point_cfgs = []
-    for k in cfg.k_values:
-        for dem in cfg.demand_levels_bps:
-            point_cfgs.append(
-                (
-                    {"k": float(k), "demand_bps": float(dem)},
-                    replace(cfg.base, num_stations=int(k), demand_bps=float(dem)),
-                )
-            )
-    return SweepResult(kind="k", points=tuple(_run_points(cfg, point_cfgs)))
+    n = cfg.trials
+    points = tuple(
+        SweepPoint(values=v, per_scheme=_aggregate(results[i * n : (i + 1) * n], cfg.schemes))
+        for i, v in enumerate(values)
+    )
+    return SweepResult(kind=axis, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -431,29 +409,27 @@ def _aggregate_cell(agg: AggregateMetrics, column: str):
     return _fmt(getattr(agg, column))
 
 
-def _write_sweep_csv(
-    result: SweepResult, path: str, point_columns, point_cells, columns
-) -> None:
-    """One row per (sweep point, scheme): the point's own cells, the
-    scheme, then the named aggregate columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*point_columns, "scheme", *columns])
-        for point in result.points:
-            cells = point_cells(point.values)
-            for scheme, agg in point.per_scheme.items():
-                writer.writerow(
-                    [*cells, scheme, *(_aggregate_cell(agg, c) for c in columns)]
-                )
+@dataclass(frozen=True)
+class SweepAxis:
+    """One sweep axis of the CLI: the grid it walks and the CSV it writes."""
+
+    # (point value name, SweepConfig value list, GenerationConfig field it
+    # sets), outermost first
+    grid: tuple[tuple[str, str, str], ...]
+    point_columns: tuple[str, ...]
+    # a point's values -> its leading CSV cells
+    point_cells: Callable[[dict[str, float]], list]
+    # AggregateMetrics columns, *_mbps ones read from the *_bps field
+    columns: tuple[str, ...]
+    filename: str
 
 
-def write_n1_csv(result: SweepResult, path: str) -> None:
-    _write_sweep_csv(
-        result,
-        path,
-        ["n1"],
-        lambda v: [int(v["n1"])],
-        [
+SWEEPS = {
+    "n1": SweepAxis(
+        grid=(("n1", "n1_values", "num_mmw_brbs"),),
+        point_columns=("n1",),
+        point_cells=lambda v: [int(v["n1"])],
+        columns=(
             "mean_rate_mbps",
             "ci95_rate_mbps",
             "mean_cost",
@@ -464,27 +440,27 @@ def write_n1_csv(result: SweepResult, path: str) -> None:
             "mean_blocking_pairs",
             "budget_bound_fraction",
             "trials",
-        ],
-    )
-
-
-def write_budget_price_csv(result: SweepResult, path: str) -> None:
-    _write_sweep_csv(
-        result,
-        path,
-        ["budget", "sub6_price"],
-        lambda v: [_fmt(v["budget"]), _fmt(v["sub6_price"])],
-        ["mean_rate_mbps", "ci95_rate_mbps", "mean_cost", "demand_met_fraction", "trials"],
-    )
-
-
-def write_k_csv(result: SweepResult, path: str) -> None:
-    _write_sweep_csv(
-        result,
-        path,
-        ["k", "demand_mbps"],
-        lambda v: [int(v["k"]), _fmt(v["demand_bps"] / 1e6)],
-        [
+        ),
+        filename="results_n1.csv",
+    ),
+    "budget-price": SweepAxis(
+        grid=(
+            ("budget", "budget_values", "budget"),
+            ("sub6_price", "sub6_price_values", "sub6_price"),
+        ),
+        point_columns=("budget", "sub6_price"),
+        point_cells=lambda v: [_fmt(v["budget"]), _fmt(v["sub6_price"])],
+        columns=("mean_rate_mbps", "ci95_rate_mbps", "mean_cost", "demand_met_fraction", "trials"),
+        filename="results_budget_price.csv",
+    ),
+    "k": SweepAxis(
+        grid=(
+            ("k", "k_values", "num_stations"),
+            ("demand_bps", "demand_levels_bps", "demand_bps"),
+        ),
+        point_columns=("k", "demand_mbps"),
+        point_cells=lambda v: [int(v["k"]), _fmt(v["demand_bps"] / 1e6)],
+        columns=(
             "mean_rounds",
             "ci95_rounds",
             "mean_proposals",
@@ -492,8 +468,32 @@ def write_k_csv(result: SweepResult, path: str) -> None:
             "mean_rate_mbps",
             "demand_met_fraction",
             "trials",
-        ],
-    )
+        ),
+        filename="results_k.csv",
+    ),
+}
+
+# a swept GenerationConfig field -> the type its values are cast to
+_FIELD_CASTS = {
+    field: {"int": int, "float": float}[GenerationConfig.__dataclass_fields__[field].type]
+    for axis in SWEEPS.values()
+    for _, _, field in axis.grid
+}
+
+
+def write_sweep_csv(result: SweepResult, path: str) -> None:
+    """One row per (sweep point, scheme): the point's own cells, the
+    scheme, then the axis's aggregate columns."""
+    axis = SWEEPS[result.kind]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*axis.point_columns, "scheme", *axis.columns])
+        for point in result.points:
+            cells = axis.point_cells(point.values)
+            for scheme, agg in point.per_scheme.items():
+                writer.writerow(
+                    [*cells, scheme, *(_aggregate_cell(agg, c) for c in axis.columns)]
+                )
 
 
 def write_manifest(out_dir: str, command: str, config_doc: dict, seed: int) -> str:
@@ -630,26 +630,18 @@ def stability_audit(
     k1 = len(base.anchors)
     k2 = len(base.demanders)
     n_per_anchor = base.brbs_per_anchor
-    total_pairs = 0
-    trials_with_pairs = 0
-    max_rounds = 0
-    max_proposals = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 0x57AB, t])
-        trial_s = resample_positions(base, rng)
-        ch = realize_channels(trial_s, rng)
-        m = run_matching(trial_s, ch, zeta)
-        pairs = find_blocking_pairs(m, trial_s, ch, zeta)
-        total_pairs += len(pairs)
-        trials_with_pairs += bool(pairs)
-        max_rounds = max(max_rounds, m.rounds)
-        max_proposals = max(max_proposals, m.proposals)
+    ms = [
+        run_trial(
+            base, zeta, (SCHEME_MATCHING,), np.random.default_rng([seed, 0x57AB, t])
+        ).per_scheme[SCHEME_MATCHING]
+        for t in range(trials)
+    ]
     return {
         "trials": trials,
-        "blocking_pairs_total": total_pairs,
-        "trials_with_blocking_pairs": trials_with_pairs,
-        "max_rounds": max_rounds,
-        "max_proposals": max_proposals,
+        "blocking_pairs_total": sum(m.blocking_pairs for m in ms),
+        "trials_with_blocking_pairs": sum(m.blocking_pairs > 0 for m in ms),
+        "max_rounds": max(m.rounds for m in ms),
+        "max_proposals": max(m.proposals for m in ms),
         "rounds_bound": k1 * n_per_anchor,
         "proposals_bound": k2 * k1 * n_per_anchor,
     }

@@ -7,7 +7,8 @@ exhaustive oracle on micro instances, beats both baselines on average
 rate, needs rounds that grow linearly with network size, reproduces the
 frozen numeric anchors of the propagation models, and the command line
 is bytewise reproducible.  The heavy simulations run once per module
-through the fixtures below; expected values and tolerances are frozen.
+through the fixtures below, the two sweeps on the shipped configs of
+``configs/``; expected values and tolerances are frozen.
 """
 
 from __future__ import annotations
@@ -15,19 +16,21 @@ from __future__ import annotations
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import reference_model as ref
 
 from scbn.cli import main
-from scbn.experiments import SweepConfig, random_micro_config, sweep_k, sweep_n1
+from scbn.experiments import load_sweep_config, random_micro_config, sweep
 from scbn.matching import find_blocking_pairs, run_matching
 from scbn.oracle import brute_force_min_cost, check_constraints
 from scbn.propagation import gamma_tensor, realize_channels
 from scbn.scenario import GenerationConfig, generate_scenario, resample_positions
 
 ZETA = 1e6
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # --- reference-scale matching trials (shared by the first three tests) -------
@@ -154,14 +157,7 @@ def test_matching_agrees_with_the_exhaustive_oracle(micro_oracle_audit):
 
 @pytest.fixture(scope="module")
 def rate_sweep():
-    cfg = SweepConfig(
-        base=GenerationConfig(mmw_blockage_prob=0.8),
-        trials=200,
-        zeta_bps_per_unit=ZETA,
-        seed=42,
-        n1_values=(16, 48, 96, 144, 180),
-    )
-    return sweep_n1(cfg)
+    return sweep(load_sweep_config(str(CONFIGS / "rate_vs_supply.json")), "n1")
 
 
 def test_matching_beats_both_baselines_on_average_rate(rate_sweep):
@@ -185,16 +181,7 @@ def test_matching_beats_both_baselines_on_average_rate(rate_sweep):
 
 @pytest.fixture(scope="module")
 def rounds_sweep():
-    cfg = SweepConfig(
-        base=GenerationConfig(area_side_m=800.0),
-        trials=200,
-        zeta_bps_per_unit=ZETA,
-        seed=42,
-        schemes=("matching",),
-        k_values=(4, 8, 12, 16, 20),
-        demand_levels_bps=(50e6, 100e6),
-    )
-    return sweep_k(cfg)
+    return sweep(load_sweep_config(str(CONFIGS / "rounds_vs_size.json")), "k")
 
 
 def test_rounds_grow_linearly_with_network_size(rounds_sweep):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbn.cli import main
-from scbn.experiments import SweepConfig
+from scbn.experiments import SWEEPS, SweepConfig
 from scbn.scenario import GenerationConfig, load_scenario
 
 _PARAMS = {
@@ -121,6 +121,18 @@ def test_run_rejects_unknown_scheme(tmp_path, capsys):
     )
     assert rc == 1
     assert "unknown scheme 'telepathy'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "schemes, message", [("", "unknown scheme ''"), ("random,random", "given twice")]
+)
+def test_run_rejects_no_or_repeated_schemes(tmp_path, capsys, schemes, message):
+    scenario = _generate(tmp_path)
+    capsys.readouterr()
+    rc = main(["run", "--scenario", scenario, "--schemes", schemes, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert message in _one_error_line(capsys)
     assert not (tmp_path / "o").exists()
 
 
@@ -255,6 +267,19 @@ def test_sweep_rejects_a_base_that_gives_an_invalid_scenario(tmp_path, capsys, e
     rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "generated scenario is invalid" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "schemes, message", [([], "no scheme given"), (["random", "random"], "given twice")]
+)
+def test_sweep_rejects_no_or_repeated_schemes(tmp_path, capsys, schemes, message):
+    path = tmp_path / "sweep.json"
+    doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, "schemes": schemes}), encoding="utf-8")
+    rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in _one_error_line(capsys)
     assert not (tmp_path / "out").exists()
 
 
@@ -527,7 +552,7 @@ def _sweep_exits_cleanly(tmp: str, axis: str, overrides: dict) -> None:
 
 @settings(max_examples=150)
 @given(
-    st.sampled_from(["n1", "budget-price", "k"]),
+    st.sampled_from(list(SWEEPS)),
     st.dictionaries(
         st.sampled_from(
             [("base", f) for f in _GENERATION_FIELDS] + [("top", f) for f in _SWEEP_FIELDS]

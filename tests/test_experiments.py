@@ -4,13 +4,15 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scbn import propagation
+from scbn import experiments, propagation
 from scbn.experiments import (
     SCHEMES,
+    SWEEPS,
     _budget_bound_fraction,
     SweepConfig,
     load_sweep_config,
@@ -18,13 +20,9 @@ from scbn.experiments import (
     random_micro_config,
     run_trial,
     stability_audit,
-    sweep_budget_price,
-    sweep_k,
-    sweep_n1,
-    write_budget_price_csv,
-    write_k_csv,
+    sweep,
     write_manifest,
-    write_n1_csv,
+    write_sweep_csv,
 )
 from scbn.matching import find_blocking_pairs, run_matching
 from scbn.propagation import realize_channels
@@ -148,7 +146,7 @@ def _one_point_sweep(trials):
         schemes=("matching",),
         n1_values=(8,),
     )
-    return sweep_n1(cfg).points[0].per_scheme["matching"]
+    return sweep(cfg, "n1").points[0].per_scheme["matching"]
 
 
 def test_confidence_interval_shrinks_with_trials():
@@ -169,18 +167,37 @@ def test_sweep_points_are_paired_across_the_swept_axis():
         schemes=("matching",),
         n1_values=(8, 8),
     )
-    a, b = sweep_n1(cfg).points
+    a, b = sweep(cfg, "n1").points
     assert a.per_scheme == b.per_scheme
 
 
 def test_sweeps_require_their_axis_values():
     cfg = SweepConfig(base=_SMALL, trials=1, zeta_bps_per_unit=1e6, seed=0)
+    for axis in SWEEPS:
+        with pytest.raises(ConfigError, match=f"{axis} sweep needs"):
+            sweep(cfg, axis)
+
+
+def test_a_sweep_fails_before_running_any_trial(monkeypatch):
+    # K=2 with two anchors leaves no demander: the second point's
+    # scenario is invalid, and the sweep must say so before any trial
+    calls = []
+    real = experiments.run_trial
+    monkeypatch.setattr(
+        experiments, "run_trial", lambda *args: calls.append(None) or real(*args)
+    )
+    cfg = SweepConfig(
+        base=_SMALL,
+        trials=3,
+        zeta_bps_per_unit=1e6,
+        seed=0,
+        schemes=("matching",),
+        k_values=(4, 2),
+        demand_levels_bps=(30e6,),
+    )
     with pytest.raises(ConfigError):
-        sweep_n1(cfg)
-    with pytest.raises(ConfigError):
-        sweep_budget_price(cfg)
-    with pytest.raises(ConfigError):
-        sweep_k(cfg)
+        sweep(cfg, "k")
+    assert calls == []
 
 
 def test_rate_grows_with_mmw_supply_for_every_scheme():
@@ -191,7 +208,7 @@ def test_rate_grows_with_mmw_supply_for_every_scheme():
         seed=13,
         n1_values=(2, 12),
     )
-    scarce, plentiful = sweep_n1(cfg).points
+    scarce, plentiful = sweep(cfg, "n1").points
     for scheme in SCHEMES:
         assert (
             plentiful.per_scheme[scheme].mean_rate_bps
@@ -209,31 +226,23 @@ def test_rounds_grow_with_network_size():
         k_values=(4, 8),
         demand_levels_bps=(30e6,),
     )
-    small, large = sweep_k(cfg).points
+    small, large = sweep(cfg, "k").points
     assert small.values["k"] == 4.0 and large.values["k"] == 8.0
     assert large.per_scheme["matching"].mean_rounds > small.per_scheme["matching"].mean_rounds
 
 
 # --- budget / price trends -------------------------------------------------------
 #
-# One fixed desk-scale grid; the seed pins the Monte Carlo draw, so these
+# The shipped desk-scale grid; the seed pins the Monte Carlo draw, so these
 # trends are deterministic checks, not flaky statistics.
 
-_TREND_BASE = GenerationConfig(area_side_m=1000.0, mmw_blockage_prob=0.12)
+_TREND_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "budget_price_grid.json")
 
 
 def _trend_grid():
-    cfg = SweepConfig(
-        base=_TREND_BASE,
-        trials=120,
-        zeta_bps_per_unit=0.1e6,
-        seed=42,
-        schemes=("matching",),
-        budget_values=(20.0, 35.0, 50.0, 60.0),
-        sub6_price_values=(1.0, 10.0),
-    )
+    cfg = load_sweep_config(_TREND_CONFIG)
     points = {}
-    for pt in sweep_budget_price(cfg).points:
+    for pt in sweep(cfg, "budget-price").points:
         points[(pt.values["budget"], pt.values["sub6_price"])] = pt.per_scheme["matching"]
     return points
 
@@ -270,16 +279,13 @@ def test_price_sensitivity_helps_when_blocks_are_dear():
     # at high sub-6 prices, weighing prices into the utility buys more rate
     # than near-ignoring them; trials are paired so the gap is exact
     def rate_at(zeta):
-        cfg = SweepConfig(
-            base=_TREND_BASE,
-            trials=120,
+        cfg = dataclasses.replace(
+            load_sweep_config(_TREND_CONFIG),
             zeta_bps_per_unit=zeta,
-            seed=42,
-            schemes=("matching",),
             budget_values=(60.0,),
             sub6_price_values=(10.0,),
         )
-        return sweep_budget_price(cfg).points[0].per_scheme["matching"].mean_rate_bps
+        return sweep(cfg, "budget-price").points[0].per_scheme["matching"].mean_rate_bps
 
     assert rate_at(1e6) > rate_at(0.1e6)
 
@@ -350,6 +356,18 @@ def test_load_sweep_config_rejects_bad_values(tmp_path):
         load_sweep_config(_write_cfg(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "schemes, message",
+    [([], "no scheme given"), (["random", "random"], "scheme 'random' is given twice")],
+)
+def test_load_sweep_config_rejects_no_or_repeated_schemes(tmp_path, schemes, message):
+    # an empty list would write a header-only CSV, a repeated scheme a row
+    # drawn from the random stream after the first one's draws
+    doc = {**_valid_doc(), "schemes": schemes}
+    with pytest.raises(ConfigError, match=message):
+        load_sweep_config(_write_cfg(tmp_path, doc))
+
+
 def test_load_sweep_config_rejects_broken_json(tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text('{"trials": 3,', encoding="utf-8")
@@ -371,30 +389,39 @@ def _tiny_sweep_cfg(**axes):
 
 
 def test_csv_writers_layout_and_reruns(tmp_path):
-    res = sweep_n1(_tiny_sweep_cfg(n1_values=(4, 8)))
+    res = sweep(_tiny_sweep_cfg(n1_values=(4, 8)), "n1")
     path = tmp_path / "n1.csv"
-    write_n1_csv(res, str(path))
+    write_sweep_csv(res, str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].split(",")[:3] == ["n1", "scheme", "mean_rate_mbps"]
     assert len(lines) == 1 + 2 * len(SCHEMES)
 
-    res_again = sweep_n1(_tiny_sweep_cfg(n1_values=(4, 8)))
-    write_n1_csv(res_again, str(tmp_path / "n1_again.csv"))
+    res_again = sweep(_tiny_sweep_cfg(n1_values=(4, 8)), "n1")
+    write_sweep_csv(res_again, str(tmp_path / "n1_again.csv"))
     assert (tmp_path / "n1_again.csv").read_bytes() == path.read_bytes()
 
-    res_bp = sweep_budget_price(
-        _tiny_sweep_cfg(budget_values=(10.0, 20.0), sub6_price_values=(1.0,))
+    res_bp = sweep(
+        _tiny_sweep_cfg(budget_values=(10.0, 20.0), sub6_price_values=(1.0,)), "budget-price"
     )
-    write_budget_price_csv(res_bp, str(tmp_path / "bp.csv"))
+    write_sweep_csv(res_bp, str(tmp_path / "bp.csv"))
     bp_lines = (tmp_path / "bp.csv").read_text(encoding="utf-8").splitlines()
     assert bp_lines[0].startswith("budget,sub6_price,scheme")
     assert len(bp_lines) == 1 + 2 * len(SCHEMES)
 
-    res_k = sweep_k(_tiny_sweep_cfg(k_values=(4,), demand_levels_bps=(30e6, 60e6)))
-    write_k_csv(res_k, str(tmp_path / "k.csv"))
+    res_k = sweep(_tiny_sweep_cfg(k_values=(4,), demand_levels_bps=(30e6, 60e6)), "k")
+    write_sweep_csv(res_k, str(tmp_path / "k.csv"))
     k_lines = (tmp_path / "k.csv").read_text(encoding="utf-8").splitlines()
     assert k_lines[0].startswith("k,demand_mbps,scheme")
     assert len(k_lines) == 1 + 2 * len(SCHEMES)
+
+
+def test_int_and_float_axis_values_write_the_same_bytes(tmp_path):
+    paths = []
+    for budgets in ((20, 35), (20.0, 35.0)):
+        cfg = _tiny_sweep_cfg(budget_values=budgets, sub6_price_values=(1.0,))
+        paths.append(tmp_path / f"bp_{type(budgets[0]).__name__}.csv")
+        write_sweep_csv(sweep(cfg, "budget-price"), str(paths[-1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_write_manifest_records_the_run(tmp_path):
@@ -484,5 +511,5 @@ def test_two_workers_write_the_same_csv_bytes_as_one(tmp_path):
             _tiny_sweep_cfg(n1_values=(4, 8)), trials=6, workers=workers
         )
         paths.append(tmp_path / f"n1_workers{workers}.csv")
-        write_n1_csv(sweep_n1(cfg), str(paths[-1]))
+        write_sweep_csv(sweep(cfg, "n1"), str(paths[-1]))
     assert paths[0].read_bytes() == paths[1].read_bytes()
