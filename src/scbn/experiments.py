@@ -32,6 +32,7 @@ from .scenario import (
     ConfigError,
     GenerationConfig,
     Scenario,
+    _read_json_object,
     generate_scenario,
     resample_positions,
 )
@@ -186,19 +187,6 @@ def _strict_dataclass(cls, doc: dict, context: str):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _read_json_object(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return doc
-
-
 def check_schemes(schemes) -> None:
     """ConfigError unless ``schemes`` names at least one scheme, each a
     known one and none twice."""
@@ -213,12 +201,12 @@ def check_schemes(schemes) -> None:
 
 def load_generation_config(path: str) -> GenerationConfig:
     """Read a JSON object holding any subset of the GenerationConfig fields."""
-    return _strict_dataclass(GenerationConfig, _read_json_object(path), path)
+    return _strict_dataclass(GenerationConfig, _read_json_object(path, ConfigError), path)
 
 
 def load_sweep_config(path: str) -> SweepConfig:
     """Read a sweep config JSON whose fields mirror SweepConfig."""
-    doc = _read_json_object(path)
+    doc = _read_json_object(path, ConfigError)
     base_doc = doc.pop("base", {})
     if not isinstance(base_doc, dict):
         raise ConfigError(f"{path}: 'base' must be an object")
@@ -226,10 +214,9 @@ def load_sweep_config(path: str) -> SweepConfig:
     cfg = _strict_dataclass(SweepConfig, {"base": base, **doc}, path)
     try:
         check_schemes(cfg.schemes)
+        _require_trials(cfg.trials)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if cfg.trials < 1:
-        raise ConfigError(f"{path}: trials must be at least 1")
     if cfg.workers < 1:
         raise ConfigError(f"{path}: workers must be at least 1")
     return cfg
@@ -361,9 +348,13 @@ def _aggregate(trials: list[TrialResult], schemes) -> dict[str, AggregateMetrics
 def sweep(cfg: SweepConfig, axis: str) -> SweepResult:
     """Run the grid of ``SWEEPS[axis]``, ``cfg.trials`` paired trials per point.
 
-    Every point's base scenario is built before the first trial, so a
-    grid value that gives no valid scenario fails the sweep at once.
+    The schemes and the trial count are checked, and every point's base
+    scenario is built, before the first trial, so a config that names no
+    scheme or no trial, or a grid value that gives no valid scenario,
+    fails the sweep at once with ConfigError.
     """
+    check_schemes(cfg.schemes)
+    _require_trials(cfg.trials)
     grid = SWEEPS[axis].grid
     value_lists = [getattr(cfg, values) for _, values, _ in grid]
     if not all(value_lists):

@@ -28,9 +28,9 @@ one step every following round that repeats it a block further on.
 
 The set-up works per mmWave class and per price tier too.  An anchor's
 mmWave rates, bitwise equal across its blocks, become one Python row
-shared by the class (:func:`_rate_rows`), which also gives each block the
-end of its run of equal rows, so the fast-forward compares rates block by
-block only where a class's rows differ.  Each preference order is read
+shared by the class (:func:`_rate_rows`), and that shared row object is
+what the fast-forward takes for a class: a run goes on only while the
+next block's row is the very same object.  Each preference order is read
 through a memoryview of its numpy row, of which the rounds touch only a
 short prefix, and prices and tiers come as Python sequences built once
 per table.  A demander's blocks are grouped by price tier with one
@@ -352,21 +352,19 @@ class _ProposalState:
         return order[best] if best < len(order) else -1
 
 
-def _rate_rows(r: np.ndarray, n1: int) -> tuple[list[list[float]], list[int]]:
-    """``(rows, run_end)`` for the ``(K1, N, K2)`` rates ``r``: ``rows[k]``
-    lists flat BRB ``k``'s rates as Python floats, one per demander axis,
-    and every row from ``k`` to ``run_end[k]`` equals row ``k``.
+def _rate_rows(r: np.ndarray, n1: int) -> list[list[float]]:
+    """``rows[k]`` lists flat BRB ``k``'s rates, from the ``(K1, N, K2)``
+    rates ``r``, as Python floats, one per demander axis.
 
-    An anchor's mmWave rows are equal by construction, as its links share
-    one shadowing draw.  When they are bitwise equal and free of NaN, so
-    that ``==`` agrees, the class shares one row list and runs to its last
-    block; any other row is converted alone and its run ends at itself.
+    The row object defines an mmWave class: ``rows[k] is rows[m]`` holds
+    exactly when ``k`` and ``m`` are blocks of one anchor's uniform mmWave
+    class.  An anchor's mmWave rows are equal by construction, as its links
+    share one shadowing draw.  When they are bitwise equal and free of NaN,
+    so that ``==`` agrees, the class shares one row list; every other row,
+    sub-6 or of a class whose rows differ, is a list of its own.
     """
-    k1, n, _ = r.shape
     rows: list[list[float]] = []
-    run_end: list[int] = []
-    for a in range(k1):
-        lo = a * n
+    for a in range(r.shape[0]):
         mmw = r[a, :n1]
         head = mmw[0].tolist() if n1 else []
         if (
@@ -375,18 +373,13 @@ def _rate_rows(r: np.ndarray, n1: int) -> tuple[list[list[float]], list[int]]:
             and not any(map(math.isnan, head))
         ):
             rows += [head] * n1
-            run_end += [lo + n1 - 1] * n1
         else:
             rows += mmw.tolist()
-            run_end += range(lo, lo + n1)
         rows += r[a, n1:].tolist()
-        run_end += range(lo + n1, lo + n)
-    return rows, run_end
+    return rows
 
 
-def _skip_repeats(
-    groups, states, holder, rates, run_end, price, demands, budgets, n, n1
-) -> int:
+def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int:
     """Play at once every round that repeats the one just played a block
     further on; return how many rounds that was.
 
@@ -395,14 +388,18 @@ def _skip_repeats(
     it.  No block changed holder in the round: a free block went to its
     winner (a convoy), or a held block's holder kept it against every
     applicant (a rejection, winner -1).  Round ``i`` after it repeats it
-    when, for every group, block m+i lies in m's (anchor, band) class and
-    every applicant's rate on m+i equals its rate on m, and
+    when, for every group, block m+i is on the flat axis and shares m's
+    row object, ``rates[m + i] is rates[m]``, so that it lies in m's
+    uniform mmWave class (see :func:`_rate_rows`) and every applicant
+    rates it as it rates m, and
       - for a convoy, m+i is free and the winner can still propose: its
         demand unmet and cost + price within budget, the same float sum
         the proposal loop compares;
       - for a rejection, m+i is held and its holder's rate on it is at
         least the best applicant's, so the holder keeps it, ties included.
-    Free and held are read at the start of the run.
+    Free and held are read at the start of the run.  A class whose rows
+    differ, and any run of sub-6 blocks, shares no row object and is
+    played round by round.
 
     Then m+i is each applicant's next choice, and the convoy's winner takes
     it or the rejection's holder keeps it.  The class shares one price, so
@@ -425,10 +422,6 @@ def _skip_repeats(
     applicant's rate and cost do not move, so it still affords the class,
     and no demander outside the round's applicants wakes.
 
-    Rates are compared from ``run_end[m]`` on (see :func:`_rate_rows`):
-    up to it every row equals m's, so only a class whose rows differ is
-    compared block by block.
-
     The skipped rounds set the tried flags by slice and move ``scan_from``
     along for the applicants that scanned to m.  A convoy's holders are set
     by slice and its winner's rate and price added once per block, so the
@@ -436,23 +429,20 @@ def _skip_repeats(
     those of the first pass when its run set the final length.  A
     rejection changes no holder and no total.
     """
-    k = n
+    last = len(rates) - 1
+    k = last
     # per convoy, the winner's run length and its sums after it; None for
     # a rejection
     reach = []
-    # the class ends, the winners and the holders first, as they usually
-    # end a run soonest; a rate that changes is caught below, before any of
-    # this is kept
     for m, applicants, w in groups:
-        g = m % n  # global index: mmWave below n1, sub-6 from n1 on
-        k = min(k, (n1 if g < n1 else n) - 1 - g)
+        row = rates[m]
+        k = min(k, last - m)
         i = 0
         if w < 0:
-            rate_m = rates[m]
-            top = max(rate_m[j] for j in applicants)
-            while i < k:
+            top = max(row[j] for j in applicants)
+            while i < k and rates[m + i + 1] is row:
                 h = holder[m + i + 1]
-                if h < 0 or not top <= rates[m + i + 1][h]:
+                if h < 0 or not top <= row[h]:
                     break
                 i += 1
             reach.append(None)
@@ -460,22 +450,18 @@ def _skip_repeats(
             st = states[w]
             rate, cost, need, budget = st.rate_bps, st.cost, demands[w], budgets[w]
             p = price[m]  # the class shares one price
-            while i < k and rate < need and holder[m + i + 1] < 0 and cost + p <= budget:
+            while (
+                i < k
+                and rates[m + i + 1] is row
+                and rate < need
+                and holder[m + i + 1] < 0
+                and cost + p <= budget
+            ):
                 i += 1
-                rate += rates[m + i][w]
+                rate += row[w]
                 cost += p
             reach.append((i, rate, cost))
         k = i
-        if not k:
-            return 0
-    for m, applicants, _ in groups:
-        same = run_end[m] - m
-        for j in applicants:
-            r = rates[m][j]
-            i = min(k, same)
-            while i < k and rates[m + i + 1][j] == r:
-                i += 1
-            k = i
         if not k:
             return 0
     tried = b"\x01" * k
@@ -493,9 +479,10 @@ def _skip_repeats(
         if i == k:
             st.rate_bps, st.cost = rate, cost
             continue
-        for b in range(m + 1, m + k + 1):
-            st.rate_bps += rates[b][w]
-            st.cost += price[b]
+        r, p = rates[m][w], price[m]
+        for _ in range(k):
+            st.rate_bps += r
+            st.cost += p
     return k
 
 
@@ -541,8 +528,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     ]
 
     # Python floats from here on: the same IEEE sums as numpy scalars, faster
-    n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
-    rates, run_end = _rate_rows(ch.rates, n1)
+    rates = _rate_rows(ch.rates, s.mmw_band.num_brbs)
     price, tier_of = t.price_of, t.tier_of
     holder = [-1] * m_total
     rounds = 0
@@ -606,7 +592,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
         active = sorted(set(proposers).union(displaced)) if displaced else proposers
         if contests is not None:
             skipped = _skip_repeats(
-                contests, states, holder, rates, run_end, price, demands, budgets, n, n1
+                contests, states, holder, rates, price, demands, budgets
             )
             rounds += skipped
             proposals += skipped * len(proposers)

@@ -445,6 +445,21 @@ def save_scenario(s: Scenario, path: str) -> None:
         fh.write("\n")
 
 
+def _read_json_object(path: str, error: type[ValueError]) -> dict:
+    """The JSON object in the file at ``path``; raises ``error`` for text
+    that is not JSON or holds anything but an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object")
+    return doc
+
+
 def _require(obj: dict, context: str, fields: dict[str, type | tuple]) -> dict:
     """Check ``obj`` has exactly ``fields`` with the given types."""
     if not isinstance(obj, dict):
@@ -502,15 +517,8 @@ def _int_keyed(mapping: dict, context: str) -> dict[int, float]:
 
 def load_scenario(path: str) -> Scenario:
     """Read a scenario JSON file, rejecting unknown fields and bad shapes."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(
-            f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
     top = _require(
-        doc,
+        _read_json_object(path, ScenarioFormatError),
         path,
         {
             "format": str,

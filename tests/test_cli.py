@@ -145,6 +145,17 @@ def test_run_rejects_a_truncated_scenario_file(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag", ["run --scenario", "generate --params"])
+def test_a_json_file_that_holds_no_object_is_an_error_line(tmp_path, capsys, flag):
+    listed = tmp_path / "list.json"
+    listed.write_text("[]", encoding="utf-8")
+    command, option = flag.split()
+    rc = main([command, option, str(listed), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "expected a JSON object" in _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def _sweep_config_file(tmp_path):
     doc = {
         "base": _PARAMS,

@@ -541,6 +541,22 @@ def test_flat_index_is_anchor_axis_times_n_plus_global_index(instances):
         assert _flat_view(s, ch)[1].tobytes() == gathered.tobytes()
 
 
+def test_each_mmwave_class_shares_one_rate_row_and_no_other_block_does(instances):
+    """The fast-forward takes blocks that share a row object for one
+    uniform mmWave class: on drawn realizations that is every mmWave class,
+    whole, and nothing else."""
+    for s, ch, _, _ in instances:
+        n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
+        rows = matching._rate_rows(ch.rates, n1)
+        assert np.array(rows).reshape(ch.rates.shape).tobytes() == ch.rates.tobytes()
+        sharing: dict[int, list[int]] = {}
+        for k, row in enumerate(rows):
+            sharing.setdefault(id(row), []).append(k)
+        classes = [list(range(a * n, a * n + n1)) for a in range(len(s.anchors)) if n1]
+        singles = [[k] for k in range(len(rows)) if k % n >= n1]
+        assert sorted(sharing.values()) == sorted(classes + singles)
+
+
 def _bits(values: dict) -> dict:
     return {d: float(v).hex() for d, v in values.items()}
 
@@ -776,6 +792,16 @@ def _convoy_gains(k2, n, link_gains=(1e-9, 5e-10, 2e-10, 1e-10)):
 _RICH = 1e12  # a budget or demand no test instance reaches
 
 
+def test_a_class_whose_rows_differ_gets_a_row_per_block():
+    gains = _convoy_gains(3, 8)
+    gains[0, 4, 1] = 3e-10  # one demander's rate on one block differs
+    s, ch = _hand_built(gains, 8, [(0.1, 1.0)], [_RICH] * 3, [_RICH] * 3)
+    assert len({id(row) for row in matching._rate_rows(ch.rates, 8)}) == 8
+    # equal but NaN rates do not compare equal, so they share no row either
+    rows = matching._rate_rows(np.full((1, 3, 2), np.nan), 3)
+    assert len({id(row) for row in rows}) == 3
+
+
 def test_a_convoy_over_one_mmwave_class_is_skipped_to_its_end(skipped_rounds):
     s, ch = _hand_built(_convoy_gains(3, 9), 8, [(0.1, 1.0)], [_RICH] * 3, [_RICH] * 3)
     m = run_matching(s, ch, zeta=0.0)
@@ -799,18 +825,20 @@ def test_a_run_stops_at_the_end_of_its_class(skipped_rounds):
     assert skipped_rounds[0] == 1
 
 
-def test_a_rate_that_differs_mid_class_ends_the_run_before_it(skipped_rounds):
+def test_a_class_whose_rates_differ_mid_class_is_played_round_by_round(skipped_rounds):
     gains = _convoy_gains(3, 8)
     gains[0, 4, 1] = 3e-10  # demander 1 likes block 4 less than its neighbours
     s, ch = _hand_built(gains, 8, [(0.1, 1.0)], [_RICH] * 3, [_RICH] * 3)
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
-    # the first run plays blocks 1..3 only: at block 4 demander 1 turns
-    # to block 5 instead
-    assert skipped_rounds[0] == 3
+    # the class's rows are not all equal, so no two blocks share a row and
+    # no round is skipped
+    assert skipped_rounds and not any(skipped_rounds)
 
 
-def test_a_trailing_convoy_stops_at_the_leading_one_first_held_block(skipped_rounds):
+def test_two_convoys_on_a_class_whose_rates_step_are_played_round_by_round(
+    skipped_rounds,
+):
     # demanders 0 and 1 rate all eight blocks alike; demanders 2 and 3
     # rate blocks 3..7 above blocks 0..2, so they start at block 3
     gains = _convoy_gains(4, 8)
@@ -818,9 +846,9 @@ def test_a_trailing_convoy_stops_at_the_leading_one_first_held_block(skipped_rou
     s, ch = _hand_built(gains, 8, [(0.1, 1.0)], [_RICH] * 4, [_RICH] * 4)
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
-    # both convoys advance two blocks at once; the trailing one then
-    # meets block 3, held by the leading convoy's winner
-    assert skipped_rounds[0] == 2
+    # the step makes the class's rows differ, so both convoys advance one
+    # block per round
+    assert skipped_rounds and not any(skipped_rounds)
     assert m.holder.tolist()[:3] == [0] * 3
 
 
@@ -1115,8 +1143,10 @@ def _small_instances(draw):
     drawn from a few levels, so that equal rates are common.  The mmWave
     gains are either drawn per block or, much as in the channel model,
     shared by the blocks of a link, from its first block up to a step and
-    from the step on: demanders then march down a class together, and a
-    step lets a second group start mid-class."""
+    from the step on.  Where no link's gain changes at its step, the class
+    is uniform and demanders march down it together; a step that changes
+    a gain makes the class's rows differ, and its rounds are played one
+    by one, with a second group starting mid-class."""
     k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     n1, n2 = draw(st.integers(0, 8)), draw(st.integers(0, 3))
     if n1 + n2 == 0:

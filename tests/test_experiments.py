@@ -200,6 +200,35 @@ def test_a_sweep_fails_before_running_any_trial(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"schemes": ()}, "no scheme given"),
+        ({"schemes": ("random", "random")}, "given twice"),
+        ({"trials": 0}, "trials must be at least 1"),
+    ],
+)
+def test_a_sweep_checks_its_schemes_and_trials_before_any_trial(
+    monkeypatch, change, message
+):
+    calls = []
+    real = experiments.run_trial
+    monkeypatch.setattr(
+        experiments, "run_trial", lambda *args: calls.append(None) or real(*args)
+    )
+    cfg = SweepConfig(
+        base=_SMALL,
+        trials=2,
+        zeta_bps_per_unit=1e6,
+        seed=0,
+        schemes=("matching",),
+        n1_values=(4,),
+    )
+    with pytest.raises(ConfigError, match=message):
+        sweep(dataclasses.replace(cfg, **change), "n1")
+    assert calls == []
+
+
 def test_rate_grows_with_mmw_supply_for_every_scheme():
     cfg = SweepConfig(
         base=_SMALL,
