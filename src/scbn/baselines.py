@@ -5,7 +5,10 @@ blocks it would want in a vacuum, each block goes to the strongest
 requester, and nobody gets a second try.  Losing a contested block or
 running out of money mid-purchase is simply absorbed.  Random allocation
 assigns each BRB to a uniformly drawn station that still wants and can
-afford it.
+afford it.  It draws the BRB order with ``rng.permutation`` and then each
+grant's ``rng.integers(n)``, but computes those bounded draws from one
+block of raw 32-bit words (``_below``) and leaves the generator in the
+state the scalar draws would have left it in.
 """
 
 from __future__ import annotations
@@ -17,6 +20,54 @@ from .propagation import ChannelRealization
 from .scenario import Scenario
 
 __all__ = ["best_effort_allocate", "random_allocate"]
+
+_WORDS = 1 << 32  # the span of one raw 32-bit word
+
+
+def _raw_words(rng: np.random.Generator, size: int) -> list[int]:
+    """The generator's next ``size`` raw 32-bit words, in order."""
+    return rng.integers(0, _WORDS, size=size, dtype=np.uint32).tolist()
+
+
+def _below(
+    n: int, words: list[int], used: int, rng: np.random.Generator
+) -> tuple[int, int]:
+    """``rng.integers(n)`` for 1 <= n <= 2**32, computed from raw words.
+
+    Returns the draw and the number of words of ``words`` used after it;
+    the draw reads ``words[used:]``, and when those run out, which only a
+    rejection can cause, another block is drawn from ``rng`` onto the end
+    of ``words``.  Three facts about numpy's ``Generator`` make the value
+    equal to the scalar draw:
+
+    - ``integers(n)`` with 1 < n <= 2**32 is Lemire's bounded method
+      (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+      2019) on the bit generator's ``next_uint32`` words: take x = word * n,
+      and while the low 32 bits of x are below (2**32 - n) % n, take x from
+      the next word; the draw is x >> 32.  The threshold is below n, so
+      the modulo is needed only when the low bits are below n;
+    - n = 1 consumes no word;
+    - ``integers(0, 2**32, size=s, dtype=np.uint32)`` (``_raw_words``)
+      returns exactly the next s of those words, in order, whatever the
+      size of the blocks they are drawn in.
+
+    So a stream of draws reads a prefix of the words, and the generator
+    ends where the scalar draws would have left it if the caller saves
+    ``rng.bit_generator.state`` before drawing the first block and, after
+    the last draw, restores it and draws exactly ``used`` words.  The
+    state holds any buffered half of a 64-bit output, so this holds for
+    either parity of earlier 32-bit draws.
+    """
+    if n == 1:
+        return 0, used
+    while True:
+        if used == len(words):
+            words += _raw_words(rng, len(words) + 1)
+        x = words[used] * n
+        used += 1
+        low = x & (_WORDS - 1)
+        if low >= n or low >= (_WORDS - n) % n:
+            return x >> 32, used
 
 
 def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
@@ -96,6 +147,13 @@ def random_allocate(
     BRBs are visited in a random order; a demander is eligible while its
     demand is unmet and the BRB fits its remaining budget.  BRBs with no
     eligible taker stay unassigned.  Deterministic for a given ``rng``.
+
+    The order is ``rng.permutation(M)``, and each grant among n eligible
+    demanders takes the one at ``rng.integers(n)``.  Those draws are made
+    from one block of M raw 32-bit words, drawn once after the
+    permutation, by ``_below``; at the end the generator is rewound and
+    moved past exactly the words the draws used, so both the draws and
+    its final state equal those of one scalar ``rng.integers`` per grant.
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)
     demander_ids = ch.demander_ids
@@ -106,7 +164,6 @@ def random_allocate(
     # array overhead.  Only granted rates are read, one ``item`` each.
     rate_of = r_flat.item
     price, tier_of, tiers = t.price_of, t.tier_of, t.tiers
-    draw = rng.integers
     holder = [-1] * m_total
     rate = [0.0 for _ in axes]
     cost = [0.0 for _ in axes]
@@ -126,11 +183,16 @@ def random_allocate(
     # rate and cost, and that prefix only ever shrinks.
     reached = [reach(j, len(tiers)) for j in axes]
     eligible_in = [[j for j in axes if reached[j] > i] for i in range(len(tiers))]
-    for m in rng.permutation(m_total).tolist():
+    order = rng.permutation(m_total).tolist()
+    start = rng.bit_generator.state
+    words = _raw_words(rng, m_total)
+    used = 0
+    for m in order:
         eligible = eligible_in[tier_of[m]]
         if not eligible:
             continue
-        j = eligible[draw(len(eligible))]
+        pick, used = _below(len(eligible), words, used, rng)
+        j = eligible[pick]
         holder[m] = j
         rate[j] += rate_of(m, j)
         cost[j] += price[m]
@@ -141,6 +203,8 @@ def random_allocate(
             now = reached[j] = reach(j, was)
             for i in range(now, was):
                 eligible_in[i].remove(j)
+    rng.bit_generator.state = start
+    _raw_words(rng, used)
     return Matching(
         table=t,
         demander_ids=demander_ids,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Scenario
+from .scenario import ConfigError, Scenario
 
 __all__ = [
     "ChannelRealization",
@@ -91,6 +91,10 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
     per-link mmWave shadowing, then per-(link, BRB) sub-6 fades.  All
     mmWave BRBs of a link share one shadowing draw; an obstructed link
     has zero gain on every mmWave BRB.  Rates are computed here, once.
+
+    Raises ``ConfigError``, and lets no numpy warning out of the rate
+    computation, when a rate is not finite: valid but extreme radio
+    settings, such as a ``tx_power_w`` near the float range, overflow it.
     """
     k1 = len(s.anchors)
     k2 = len(s.demanders)
@@ -124,7 +128,13 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
         demander_ids=s.demander_ids,
         radio=radio_settings(s),
     )
-    rates[...] = rate_tensor(s, ch)  # reads only the gains and the band split
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates[...] = rate_tensor(s, ch)  # reads only the gains and the band split
+    if not np.isfinite(rates).all():
+        raise ConfigError(
+            "channel rates are not finite: the radio settings (tx_power_w"
+            f" {s.tx_power_w!r} W, noise power {s.noise_power_w!r} W) overflow them"
+        )
     gains.setflags(write=False)
     rates.setflags(write=False)
     return ch

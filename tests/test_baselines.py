@@ -4,9 +4,10 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 import reference_model as ref
 
-from scbn.baselines import best_effort_allocate, random_allocate
+from scbn.baselines import _below, _raw_words, best_effort_allocate, random_allocate
 from scbn.matching import recompute_totals, scenario_brbs
 from scbn.propagation import rate_tensor, realize_channels
 from scbn.scenario import (
@@ -257,3 +258,74 @@ def test_random_allocation_stops_once_demand_is_met():
     m = random_allocate(s, realize_channels(s, np.random.default_rng(0)), np.random.default_rng(1))
     assert len(m.assigned[1]) == 1
     assert m.rate_bps[1] >= 1.0
+
+
+# --- the bounded draws of the random baseline, from raw 32-bit words --------------
+
+_BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+)
+
+
+def _draws_from_words(rng, bounds, block):
+    """``rng.integers(n)`` for each n of ``bounds``, made as
+    ``random_allocate`` makes them: from a block of ``block`` raw words,
+    after which the generator is rewound and moved past the words used."""
+    start = rng.bit_generator.state
+    words = _raw_words(rng, block)
+    used, drawn = 0, []
+    for n in bounds:
+        value, used = _below(n, words, used, rng)
+        drawn.append(value)
+    rng.bit_generator.state = start
+    _raw_words(rng, used)
+    return drawn, len(words)
+
+
+_BOUNDS = {
+    "small": [2, 3, 1, 5, 8, 7, 1, 4, 6, 2] * 8,
+    # (2**32 - n) % n is about half of 2**32, or a quarter, so about one
+    # word in two, or one in four, is rejected
+    "2**31+1": [2**31 + 1] * 40,
+    "3*2**30": [3 * 2**30] * 40,
+    "2**32-1": [2**32 - 1, 2, 2**32 - 1, 1] * 10,
+}
+
+
+@pytest.mark.parametrize("bounds", list(_BOUNDS.values()), ids=list(_BOUNDS))
+@pytest.mark.parametrize("earlier", [2, 3], ids=["even", "odd"])
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS, ids=lambda g: g.__name__)
+def test_draws_from_raw_words_equal_scalar_draws(bit_generator, earlier, bounds):
+    # an odd number of earlier 32-bit draws leaves half of a 64-bit output
+    # buffered in the state of the 64-bit generators
+    rng_words, rng_scalar = (np.random.Generator(bit_generator(17)) for _ in range(2))
+    for rng in (rng_words, rng_scalar):
+        rng.integers(0, 2**32, size=earlier, dtype=np.uint32)
+    drawn, _ = _draws_from_words(rng_words, bounds, len(bounds))
+    assert drawn == [int(rng_scalar.integers(n)) for n in bounds]
+    # array-aware: MT19937's state holds an ndarray
+    np.testing.assert_equal(rng_words.bit_generator.state, rng_scalar.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS, ids=lambda g: g.__name__)
+def test_a_word_block_that_runs_out_is_followed_by_another(bit_generator):
+    bounds = _BOUNDS["small"] + _BOUNDS["2**31+1"]
+    rng_words, rng_scalar = (np.random.Generator(bit_generator(23)) for _ in range(2))
+    drawn, words_drawn = _draws_from_words(rng_words, bounds, 3)
+    assert words_drawn > 3
+    assert drawn == [int(rng_scalar.integers(n)) for n in bounds]
+    # array-aware: MT19937's state holds an ndarray
+    np.testing.assert_equal(rng_words.bit_generator.state, rng_scalar.bit_generator.state)
+
+
+def test_a_draw_below_one_consumes_no_word():
+    rng = np.random.Generator(np.random.PCG64(5))
+    start = rng.bit_generator.state
+    words: list[int] = []
+    assert _below(1, words, 0, rng) == (0, 0)
+    assert words == []
+    np.testing.assert_equal(rng.bit_generator.state, start)

@@ -385,6 +385,20 @@ def test_sweep_rejects_a_nan_zeta(tmp_path, capsys):
     assert "'zeta_bps_per_unit' must be a finite number" in _one_error_line(capsys)
 
 
+def test_sweep_whose_transmit_power_overflows_the_rates_is_an_error_line(tmp_path, capsys):
+    # 1e308 W is a finite, valid power, but the SNR it gives is not
+    path = tmp_path / "sweep.json"
+    doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
+    base = {"num_stations": 3, "num_anchors": 1, "tx_power_w": 1e308}
+    path.write_text(json.dumps({**doc, "base": base}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "channel rates are not finite" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_of_a_directory_is_an_error_line(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 1

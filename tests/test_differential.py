@@ -605,6 +605,19 @@ def test_random_allocation_is_bit_identical_to_the_reference(instances):
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_random_allocation_matches_the_reference_under_other_bit_generators(
+    instances, bit_generator
+):
+    for s, ch, _, seed in instances:
+        rng_new, rng_old = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        _assert_same_matching(
+            random_allocate(s, ch, rng_new), _ref_random_allocate(s, ch, rng_old)
+        )
+        # array-aware: MT19937's state holds an ndarray
+        np.testing.assert_equal(rng_new.bit_generator.state, rng_old.bit_generator.state)
+
+
 def test_blocking_pairs_match_the_reference_in_order(instances):
     found = 0
     for s, ch, zeta, seed in instances:
@@ -1140,13 +1153,14 @@ def test_best_effort_stops_buying_at_a_dear_block_before_a_cheaper_one():
 def _small_instances(draw):
     """A small scenario with per-anchor prices, per-demander budgets that
     may be below its cheapest block, bands that may be empty, and gains
-    drawn from a few levels, so that equal rates are common.  The mmWave
-    gains are either drawn per block or, much as in the channel model,
-    shared by the blocks of a link, from its first block up to a step and
-    from the step on.  Where no link's gain changes at its step, the class
-    is uniform and demanders march down it together; a step that changes
-    a gain makes the class's rows differ, and its rounds are played one
-    by one, with a second group starting mid-class."""
+    drawn from a few levels, so that equal rates are common.  Sub-6 gains
+    are drawn per block.  Much as in the channel model, the mmWave blocks
+    of a link share its gain: over the whole class in about two classes
+    of three, which are then uniform, so that demanders march down them
+    together.  In the others each link's gain may change at a step of its
+    own; a step that changes a gain makes the class's rows differ, and its
+    rounds are played one by one, with a second group starting
+    mid-class."""
     k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     n1, n2 = draw(st.integers(0, 8)), draw(st.integers(0, 3))
     if n1 + n2 == 0:
@@ -1155,12 +1169,12 @@ def _small_instances(draw):
     gains = np.array(
         [draw(levels) for _ in range(k1 * (n1 + n2) * k2)], dtype=float
     ).reshape(k1, n1 + n2, k2)
-    if n1 and draw(st.booleans()):
-        for a in range(k1):
-            for j in range(k2):
-                step = draw(st.integers(0, n1))
-                gains[a, :step, j] = gains[a, 0, j]
-                gains[a, step:n1, j] = gains[a, n1 - 1, j]
+    for a in range(k1 if n1 else 0):
+        stepped = draw(st.integers(0, 2)) == 0
+        for j in range(k2):
+            step = draw(st.integers(0, n1)) if stepped else 0
+            gains[a, :step, j] = gains[a, 0, j]
+            gains[a, step:n1, j] = gains[a, n1 - 1, j]
     price = st.sampled_from(_PRICES)
     budget = st.one_of(st.sampled_from((0.05,) + _ROUND_BUDGETS), st.floats(0.01, 30.0))
     s, ch = _hand_built(
