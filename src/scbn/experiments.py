@@ -14,9 +14,9 @@ import csv
 import dataclasses
 import itertools
 import json
-import math
 import os
 import statistics
+import typing
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,7 +32,8 @@ from .scenario import (
     ConfigError,
     GenerationConfig,
     Scenario,
-    _read_json_object,
+    _fields,
+    _read_json,
     generate_scenario,
     resample_positions,
 )
@@ -122,10 +123,11 @@ class SweepConfig:
     """One sweep: a base deployment plus the axis values being varied.
 
     A sweep consults only the value lists its axis's ``SWEEPS`` entry
-    names in its grid.
+    names in its grid.  ``base`` defaults to the reference deployment
+    and is passed by keyword.
     """
 
-    base: GenerationConfig
+    base: GenerationConfig = dataclasses.field(default_factory=GenerationConfig, kw_only=True)
     trials: int
     zeta_bps_per_unit: float
     seed: int
@@ -136,55 +138,6 @@ class SweepConfig:
     sub6_price_values: tuple[float, ...] = ()
     k_values: tuple[int, ...] = ()
     demand_levels_bps: tuple[float, ...] = ()
-
-
-# annotation -> accepted JSON types; bool is an int to Python but not here
-_SCALAR_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
-
-
-def _typed(value, annotation: str, where: str):
-    """``value`` as the field's annotated type, or ConfigError."""
-    if annotation.endswith(" | None"):
-        if value is None:
-            return None
-        annotation = annotation.removesuffix(" | None")
-    if annotation.startswith("tuple["):
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {json.dumps(value)}")
-        inner = annotation.removeprefix("tuple[").removesuffix(", ...]")
-        return tuple(_typed(v, inner, where) for v in value)
-    accepted = _SCALAR_TYPES.get(annotation)
-    if accepted is None:  # a nested dataclass, already built by the caller
-        return value
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{where} must be of type {annotation}, got {json.dumps(value)}")
-    if annotation != "float":
-        return value
-    try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
-    return value
-
-
-def _strict_dataclass(cls, doc: dict, context: str):
-    """``cls`` from a JSON object: known fields only, each value of its
-    field's annotated type (an int field takes no bool or float, a float
-    field also takes an int)."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = [k for k in doc if k not in fields]
-    if unknown:
-        raise ConfigError(f"{context}: unknown field '{unknown[0]}'")
-    kwargs = {
-        name: _typed(value, fields[name].type, f"{context}: '{name}'")
-        for name, value in doc.items()
-    }
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def check_schemes(schemes) -> None:
@@ -201,20 +154,16 @@ def check_schemes(schemes) -> None:
 
 def load_generation_config(path: str) -> GenerationConfig:
     """Read a JSON object holding any subset of the GenerationConfig fields."""
-    return _strict_dataclass(GenerationConfig, _read_json_object(path, ConfigError), path)
+    return _fields(_read_json(path, ConfigError), GenerationConfig, path, ConfigError)
 
 
 def load_sweep_config(path: str) -> SweepConfig:
-    """Read a sweep config JSON whose fields mirror SweepConfig."""
-    doc = _read_json_object(path, ConfigError)
-    base_doc = doc.pop("base", {})
-    if not isinstance(base_doc, dict):
-        raise ConfigError(f"{path}: 'base' must be an object")
-    base = _strict_dataclass(GenerationConfig, base_doc, f"{path}: base")
-    cfg = _strict_dataclass(SweepConfig, {"base": base, **doc}, path)
+    """Read a sweep config JSON whose fields mirror SweepConfig, ``base``
+    as an object of GenerationConfig fields."""
+    cfg = _fields(_read_json(path, ConfigError), SweepConfig, path, ConfigError)
     try:
         check_schemes(cfg.schemes)
-        _require_trials(cfg.trials)
+        _check_trials(cfg.trials)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if cfg.workers < 1:
@@ -354,15 +303,16 @@ def sweep(cfg: SweepConfig, axis: str) -> SweepResult:
     fails the sweep at once with ConfigError.
     """
     check_schemes(cfg.schemes)
-    _require_trials(cfg.trials)
+    _check_trials(cfg.trials)
     grid = SWEEPS[axis].grid
     value_lists = [getattr(cfg, values) for _, values, _ in grid]
     if not all(value_lists):
         raise ConfigError(f"{axis} sweep needs {' and '.join(v for _, v, _ in grid)}")
     values, bases = [], []
     for combo in itertools.product(*value_lists):
-        values.append({name: float(v) for (name, _, _), v in zip(grid, combo)})
         fields = {field: _FIELD_CASTS[field](v) for (_, _, field), v in zip(grid, combo)}
+        # as cast: float() of a count beyond the float range would overflow
+        values.append({name: fields[field] for name, _, field in grid})
         bases.append(generate_scenario(replace(cfg.base, **fields), seed=cfg.seed))
     jobs = [
         (base, cfg.zeta_bps_per_unit, cfg.schemes, cfg.seed, trial_idx)
@@ -466,7 +416,7 @@ SWEEPS = {
 
 # a swept GenerationConfig field -> the type its values are cast to
 _FIELD_CASTS = {
-    field: {"int": int, "float": float}[GenerationConfig.__dataclass_fields__[field].type]
+    field: typing.get_type_hints(GenerationConfig)[field]
     for axis in SWEEPS.values()
     for _, _, field in axis.grid
 }
@@ -510,7 +460,7 @@ def write_manifest(out_dir: str, command: str, config_doc: dict, seed: int) -> s
 # ---------------------------------------------------------------------------
 
 
-def _require_trials(trials: int) -> None:
+def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
 
@@ -547,7 +497,7 @@ def oracle_compare_rows(trials: int, seed: int, zeta: float = 1e6) -> list[dict]
     satisfied the budget and per-anchor capacity constraint families.  An audit of
     no instances would check nothing, so ``trials`` must be at least 1.
     """
-    _require_trials(trials)
+    _check_trials(trials)
     rows = []
     rng = np.random.default_rng([seed, 0xACE])
     for t in range(trials):
@@ -614,7 +564,7 @@ def stability_audit(
     bound: displacement gives ``oracle_compare_rows(1, 98)`` 4 rounds with
     K1*N = 3.  ``trials`` must be at least 1.
     """
-    _require_trials(trials)
+    _check_trials(trials)
     if gen_cfg is None:
         gen_cfg = GenerationConfig()
     base = generate_scenario(gen_cfg, seed=seed)

@@ -195,6 +195,7 @@ def _cached_brb_table(
     prices: tuple[tuple[float, float], ...],
 ) -> BrbTable:
     bands = (mmw_band, sub6_band)
+    kinds = tuple(BandKind)  # a band's kind is its slot
     # anchors by ascending id, then each anchor's own order, give key ranks
     rank = {a: r for r, a in enumerate(sorted(anchor_ids))}
     per_anchor = mmw_band.num_brbs + sub6_band.num_brbs
@@ -207,7 +208,7 @@ def _cached_brb_table(
     brbs = tuple(
         Brb(
             owner=a,
-            band=bands[code].kind,
+            band=kinds[code],
             index=idx,
             bandwidth_hz=bands[code].brb_bandwidth_hz,
             price=prices[i][code],
@@ -789,7 +790,7 @@ def save_matching_csv(
     ks, ids = ks[order], ids[order]
     js = m.holder[ks]
     gamma = gamma_tensor(s, ch).reshape(r_flat.shape)
-    band = (s.mmw_band.kind.value, s.sub6_band.kind.value)
+    band = [kind.value for kind in BandKind]
     rows = zip(
         ids.tolist(),
         t.owner_id[ks].tolist(),

@@ -66,10 +66,20 @@ class ChannelRealization:
 
 
 def _distance_matrix(s: Scenario) -> np.ndarray:
-    """Anchor-to-demander distances, clamped to the 1 m model reference."""
+    """Anchor-to-demander distances, clamped to the 1 m model reference.
+
+    Raises ``ConfigError``, and lets no numpy warning out, when a distance
+    is not finite: the squares of a valid but extreme ``area_side_m``
+    overflow it.
+    """
     ax = np.array([[st.x_m, st.y_m] for st in s.anchors], dtype=float).reshape(-1, 2)
     dx = np.array([[st.x_m, st.y_m] for st in s.demanders], dtype=float).reshape(-1, 2)
-    d = np.linalg.norm(ax[:, None, :] - dx[None, :, :], axis=2)
+    with np.errstate(over="ignore"):
+        d = np.linalg.norm(ax[:, None, :] - dx[None, :, :], axis=2)
+    if not np.isfinite(d).all():
+        raise ConfigError(
+            f"station distances are not finite: area_side_m {s.area_side_m!r} m overflows them"
+        )
     return np.maximum(d, MIN_MODEL_DISTANCE_M)
 
 

@@ -22,7 +22,9 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -77,9 +79,12 @@ class BaseStation:
 
 @dataclass(frozen=True)
 class Band:
-    """One carrier band and its pool of equal-bandwidth BRBs per anchor."""
+    """One carrier band and its pool of equal-bandwidth BRBs per anchor.
 
-    kind: BandKind
+    A band's kind is its slot in the scenario: ``mmw_band`` or
+    ``sub6_band``.
+    """
+
     center_frequency_hz: float
     num_brbs: int
     brb_bandwidth_hz: float
@@ -261,13 +266,11 @@ def generate_scenario(cfg: GenerationConfig, seed: int) -> Scenario:
     scenario = Scenario(
         stations=stations,
         mmw_band=Band(
-            kind=BandKind.MMWAVE,
             center_frequency_hz=cfg.mmw_center_frequency_hz,
             num_brbs=cfg.num_mmw_brbs,
             brb_bandwidth_hz=cfg.mmw_brb_bandwidth_hz,
         ),
         sub6_band=Band(
-            kind=BandKind.SUB6,
             center_frequency_hz=cfg.sub6_center_frequency_hz,
             num_brbs=cfg.num_sub6_brbs,
             brb_bandwidth_hz=cfg.sub6_brb_bandwidth_hz,
@@ -329,21 +332,20 @@ def validate_scenario(s: Scenario) -> list[str]:
     if not demanders:
         problems.append("scenario has no demanding station")
     for st in s.stations:
+        # ids go into int64 arrays of the BRB table
+        if not -(2**63) <= st.id < 2**63:
+            problems.append(f"station id {st.id} lies outside the signed 64-bit range")
         if not (0.0 <= st.x_m <= s.area_side_m and 0.0 <= st.y_m <= s.area_side_m):
             problems.append(f"station {st.id} lies outside the deployment square")
-    if s.mmw_band.kind is not BandKind.MMWAVE:
-        problems.append("mmw_band has the wrong kind")
-    if s.sub6_band.kind is not BandKind.SUB6:
-        problems.append("sub6_band has the wrong kind")
     # every check below is written to fail for NaN, and _positive also
     # rejects infinity
-    for band in (s.mmw_band, s.sub6_band):
+    for kind, band in zip(BandKind, (s.mmw_band, s.sub6_band)):
         if band.num_brbs < 0:
-            problems.append(f"{band.kind.value} BRB count must be non-negative")
+            problems.append(f"{kind.value} BRB count must be non-negative")
         if not _positive(band.brb_bandwidth_hz):
-            problems.append(f"{band.kind.value} BRB bandwidth must be positive and finite")
+            problems.append(f"{kind.value} BRB bandwidth must be positive and finite")
         if not _positive(band.center_frequency_hz):
-            problems.append(f"{band.kind.value} frequency must be positive and finite")
+            problems.append(f"{kind.value} frequency must be positive and finite")
     if s.brbs_per_anchor <= 0:
         problems.append("scenario needs at least one BRB per anchor")
     if not _positive(s.tx_power_w):
@@ -393,23 +395,34 @@ def validate_scenario(s: Scenario) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# JSON persistence.  Unknown fields are rejected by name so that a stale or
+# JSON persistence.  Scenario files and configs are read by one strict
+# reader: unknown fields are rejected by name so that a stale or
 # hand-edited file fails loudly instead of being silently misread.
 # ---------------------------------------------------------------------------
 
 _FORMAT = "scbn-scenario-v1"
 
-
-def _station_to_json(st: BaseStation) -> dict:
-    return {"id": st.id, "role": st.role.value, "x_m": st.x_m, "y_m": st.y_m}
-
-
-def _band_to_json(b: Band) -> dict:
-    return {
-        "center_frequency_hz": b.center_frequency_hz,
-        "num_brbs": b.num_brbs,
-        "brb_bandwidth_hz": b.brb_bandwidth_hz,
-    }
+# a scenario file's fields and their types, for _fields
+_SCENARIO_FILE = {
+    "format": str,
+    "seed": int,
+    "area_side_m": float,
+    "tx_power_w": float,
+    "noise_power_dbm": float,
+    "stations": tuple[BaseStation, ...],
+    "mmw_band": Band,
+    "sub6_band": Band,
+    "prices": dict[int, dict[BandKind, float]],
+    "budgets": dict[int, float],
+    "demands_bps": dict[int, float],
+    "mmw_pathloss": {
+        "slope": float,
+        "ref_loss_db": float,
+        "shadow_sigma_db": float,
+        "blockage_prob": float,
+    },
+    "sub6_pathloss": {"exponent": float, "ref_loss_db": float},
+}
 
 
 def save_scenario(s: Scenario, path: str) -> None:
@@ -420,15 +433,13 @@ def save_scenario(s: Scenario, path: str) -> None:
         "area_side_m": s.area_side_m,
         "tx_power_w": s.tx_power_w,
         "noise_power_dbm": s.noise_power_dbm,
-        "stations": [_station_to_json(st) for st in s.stations],
-        "mmw_band": _band_to_json(s.mmw_band),
-        "sub6_band": _band_to_json(s.sub6_band),
-        "prices": {
-            str(a): {kind.value: p for kind, p in per_band.items()}
-            for a, per_band in s.prices.per_anchor.items()
-        },
-        "budgets": {str(d): v for d, v in s.budgets.items()},
-        "demands_bps": {str(d): v for d, v in s.demands_bps.items()},
+        "stations": [asdict(st) for st in s.stations],
+        "mmw_band": asdict(s.mmw_band),
+        "sub6_band": asdict(s.sub6_band),
+        # json writes int keys as decimal strings and enums by value
+        "prices": s.prices.per_anchor,
+        "budgets": s.budgets,
+        "demands_bps": s.demands_bps,
         "mmw_pathloss": {
             "slope": s.mmw.pathloss_slope,
             "ref_loss_db": s.mmw.ref_loss_db,
@@ -445,160 +456,122 @@ def save_scenario(s: Scenario, path: str) -> None:
         fh.write("\n")
 
 
-def _read_json_object(path: str, error: type[ValueError]) -> dict:
-    """The JSON object in the file at ``path``; raises ``error`` for text
-    that is not JSON or holds anything but an object."""
+def _read_json(path: str, error: type[ValueError]):
+    """The JSON value in the file at ``path``; raises ``error`` for text
+    that is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise error(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+
+
+def _station_id(key: str, where: str, error: type[ValueError]) -> int:
+    """An object key read as a station id, in the decimal form
+    :func:`save_scenario` writes, so no id has two spellings."""
+    try:
+        if key == str(int(key)):
+            return int(key)
+    except ValueError:
+        pass
+    raise error(f"{where}: key '{key}' is not a station id in decimal form")
+
+
+def _typed(value, tp, where: str, error: type[ValueError]):
+    """``value`` read as type ``tp``, or ``error`` naming ``where``.
+
+    ``tp`` is float (which also takes an int, but no bool, and must come
+    out finite), int (no bool), str, an enum (by value), ``tuple[X, ...]``
+    from a list, ``dict[K, X]`` from an object whose keys are station ids
+    or enum values, ``X | None``, or a nested object spec of
+    :func:`_fields`.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _typed(value, tp, where, error)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise error(f"{where} must be a list, got {json.dumps(value)}")
+        return tuple(_typed(v, args[0], where, error) for v in value)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise error(f"{where}: expected a JSON object")
+        key_tp, value_tp = args
+        out = {}
+        for k, v in value.items():
+            key = _station_id(k, where, error) if key_tp is int else _typed(k, key_tp, where, error)
+            out[key] = _typed(v, value_tp, f"{where}[{k}]", error)
+        return out
+    if isinstance(tp, dict) or is_dataclass(tp):
+        return _fields(value, tp, where, error)
+    if issubclass(tp, enum.Enum):
+        choices = tuple(m.value for m in tp)
+        if value not in choices:
+            raise error(f"{where} must be one of {choices}, got {json.dumps(value)}")
+        return tp(value)
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise error(f"{where} must be of type {tp.__name__}, got {json.dumps(value)}")
+    if tp is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(f"{where} must be a finite number, got {json.dumps(value)}")
+    return number
+
+
+def _fields(doc, spec, context: str, error: type[ValueError]):
+    """One JSON object read by ``spec``, or ``error`` naming the field.
+
+    ``spec`` is a dataclass, built from the object, whose fields without
+    a default are required; or a dict of field name to type, all
+    required, giving a dict.  Each value is read by :func:`_typed` as its
+    field's type; a field the spec does not name is rejected by name.
+    """
     if not isinstance(doc, dict):
-        raise error(f"{path}: expected a JSON object")
-    return doc
-
-
-def _require(obj: dict, context: str, fields: dict[str, type | tuple]) -> dict:
-    """Check ``obj`` has exactly ``fields`` with the given types."""
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{context}: expected an object, got {type(obj).__name__}")
-    for key in obj:
-        if key not in fields:
-            raise ScenarioFormatError(f"{context}: unknown field '{key}'")
-    out = {}
-    for key, want in fields.items():
-        if key not in obj:
-            raise ScenarioFormatError(f"{context}: missing field '{key}'")
-        val = obj[key]
-        if want is float:
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ScenarioFormatError(
-                    f"{context}: field '{key}' must be a number, got {type(val).__name__}"
-                )
-            val = float(val)
-        elif want is int:
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ScenarioFormatError(
-                    f"{context}: field '{key}' must be an integer, got {type(val).__name__}"
-                )
-        elif isinstance(want, tuple):  # enum of string literals
-            if val not in want:
-                raise ScenarioFormatError(
-                    f"{context}: field '{key}' must be one of {want}, got {val!r}"
-                )
-        elif want is str:
-            if not isinstance(val, str):
-                raise ScenarioFormatError(
-                    f"{context}: field '{key}' must be a string, got {type(val).__name__}"
-                )
-        elif want in (list, dict):
-            if not isinstance(val, want):
-                raise ScenarioFormatError(
-                    f"{context}: field '{key}' must be a {want.__name__}"
-                )
-        out[key] = val
-    return out
-
-
-def _int_keyed(mapping: dict, context: str) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for key, val in mapping.items():
-        try:
-            ik = int(key)
-        except (TypeError, ValueError):
-            raise ScenarioFormatError(f"{context}: key '{key}' is not a station id")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ScenarioFormatError(f"{context}[{key}]: value must be a number")
-        out[ik] = float(val)
-    return out
+        raise error(f"{context}: expected a JSON object")
+    if isinstance(spec, dict):
+        hints, required = spec, spec
+    else:
+        hints = typing.get_type_hints(spec)
+        required = [
+            f.name for f in fields(spec) if f.default is MISSING and f.default_factory is MISSING
+        ]
+    for name in doc:
+        if name not in hints:
+            raise error(f"{context}: unknown field '{name}'")
+    for name in required:
+        if name not in doc:
+            raise error(f"{context}: missing field '{name}'")
+    out = {name: _typed(v, hints[name], f"{context}: '{name}'", error) for name, v in doc.items()}
+    return out if isinstance(spec, dict) else spec(**out)
 
 
 def load_scenario(path: str) -> Scenario:
     """Read a scenario JSON file, rejecting unknown fields and bad shapes."""
-    top = _require(
-        _read_json_object(path, ScenarioFormatError),
-        path,
-        {
-            "format": str,
-            "seed": int,
-            "area_side_m": float,
-            "tx_power_w": float,
-            "noise_power_dbm": float,
-            "stations": list,
-            "mmw_band": dict,
-            "sub6_band": dict,
-            "prices": dict,
-            "budgets": dict,
-            "demands_bps": dict,
-            "mmw_pathloss": dict,
-            "sub6_pathloss": dict,
-        },
-    )
-    if top["format"] != _FORMAT:
-        raise ScenarioFormatError(
-            f"{path}: unsupported format '{top['format']}', expected '{_FORMAT}'"
-        )
-    stations = []
-    for i, raw in enumerate(top["stations"]):
-        rec = _require(
-            raw,
-            f"{path}: stations[{i}]",
-            {"id": int, "role": ("anchor", "demanding"), "x_m": float, "y_m": float},
-        )
-        stations.append(
-            BaseStation(id=rec["id"], role=Role(rec["role"]), x_m=rec["x_m"], y_m=rec["y_m"])
-        )
-
-    def band_from(key: str, kind: BandKind) -> Band:
-        rec = _require(
-            top[key],
-            f"{path}: {key}",
-            {"center_frequency_hz": float, "num_brbs": int, "brb_bandwidth_hz": float},
-        )
-        return Band(kind=kind, **rec)
-
-    prices: dict[int, dict[BandKind, float]] = {}
-    for key, raw in top["prices"].items():
-        try:
-            anchor = int(key)
-        except (TypeError, ValueError):
-            raise ScenarioFormatError(f"{path}: prices: key '{key}' is not a station id")
-        rec = _require(raw, f"{path}: prices[{key}]", {"mmwave": float, "sub6": float})
-        prices[anchor] = {BandKind.MMWAVE: rec["mmwave"], BandKind.SUB6: rec["sub6"]}
-
-    mmw_pl = _require(
-        top["mmw_pathloss"],
-        f"{path}: mmw_pathloss",
-        {"slope": float, "ref_loss_db": float, "shadow_sigma_db": float, "blockage_prob": float},
-    )
-    sub6_pl = _require(
-        top["sub6_pathloss"],
-        f"{path}: sub6_pathloss",
-        {"exponent": float, "ref_loss_db": float},
-    )
+    top = _fields(_read_json(path, ScenarioFormatError), _SCENARIO_FILE, path, ScenarioFormatError)
+    fmt = top.pop("format")
+    if fmt != _FORMAT:
+        raise ScenarioFormatError(f"{path}: unsupported format '{fmt}', expected '{_FORMAT}'")
+    mmw, sub6 = top.pop("mmw_pathloss"), top.pop("sub6_pathloss")
+    # every other field of the file is the Scenario field of its name
     scenario = Scenario(
-        stations=tuple(stations),
-        mmw_band=band_from("mmw_band", BandKind.MMWAVE),
-        sub6_band=band_from("sub6_band", BandKind.SUB6),
-        prices=PriceSchedule(per_anchor=prices),
-        budgets=_int_keyed(top["budgets"], f"{path}: budgets"),
-        demands_bps=_int_keyed(top["demands_bps"], f"{path}: demands_bps"),
-        tx_power_w=top["tx_power_w"],
-        noise_power_dbm=top["noise_power_dbm"],
+        **{**top, "prices": PriceSchedule(per_anchor=top["prices"])},
         mmw=MmwParams(
-            pathloss_slope=mmw_pl["slope"],
-            ref_loss_db=mmw_pl["ref_loss_db"],
-            shadow_sigma_db=mmw_pl["shadow_sigma_db"],
-            blockage_prob=mmw_pl["blockage_prob"],
+            pathloss_slope=mmw["slope"],
+            ref_loss_db=mmw["ref_loss_db"],
+            shadow_sigma_db=mmw["shadow_sigma_db"],
+            blockage_prob=mmw["blockage_prob"],
         ),
-        sub6=Sub6Params(
-            pathloss_exponent=sub6_pl["exponent"],
-            ref_loss_db=sub6_pl["ref_loss_db"],
-        ),
-        area_side_m=top["area_side_m"],
-        seed=top["seed"],
+        sub6=Sub6Params(pathloss_exponent=sub6["exponent"], ref_loss_db=sub6["ref_loss_db"]),
     )
     problems = validate_scenario(scenario)
     if problems:

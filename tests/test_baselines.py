@@ -49,8 +49,8 @@ def _scenario(
     demander_ids = [st.id for st in stations[k1:]]
     return Scenario(
         stations=stations,
-        mmw_band=Band(BandKind.MMWAVE, 73e9, n1, 1e6),
-        sub6_band=Band(BandKind.SUB6, 5.8e9, n2, 480e3),
+        mmw_band=Band(73e9, n1, 1e6),
+        sub6_band=Band(5.8e9, n2, 480e3),
         prices=PriceSchedule(
             per_anchor={
                 a: {BandKind.MMWAVE: mmw_prices[a], BandKind.SUB6: sub6_prices[a]}

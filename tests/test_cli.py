@@ -399,6 +399,35 @@ def test_sweep_whose_transmit_power_overflows_the_rates_is_an_error_line(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_whose_area_overflows_the_distances_is_an_error_line(tmp_path, capsys):
+    # 1e308 m is a finite, valid side, but the squared distances are not
+    path = tmp_path / "sweep.json"
+    doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
+    base = {"num_stations": 3, "num_anchors": 1, "area_side_m": 1e308}
+    path.write_text(json.dumps({**doc, "base": base}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "station distances are not finite" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("station_id, rc", [(2**63 - 1, 0), (2**63, 1), (-(2**63) - 1, 1)])
+def test_run_takes_station_ids_in_the_int64_range_only(tmp_path, capsys, station_id, rc):
+    path = Path(_generate(tmp_path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    anchor = doc["stations"][0]
+    doc["prices"][str(station_id)] = doc["prices"].pop(str(anchor["id"]))
+    anchor["id"] = station_id
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == rc
+    if rc:
+        assert "outside the signed 64-bit range" in _one_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
+
 def test_run_of_a_directory_is_an_error_line(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -481,10 +510,10 @@ def test_version_flag(capsys):
 
 # --- malformed configs, drawn --------------------------------------------------
 
-# JSON values no config field should choke on: non-finite, beyond the
-# float and int64 ranges, negative, zero, and of the wrong type.  No value
-# is a positive int of workable size, so a drawn config never asks for a
-# long sweep or for many worker processes.
+# JSON values no config or scenario field should choke on: non-finite,
+# beyond the float and int64 ranges, negative, zero, and of the wrong
+# type.  No value is a positive int of workable size, so a drawn config
+# never asks for a long sweep or for many worker processes.
 _MALFORMED_VALUES = (
     float("nan"),
     float("inf"),
@@ -493,6 +522,7 @@ _MALFORMED_VALUES = (
     -1e308,
     10**30,
     -(10**30),
+    10**400,
     -1,
     0,
     -0.5,
@@ -603,3 +633,32 @@ def test_every_single_malformed_value_exits_cleanly():
                 overrides = {(where, field): [value] if field in list_fields else value}
                 if _bounded(overrides):
                     _sweep_exits_cleanly(tmp, "n1", overrides)
+
+
+def test_every_malformed_value_in_a_scenario_file_exits_cleanly(tmp_path):
+    """Each drawn value alone, in each numeric field of a scenario file:
+    the top level, a station, both bands, both path-loss objects, and one
+    price, budget and demand."""
+    path = tmp_path / "scenario.json"
+    params = _params_file(tmp_path, {"num_stations": 3, "num_anchors": 1})
+    assert main(["generate", "--params", params, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    anchor, demander = (str(st["id"]) for st in doc["stations"][:2])
+    objects = [
+        doc,
+        doc["stations"][1],
+        doc["mmw_band"],
+        doc["sub6_band"],
+        doc["mmw_pathloss"],
+        doc["sub6_pathloss"],
+        doc["prices"][anchor],
+    ]
+    numbers = [(obj, key) for obj in objects for key, v in obj.items() if type(v) in (int, float)]
+    numbers += [(doc["budgets"], demander), (doc["demands_bps"], demander)]
+    for obj, key in numbers:
+        original = obj[key]
+        for value in _MALFORMED_VALUES:
+            obj[key] = value
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            _exits_cleanly(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        obj[key] = original

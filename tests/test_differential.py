@@ -70,13 +70,13 @@ def _ref_scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
     """All K1 * (N1 + N2) BRBs, sorted by (owner, band, index), mmWave first."""
     out: list[Brb] = []
     for anchor in s.anchors:
-        for band in (s.mmw_band, s.sub6_band):
-            price = s.prices.per_anchor[anchor.id][band.kind]
+        for kind, band in ((BandKind.MMWAVE, s.mmw_band), (BandKind.SUB6, s.sub6_band)):
+            price = s.prices.per_anchor[anchor.id][kind]
             for idx in range(band.num_brbs):
                 out.append(
                     Brb(
                         owner=anchor.id,
-                        band=band.kind,
+                        band=kind,
                         index=idx,
                         bandwidth_hz=band.brb_bandwidth_hz,
                         price=price,

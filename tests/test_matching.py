@@ -77,8 +77,8 @@ def _build(
     demander_ids = [st.id for st in stations[k1:]]
     return Scenario(
         stations=tuple(stations),
-        mmw_band=Band(BandKind.MMWAVE, 73e9, n1, mmw_bw),
-        sub6_band=Band(BandKind.SUB6, 5.8e9, n2, sub6_bw),
+        mmw_band=Band(73e9, n1, mmw_bw),
+        sub6_band=Band(5.8e9, n2, sub6_bw),
         prices=PriceSchedule(per_anchor=prices),
         budgets=budgets or {d: budget for d in demander_ids},
         demands_bps=demands or {d: demand for d in demander_ids},

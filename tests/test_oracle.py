@@ -33,8 +33,8 @@ def _tiny_scenario(n1=1, n2=0, demanders=1, demand=5e6, budget=2.0, mmw_price=1.
     ids = [st.id for st in stations[1:]]
     return Scenario(
         stations=tuple(stations),
-        mmw_band=Band(BandKind.MMWAVE, 73e9, n1, 1e6),
-        sub6_band=Band(BandKind.SUB6, 5.8e9, n2, 480e3),
+        mmw_band=Band(73e9, n1, 1e6),
+        sub6_band=Band(5.8e9, n2, 480e3),
         prices=PriceSchedule(per_anchor={0: {BandKind.MMWAVE: mmw_price, BandKind.SUB6: 3.0}}),
         budgets={d: budget for d in ids},
         demands_bps={d: demand for d in ids},

@@ -200,14 +200,6 @@ def test_validate_reports_missing_roles():
     assert any("no demanding station" in p for p in problems)
 
 
-def test_validate_reports_swapped_bands():
-    s = generate_scenario(GenerationConfig(), seed=1)
-    bad = dataclasses.replace(s, mmw_band=s.sub6_band, sub6_band=s.mmw_band)
-    problems = validate_scenario(bad)
-    assert any("mmw_band has the wrong kind" in p for p in problems)
-    assert any("sub6_band has the wrong kind" in p for p in problems)
-
-
 def test_save_load_round_trip(tmp_path):
     s = generate_scenario(GenerationConfig(mmw_blockage_prob=0.3), seed=77)
     path = tmp_path / "scenario.json"
@@ -282,8 +274,32 @@ def test_load_rejects_non_numeric_budget(tmp_path):
         doc["budgets"][key] = "plenty"
 
     path = _doc_for(tmp_path, mutate)
-    with pytest.raises(ScenarioFormatError, match="must be a number"):
+    with pytest.raises(ScenarioFormatError, match="must be of type float"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("field", ["prices", "budgets", "demands_bps"])
+def test_load_rejects_a_second_spelling_of_a_station_id(tmp_path, field):
+    # "02" beside "2" would read as station 2 again, the later entry winning
+    def mutate(doc):
+        key, value = next(iter(doc[field].items()))
+        doc[field]["0" + key] = value
+
+    path = _doc_for(tmp_path, mutate)
+    with pytest.raises(ScenarioFormatError, match="key '0.*' is not a station id"):
+        load_scenario(path)
+
+
+def test_load_reads_negative_station_ids(tmp_path):
+    def mutate(doc):
+        for st in doc["stations"][1:]:
+            st["id"] = -st["id"]
+        for field in ("budgets", "demands_bps"):
+            doc[field] = {str(-int(k)): v for k, v in doc[field].items()}
+
+    s = load_scenario(_doc_for(tmp_path, mutate))
+    assert s.demander_ids == (-1, -2, -3)
+    assert set(s.budgets) == {-1, -2, -3}
 
 
 def test_load_rejects_invalid_scenario_contents(tmp_path):
