@@ -34,7 +34,6 @@ from .scenario import (
     ConfigError,
     GenerationConfig,
     MmwParams,
-    PriceSchedule,
     Role,
     Scenario,
     ScenarioFormatError,
@@ -60,7 +59,6 @@ __all__ = [
     "Matching",
     "MmwParams",
     "OracleSolution",
-    "PriceSchedule",
     "Role",
     "Scenario",
     "ScenarioFormatError",

@@ -494,7 +494,8 @@ def oracle_compare_rows(trials: int, seed: int, zeta: float = 1e6) -> list[dict]
     Each row reports one random micro instance: whether a feasible
     assignment exists at all, the oracle's minimum cost, the matching's
     cost, the gap when both meet every demand, and whether the matching
-    satisfied the budget and per-anchor capacity constraint families.  An audit of
+    satisfied the budget constraints (``constraints_3c_3f_ok``; the
+    per-anchor capacity of family 3f holds by construction).  An audit of
     no instances would check nothing, so ``trials`` must be at least 1.
     """
     _check_trials(trials)
@@ -524,7 +525,7 @@ def oracle_compare_rows(trials: int, seed: int, zeta: float = 1e6) -> list[dict]
                 "matching_cost": matching_cost,
                 "matching_met_demands": matching_met,
                 "gap": gap,
-                "constraints_3c_3f_ok": report.budget_ok and report.per_anchor_ok,
+                "constraints_3c_3f_ok": report.budget_ok,
             }
         )
     return rows

@@ -254,7 +254,7 @@ def brb_table(s: Scenario) -> BrbTable:
     """
     anchor_ids = s.anchor_ids
     prices = tuple(
-        (s.prices.per_anchor[a][BandKind.MMWAVE], s.prices.per_anchor[a][BandKind.SUB6])
+        (s.prices[a][BandKind.MMWAVE], s.prices[a][BandKind.SUB6])
         for a in anchor_ids
     )
     return _cached_brb_table(anchor_ids, s.mmw_band, s.sub6_band, prices)

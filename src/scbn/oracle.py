@@ -100,28 +100,27 @@ class ConstraintReport:
 
     Slacks are non-negative exactly when the constraint holds: rate slack
     is rate minus demand (bit/s, recomputed from the channels), budget
-    slack is budget minus recomputed cost, per-anchor slack counts BRBs
-    the anchor could still lease.  The BRB quota (at most one holder per
-    block) and integrality (a block is held or not) hold by construction
-    of ``Matching.holder``, so they have no field here.
+    slack is budget minus recomputed cost.  The BRB quota (at most one
+    holder per block), integrality (a block is held or not) and the
+    per-anchor capacity of family 3f (an anchor leases at most its N
+    blocks) hold by construction of ``Matching.holder``, which spans
+    exactly the K1 * N blocks of the table, so they have no field here.
     """
 
     rate_ok: bool
     rate_slack_bps: dict[int, float]
     budget_ok: bool
     budget_slack: dict[int, float]
-    per_anchor_ok: bool
-    per_anchor_slack: dict[int, int]
 
     @property
     def all_ok(self) -> bool:
-        return self.rate_ok and self.budget_ok and self.per_anchor_ok
+        return self.rate_ok and self.budget_ok
 
 
 def check_constraints(
     m: Matching, s: Scenario, ch: ChannelRealization
 ) -> ConstraintReport:
-    """Audit demand, budget and per-anchor capacity constraints.
+    """Audit the demand and budget constraints.
 
     Totals are recomputed from the channel realization, so the report is
     trustworthy even for hand-built matchings.
@@ -129,15 +128,9 @@ def check_constraints(
     rate, cost = recompute_totals(m, s, ch)
     rate_slack = {d: rate[d] - s.demands_bps[d] for d in ch.demander_ids}
     budget_slack = {d: s.budgets[d] - cost[d] for d in ch.demander_ids}
-    used = (m.holder >= 0).reshape(len(ch.anchor_ids), s.brbs_per_anchor).sum(axis=1)
-    per_anchor_slack = {
-        a: s.brbs_per_anchor - int(n) for a, n in zip(ch.anchor_ids, used)
-    }
     return ConstraintReport(
         rate_ok=all(v >= 0 for v in rate_slack.values()),
         rate_slack_bps=rate_slack,
         budget_ok=all(v >= 0 for v in budget_slack.values()),
         budget_slack=budget_slack,
-        per_anchor_ok=all(v >= 0 for v in per_anchor_slack.values()),
-        per_anchor_slack=per_anchor_slack,
     )

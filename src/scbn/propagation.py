@@ -112,20 +112,20 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
     n2 = s.sub6_band.num_brbs
     dist = _distance_matrix(s)
 
-    los = rng.random((k1, k2)) >= s.mmw.blockage_prob
-    shadowing = rng.normal(0.0, s.mmw.shadow_sigma_db, size=(k1, k2))
+    los = rng.random((k1, k2)) >= s.mmw_pathloss.blockage_prob
+    shadowing = rng.normal(0.0, s.mmw_pathloss.shadow_sigma_db, size=(k1, k2))
     fades = rng.exponential(1.0, size=(k1, n2, k2))
 
     gains = np.zeros((k1, n1 + n2, k2), dtype=float)
     mmw_loss_db = (
-        s.mmw.ref_loss_db
-        + s.mmw.pathloss_slope * 10.0 * np.log10(dist)
+        s.mmw_pathloss.ref_loss_db
+        + s.mmw_pathloss.slope * 10.0 * np.log10(dist)
         + shadowing
     )
     mmw_gain = np.where(los, 10.0 ** (-mmw_loss_db / 10.0), 0.0)
     gains[:, :n1, :] = mmw_gain[:, None, :]
 
-    sub6_loss_db = s.sub6.ref_loss_db + 10.0 * s.sub6.pathloss_exponent * np.log10(dist)
+    sub6_loss_db = s.sub6_pathloss.ref_loss_db + 10.0 * s.sub6_pathloss.exponent * np.log10(dist)
     gains[:, n1:, :] = fades * (10.0 ** (-sub6_loss_db / 10.0))[:, None, :]
 
     rates = np.empty_like(gains)

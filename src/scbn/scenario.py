@@ -35,7 +35,6 @@ __all__ = [
     "Band",
     "MmwParams",
     "Sub6Params",
-    "PriceSchedule",
     "Scenario",
     "GenerationConfig",
     "ConfigError",
@@ -98,48 +97,43 @@ class MmwParams:
     is obstructed; an obstructed link carries no mmWave signal at all.
     """
 
-    pathloss_slope: float
+    slope: float
     ref_loss_db: float
     shadow_sigma_db: float
-    blockage_prob: float = 0.0
+    blockage_prob: float
 
 
 @dataclass(frozen=True)
 class Sub6Params:
     """Sub-6 GHz link model: log-distance loss with Rayleigh fading."""
 
-    pathloss_exponent: float
+    exponent: float
     ref_loss_db: float
-
-
-@dataclass(frozen=True)
-class PriceSchedule:
-    """Per-anchor BRB prices, one price per band."""
-
-    per_anchor: dict[int, dict[BandKind, float]]
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One deployment: stations, bands, prices, budgets and link models.
 
-    The first ``len(anchor_ids)`` stations are anchors.  ``budgets`` and
-    ``demands_bps`` are keyed by demanding-station id; generation assigns
-    every demander the same value but files may override per station.
+    The first ``len(anchor_ids)`` stations are anchors.  ``prices`` gives
+    each anchor's price per band.  ``budgets`` and ``demands_bps`` are
+    keyed by demanding-station id; generation assigns every demander the
+    same value but files may override per station.
     """
 
+    # the fields are the scenario file's keys, in the file's key order
+    seed: int
+    area_side_m: float
+    tx_power_w: float
+    noise_power_dbm: float
     stations: tuple[BaseStation, ...]
     mmw_band: Band
     sub6_band: Band
-    prices: PriceSchedule
+    prices: dict[int, dict[BandKind, float]]
     budgets: dict[int, float]
     demands_bps: dict[int, float]
-    tx_power_w: float
-    noise_power_dbm: float
-    mmw: MmwParams
-    sub6: Sub6Params
-    area_side_m: float
-    seed: int
+    mmw_pathloss: MmwParams
+    sub6_pathloss: Sub6Params
 
     # ``stations`` is a tuple of frozen stations, so the views below are
     # computed once per scenario and cannot go stale
@@ -264,6 +258,10 @@ def generate_scenario(cfg: GenerationConfig, seed: int) -> Scenario:
     anchor_ids = [s.id for s in stations if s.role is Role.ANCHOR]
     demander_ids = [s.id for s in stations if s.role is Role.DEMANDING]
     scenario = Scenario(
+        seed=int(seed),
+        area_side_m=cfg.area_side_m,
+        tx_power_w=cfg.tx_power_w,
+        noise_power_dbm=cfg.noise_power_dbm,
         stations=stations,
         mmw_band=Band(
             center_frequency_hz=cfg.mmw_center_frequency_hz,
@@ -275,28 +273,19 @@ def generate_scenario(cfg: GenerationConfig, seed: int) -> Scenario:
             num_brbs=cfg.num_sub6_brbs,
             brb_bandwidth_hz=cfg.sub6_brb_bandwidth_hz,
         ),
-        prices=PriceSchedule(
-            per_anchor={
-                a: {BandKind.MMWAVE: cfg.mmw_price, BandKind.SUB6: cfg.sub6_price}
-                for a in anchor_ids
-            }
-        ),
+        prices={
+            a: {BandKind.MMWAVE: cfg.mmw_price, BandKind.SUB6: cfg.sub6_price}
+            for a in anchor_ids
+        },
         budgets={d: cfg.budget for d in demander_ids},
         demands_bps={d: cfg.demand_bps for d in demander_ids},
-        tx_power_w=cfg.tx_power_w,
-        noise_power_dbm=cfg.noise_power_dbm,
-        mmw=MmwParams(
-            pathloss_slope=cfg.mmw_pathloss_slope,
+        mmw_pathloss=MmwParams(
+            slope=cfg.mmw_pathloss_slope,
             ref_loss_db=cfg.mmw_ref_loss_db,
             shadow_sigma_db=cfg.mmw_shadow_sigma_db,
             blockage_prob=cfg.mmw_blockage_prob,
         ),
-        sub6=Sub6Params(
-            pathloss_exponent=cfg.sub6_pathloss_exponent,
-            ref_loss_db=sub6_ref,
-        ),
-        area_side_m=cfg.area_side_m,
-        seed=int(seed),
+        sub6_pathloss=Sub6Params(exponent=cfg.sub6_pathloss_exponent, ref_loss_db=sub6_ref),
     )
     problems = validate_scenario(scenario)
     if problems:
@@ -354,8 +343,8 @@ def validate_scenario(s: Scenario) -> list[str]:
         problems.append("area_side_m must be positive and finite")
     for name, v in (
         ("noise_power_dbm", s.noise_power_dbm),
-        ("mmw ref_loss_db", s.mmw.ref_loss_db),
-        ("sub6 ref_loss_db", s.sub6.ref_loss_db),
+        ("mmw ref_loss_db", s.mmw_pathloss.ref_loss_db),
+        ("sub6 ref_loss_db", s.sub6_pathloss.ref_loss_db),
     ):
         if not math.isfinite(v):
             problems.append(f"{name} must be finite, got {v}")
@@ -364,10 +353,10 @@ def validate_scenario(s: Scenario) -> list[str]:
             f"noise_power_dbm {s.noise_power_dbm} gives no positive, finite noise power"
         )
     anchor_ids = set(s.anchor_ids)
-    if set(s.prices.per_anchor) != anchor_ids:
+    if set(s.prices) != anchor_ids:
         problems.append("price schedule does not cover exactly the anchor ids")
     else:
-        for a, per_band in s.prices.per_anchor.items():
+        for a, per_band in s.prices.items():
             if set(per_band) != {BandKind.MMWAVE, BandKind.SUB6}:
                 problems.append(f"anchor {a} must price exactly the two bands")
             elif not all(0 <= p < math.inf for p in per_band.values()):
@@ -383,13 +372,13 @@ def validate_scenario(s: Scenario) -> list[str]:
             for d, v in mapping.items():
                 if not _positive(v):
                     problems.append(f"{name}[{d}] must be positive and finite, got {v}")
-    if not _positive(s.mmw.pathloss_slope):
+    if not _positive(s.mmw_pathloss.slope):
         problems.append("mmw pathloss slope must be positive and finite")
-    if not 0 <= s.mmw.shadow_sigma_db < math.inf:
+    if not 0 <= s.mmw_pathloss.shadow_sigma_db < math.inf:
         problems.append("mmw shadowing sigma must be non-negative and finite")
-    if not 0.0 <= s.mmw.blockage_prob <= 1.0:
+    if not 0.0 <= s.mmw_pathloss.blockage_prob <= 1.0:
         problems.append("mmw blockage probability must lie in [0, 1]")
-    if not _positive(s.sub6.pathloss_exponent):
+    if not _positive(s.sub6_pathloss.exponent):
         problems.append("sub6 pathloss exponent must be positive and finite")
     return problems
 
@@ -402,70 +391,27 @@ def validate_scenario(s: Scenario) -> list[str]:
 
 _FORMAT = "scbn-scenario-v1"
 
-# a scenario file's fields and their types, for _fields
-_SCENARIO_FILE = {
-    "format": str,
-    "seed": int,
-    "area_side_m": float,
-    "tx_power_w": float,
-    "noise_power_dbm": float,
-    "stations": tuple[BaseStation, ...],
-    "mmw_band": Band,
-    "sub6_band": Band,
-    "prices": dict[int, dict[BandKind, float]],
-    "budgets": dict[int, float],
-    "demands_bps": dict[int, float],
-    "mmw_pathloss": {
-        "slope": float,
-        "ref_loss_db": float,
-        "shadow_sigma_db": float,
-        "blockage_prob": float,
-    },
-    "sub6_pathloss": {"exponent": float, "ref_loss_db": float},
-}
-
 
 def save_scenario(s: Scenario, path: str) -> None:
-    """Write a scenario to a JSON file (UTF-8, round-trip lossless)."""
-    doc = {
-        "format": _FORMAT,
-        "seed": s.seed,
-        "area_side_m": s.area_side_m,
-        "tx_power_w": s.tx_power_w,
-        "noise_power_dbm": s.noise_power_dbm,
-        "stations": [asdict(st) for st in s.stations],
-        "mmw_band": asdict(s.mmw_band),
-        "sub6_band": asdict(s.sub6_band),
-        # json writes int keys as decimal strings and enums by value
-        "prices": s.prices.per_anchor,
-        "budgets": s.budgets,
-        "demands_bps": s.demands_bps,
-        "mmw_pathloss": {
-            "slope": s.mmw.pathloss_slope,
-            "ref_loss_db": s.mmw.ref_loss_db,
-            "shadow_sigma_db": s.mmw.shadow_sigma_db,
-            "blockage_prob": s.mmw.blockage_prob,
-        },
-        "sub6_pathloss": {
-            "exponent": s.sub6.pathloss_exponent,
-            "ref_loss_db": s.sub6.ref_loss_db,
-        },
-    }
+    """Write a scenario to a JSON file (UTF-8, round-trip lossless).
+
+    The file is the format tag followed by the scenario's fields by name;
+    json writes int keys as decimal strings and enums by value.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump({"format": _FORMAT, **asdict(s)}, fh, indent=2)
         fh.write("\n")
 
 
 def _read_json(path: str, error: type[ValueError]):
-    """The JSON value in the file at ``path``; raises ``error`` for text
-    that is not JSON."""
+    """The JSON value in the file at ``path``; raises ``error`` for bytes
+    that are not JSON text: bad UTF-8, bad syntax, or an int beyond
+    Python's int-string limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise error(
-            f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _station_id(key: str, where: str, error: type[ValueError]) -> int:
@@ -557,22 +503,12 @@ def _fields(doc, spec, context: str, error: type[ValueError]):
 
 def load_scenario(path: str) -> Scenario:
     """Read a scenario JSON file, rejecting unknown fields and bad shapes."""
-    top = _fields(_read_json(path, ScenarioFormatError), _SCENARIO_FILE, path, ScenarioFormatError)
+    spec = {"format": str, **typing.get_type_hints(Scenario)}
+    top = _fields(_read_json(path, ScenarioFormatError), spec, path, ScenarioFormatError)
     fmt = top.pop("format")
     if fmt != _FORMAT:
         raise ScenarioFormatError(f"{path}: unsupported format '{fmt}', expected '{_FORMAT}'")
-    mmw, sub6 = top.pop("mmw_pathloss"), top.pop("sub6_pathloss")
-    # every other field of the file is the Scenario field of its name
-    scenario = Scenario(
-        **{**top, "prices": PriceSchedule(per_anchor=top["prices"])},
-        mmw=MmwParams(
-            pathloss_slope=mmw["slope"],
-            ref_loss_db=mmw["ref_loss_db"],
-            shadow_sigma_db=mmw["shadow_sigma_db"],
-            blockage_prob=mmw["blockage_prob"],
-        ),
-        sub6=Sub6Params(pathloss_exponent=sub6["exponent"], ref_loss_db=sub6["ref_loss_db"]),
-    )
+    scenario = Scenario(**top)
     problems = validate_scenario(scenario)
     if problems:
         raise ScenarioFormatError(f"{path}: invalid scenario: " + "; ".join(problems))

@@ -16,7 +16,6 @@ from scbn.scenario import (
     BaseStation,
     GenerationConfig,
     MmwParams,
-    PriceSchedule,
     Role,
     Scenario,
     Sub6Params,
@@ -51,18 +50,16 @@ def _scenario(
         stations=stations,
         mmw_band=Band(73e9, n1, 1e6),
         sub6_band=Band(5.8e9, n2, 480e3),
-        prices=PriceSchedule(
-            per_anchor={
-                a: {BandKind.MMWAVE: mmw_prices[a], BandKind.SUB6: sub6_prices[a]}
-                for a in range(k1)
-            }
-        ),
+        prices={
+            a: {BandKind.MMWAVE: mmw_prices[a], BandKind.SUB6: sub6_prices[a]}
+            for a in range(k1)
+        },
         budgets={d: budget for d in demander_ids},
         demands_bps=demands or {d: demand for d in demander_ids},
         tx_power_w=1.0,
         noise_power_dbm=-90.0,
-        mmw=MmwParams(2.0, 70.0, 0.0, blockage),
-        sub6=Sub6Params(3.0, 47.9),
+        mmw_pathloss=MmwParams(2.0, 70.0, 0.0, blockage),
+        sub6_pathloss=Sub6Params(3.0, 47.9),
         area_side_m=1000.0,
         seed=0,
     )

@@ -223,6 +223,38 @@ def _one_error_line(capsys) -> str:
     return err
 
 
+def _file_holding_tx_power(tmp_path, command):
+    """A valid input file for ``command`` that holds ``"tx_power_w": 1.0``."""
+    if command == "run":
+        return _generate(tmp_path)
+    if command == "generate":
+        return _params_file(tmp_path, {"tx_power_w": 1.0})
+    path = Path(_sweep_config_file(tmp_path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["base"]["tx_power_w"] = 1.0
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("flag", ["run --scenario", "generate --params", "sweep n1 --config"])
+@pytest.mark.parametrize(
+    "value", [b"1" * 5001, b"\xff"], ids=["int-of-5001-digits", "byte-0xff"]
+)
+def test_a_file_json_cannot_read_is_an_error_line_naming_it(tmp_path, capsys, flag, value):
+    # an int beyond Python's int-string limit and bytes that are not
+    # UTF-8 fail to decode with a plain ValueError, not a JSONDecodeError
+    *command, option = flag.split()
+    path = Path(_file_holding_tx_power(tmp_path, command[0]))
+    text = path.read_bytes()
+    assert b'"tx_power_w": 1.0' in text
+    path.write_bytes(text.replace(b'"tx_power_w": 1.0', b'"tx_power_w": ' + value))
+    capsys.readouterr()
+    rc = main([*command, option, str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"error: {path}: not valid JSON: " in _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "extra, field",
     [

@@ -45,7 +45,6 @@ from scbn.propagation import (
 from scbn.scenario import (
     BandKind,
     GenerationConfig,
-    PriceSchedule,
     Scenario,
     generate_scenario,
     load_scenario,
@@ -71,7 +70,7 @@ def _ref_scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
     out: list[Brb] = []
     for anchor in s.anchors:
         for kind, band in ((BandKind.MMWAVE, s.mmw_band), (BandKind.SUB6, s.sub6_band)):
-            price = s.prices.per_anchor[anchor.id][kind]
+            price = s.prices[anchor.id][kind]
             for idx in range(band.num_brbs):
                 out.append(
                     Brb(
@@ -446,9 +445,7 @@ def _relabelled(s: Scenario, rng: np.random.Generator, path) -> Scenario:
     s = replace(
         s,
         stations=tuple(replace(st, id=new_id[st.id]) for st in s.stations),
-        prices=PriceSchedule(
-            per_anchor={new_id[a]: p for a, p in s.prices.per_anchor.items()}
-        ),
+        prices={new_id[a]: p for a, p in s.prices.items()},
         budgets={new_id[d]: v for d, v in s.budgets.items()},
         demands_bps={new_id[d]: v for d, v in s.demands_bps.items()},
     )
@@ -477,15 +474,13 @@ def _instance(i: int, rng: np.random.Generator, tmp_dir):
     if rng.random() < 0.5:  # per-anchor price overrides
         s = replace(
             s,
-            prices=PriceSchedule(
-                per_anchor={
-                    a: {
-                        BandKind.MMWAVE: float(rng.choice(_PRICES)),
-                        BandKind.SUB6: float(rng.choice(_PRICES)),
-                    }
-                    for a in s.anchor_ids
+            prices={
+                a: {
+                    BandKind.MMWAVE: float(rng.choice(_PRICES)),
+                    BandKind.SUB6: float(rng.choice(_PRICES)),
                 }
-            ),
+                for a in s.anchor_ids
+            },
         )
     if rng.random() < 0.5:  # per-demander budgets and demands
         s = replace(
@@ -520,7 +515,7 @@ def test_instances_cover_the_awkward_shapes(instances):
     assert any(s.mmw_band.num_brbs == 0 for s in scenarios)
     assert any(s.sub6_band.num_brbs == 0 for s in scenarios)
     assert any(
-        len({p[BandKind.SUB6] for p in s.prices.per_anchor.values()}) > 1
+        len({p[BandKind.SUB6] for p in s.prices.values()}) > 1
         for s in scenarios
     )
 
@@ -708,12 +703,10 @@ def test_three_tier_instance_proposes_to_the_best_placed_affordable_head(
         stations=tuple(
             replace(station, x_m=x, y_m=y) for station, (x, y) in zip(s.stations, xy)
         ),
-        prices=PriceSchedule(
-            per_anchor={
-                0: {BandKind.MMWAVE: 20.0, BandKind.SUB6: 1.0},
-                1: {BandKind.MMWAVE: 5.0, BandKind.SUB6: 1.0},
-            }
-        ),
+        prices={
+            0: {BandKind.MMWAVE: 20.0, BandKind.SUB6: 1.0},
+            1: {BandKind.MMWAVE: 5.0, BandKind.SUB6: 1.0},
+        },
     )
     t = brb_table(s)
     assert t.tiers == (1.0, 5.0, 20.0)
@@ -759,12 +752,10 @@ def _hand_built(gains, n1, prices, budgets, demands):
     )
     s = replace(
         s,
-        prices=PriceSchedule(
-            per_anchor={
-                a: {BandKind.MMWAVE: mmw, BandKind.SUB6: sub6}
-                for a, (mmw, sub6) in zip(s.anchor_ids, prices)
-            }
-        ),
+        prices={
+            a: {BandKind.MMWAVE: mmw, BandKind.SUB6: sub6}
+            for a, (mmw, sub6) in zip(s.anchor_ids, prices)
+        },
         budgets=dict(zip(s.demander_ids, budgets)),
         demands_bps=dict(zip(s.demander_ids, demands)),
     )

@@ -34,7 +34,6 @@ from scbn.scenario import (
     BaseStation,
     GenerationConfig,
     MmwParams,
-    PriceSchedule,
     Role,
     Scenario,
     Sub6Params,
@@ -79,13 +78,15 @@ def _build(
         stations=tuple(stations),
         mmw_band=Band(73e9, n1, mmw_bw),
         sub6_band=Band(5.8e9, n2, sub6_bw),
-        prices=PriceSchedule(per_anchor=prices),
+        prices=prices,
         budgets=budgets or {d: budget for d in demander_ids},
         demands_bps=demands or {d: demand for d in demander_ids},
         tx_power_w=1.0,
         noise_power_dbm=-90.0,
-        mmw=MmwParams(pathloss_slope=2.0, ref_loss_db=70.0, shadow_sigma_db=0.0),
-        sub6=Sub6Params(pathloss_exponent=3.0, ref_loss_db=47.9),
+        mmw_pathloss=MmwParams(
+            slope=2.0, ref_loss_db=70.0, shadow_sigma_db=0.0, blockage_prob=0.0
+        ),
+        sub6_pathloss=Sub6Params(exponent=3.0, ref_loss_db=47.9),
         area_side_m=1000.0,
         seed=0,
     )
@@ -553,12 +554,10 @@ def test_brb_table_tracks_one_anchors_sub6_price():
     s = _build([(0, 0), (100, 0)], [(10, 0)], n1=2, n2=2)
     dearer = replace(
         s,
-        prices=PriceSchedule(
-            per_anchor={
-                0: {BandKind.MMWAVE: 1.0, BandKind.SUB6: 2.0},
-                1: {BandKind.MMWAVE: 1.0, BandKind.SUB6: 7.0},
-            }
-        ),
+        prices={
+            0: {BandKind.MMWAVE: 1.0, BandKind.SUB6: 2.0},
+            1: {BandKind.MMWAVE: 1.0, BandKind.SUB6: 7.0},
+        },
     )
     a, b = brb_table(s), brb_table(dearer)
     assert a is not b

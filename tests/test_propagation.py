@@ -30,7 +30,7 @@ def _replay_fades(s, seed):
     rng = np.random.default_rng(seed)
     k1, k2 = len(s.anchors), len(s.demanders)
     rng.random((k1, k2))
-    rng.normal(0.0, s.mmw.shadow_sigma_db, size=(k1, k2))
+    rng.normal(0.0, s.mmw_pathloss.shadow_sigma_db, size=(k1, k2))
     return rng.exponential(1.0, size=(k1, s.sub6_band.num_brbs, k2))
 
 
@@ -51,7 +51,7 @@ def test_realize_channels_mmw_gains_follow_the_path_loss():
     ch = realize_channels(s, np.random.default_rng(3))
     want = np.zeros((len(s.anchors), len(s.demanders)))
     for i, j, dist in _links(s):
-        loss_db = ref.mmw_pathloss_db(dist, s.mmw.pathloss_slope, s.mmw.ref_loss_db)
+        loss_db = ref.mmw_pathloss_db(dist, s.mmw_pathloss.slope, s.mmw_pathloss.ref_loss_db)
         want[i, j] = 10.0 ** (-loss_db / 10.0)
     n1 = s.mmw_band.num_brbs
     np.testing.assert_allclose(
@@ -74,7 +74,7 @@ def test_shadowing_sample_statistics():
     ch = realize_channels(s, np.random.default_rng(2024))
     draws = np.array([
         -10.0 * math.log10(ch.gains[i, 0, j])
-        - ref.mmw_pathloss_db(dist, s.mmw.pathloss_slope, s.mmw.ref_loss_db)
+        - ref.mmw_pathloss_db(dist, s.mmw_pathloss.slope, s.mmw_pathloss.ref_loss_db)
         for i, j, dist in _links(s)
     ])
     assert abs(draws.mean()) < 0.05
@@ -111,7 +111,7 @@ def test_realize_channels_sub6_gains_follow_the_path_loss():
     ch = realize_channels(s, np.random.default_rng(3))
     want = np.zeros((2, 50, 8))
     for i, j, dist in _links(s):
-        want[i, :, j] = ref.sub6_gain(dist, 3.0, s.sub6.ref_loss_db, fade=1.0)
+        want[i, :, j] = ref.sub6_gain(dist, 3.0, s.sub6_pathloss.ref_loss_db, fade=1.0)
     unfaded = ch.gains[:, 2:, :] / _replay_fades(s, 3)
     np.testing.assert_allclose(unfaded, want, rtol=1e-12)
 
@@ -215,7 +215,7 @@ def test_realize_channels_fades_have_unit_mean():
     ax = np.array([[st.x_m, st.y_m] for st in s.anchors])
     dx = np.array([[st.x_m, st.y_m] for st in s.demanders])
     dist = np.maximum(np.linalg.norm(ax[:, None] - dx[None, :], axis=2), 1.0)
-    loss_db = s.sub6.ref_loss_db + 10.0 * s.sub6.pathloss_exponent * np.log10(dist)
+    loss_db = s.sub6_pathloss.ref_loss_db + 10.0 * s.sub6_pathloss.exponent * np.log10(dist)
     fades = ch.gains[:, 1:, :] / (10.0 ** (-loss_db / 10.0))[:, None, :]
     assert 0.95 < fades.mean() < 1.05
 

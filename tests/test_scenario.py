@@ -3,17 +3,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scbn.scenario import (
+    Band,
     BandKind,
+    BaseStation,
     ConfigError,
     GenerationConfig,
-    PriceSchedule,
+    MmwParams,
     Role,
+    Scenario,
     ScenarioFormatError,
+    Sub6Params,
     friis_reference_loss_db,
     generate_scenario,
     load_scenario,
@@ -48,7 +53,7 @@ def test_generate_default_scenario_shape():
     assert s.budgets == {d: 60.0 for d in range(2, 10)}
     assert s.demands_bps == {d: 100e6 for d in range(2, 10)}
     for a in s.anchor_ids:
-        assert s.prices.per_anchor[a] == {BandKind.MMWAVE: 0.1, BandKind.SUB6: 10.0}
+        assert s.prices[a] == {BandKind.MMWAVE: 0.1, BandKind.SUB6: 10.0}
     for st in s.stations:
         assert 0.0 <= st.x_m <= s.area_side_m
         assert 0.0 <= st.y_m <= s.area_side_m
@@ -116,9 +121,7 @@ def test_validate_reports_non_finite_budgets_demands_and_prices(value):
         s,
         budgets={**s.budgets, d: value},
         demands_bps={**s.demands_bps, d: value},
-        prices=PriceSchedule(
-            per_anchor={**s.prices.per_anchor, a: {BandKind.MMWAVE: value, BandKind.SUB6: 1.0}}
-        ),
+        prices={**s.prices, a: {BandKind.MMWAVE: value, BandKind.SUB6: 1.0}},
         tx_power_w=value,
         mmw_band=dataclasses.replace(s.mmw_band, brb_bandwidth_hz=value),
     )
@@ -140,9 +143,9 @@ def test_validate_reports_a_noise_power_beyond_the_float_range(dbm):
 
 def test_sub6_reference_loss_defaults_to_free_space():
     s = generate_scenario(GenerationConfig(), seed=0)
-    assert s.sub6.ref_loss_db == friis_reference_loss_db(5.8e9)
+    assert s.sub6_pathloss.ref_loss_db == friis_reference_loss_db(5.8e9)
     explicit = generate_scenario(GenerationConfig(sub6_ref_loss_db=47.9), seed=0)
-    assert explicit.sub6.ref_loss_db == 47.9
+    assert explicit.sub6_pathloss.ref_loss_db == 47.9
 
 
 def test_resample_positions_keeps_everything_but_geometry():
@@ -156,7 +159,7 @@ def test_resample_positions_keeps_everything_but_geometry():
         assert 0.0 <= st.y_m <= moved.area_side_m
     assert moved.budgets == base.budgets
     assert moved.prices == base.prices
-    assert moved.mmw == base.mmw
+    assert moved.mmw_pathloss == base.mmw_pathloss
 
     again = resample_positions(base, np.random.default_rng(9))
     assert again == moved
@@ -218,6 +221,37 @@ def test_save_load_keeps_per_station_overrides(tmp_path):
     assert load_scenario(str(path)).budgets == overrides
 
 
+# written by the format's first save_scenario: a 4-station, 1-anchor
+# scenario with one budget override and one sub-6 price changed
+GOLDEN_V1 = Path(__file__).parent / "data" / "scenario_v1.json"
+
+
+def test_format_v1_file_loads_and_saves_back_byte_for_byte(tmp_path):
+    s = load_scenario(str(GOLDEN_V1))
+    assert s == Scenario(
+        seed=11,
+        area_side_m=2000.0,
+        tx_power_w=1.0,
+        noise_power_dbm=-90.0,
+        stations=(
+            BaseStation(0, Role.ANCHOR, 257.14040553839925, 998.55572488023),
+            BaseStation(1, Role.DEMANDING, 1202.996715246715, 57.37801674388909),
+            BaseStation(2, Role.DEMANDING, 295.85216915491185, 1856.422045920739),
+            BaseStation(3, Role.DEMANDING, 140.84115230839367, 259.54789879859595),
+        ),
+        mmw_band=Band(73e9, 3, 4.86e6),
+        sub6_band=Band(5.8e9, 2, 480e3),
+        prices={0: {BandKind.MMWAVE: 0.1, BandKind.SUB6: 12.5}},
+        budgets={1: 60.0, 2: 45.5, 3: 60.0},
+        demands_bps={1: 100e6, 2: 100e6, 3: 100e6},
+        mmw_pathloss=MmwParams(2.0, 70.0, 4.1, 0.3),
+        sub6_pathloss=Sub6Params(3.0, 47.71634309314212),
+    )
+    path = tmp_path / "again.json"
+    save_scenario(s, str(path))
+    assert path.read_bytes() == GOLDEN_V1.read_bytes()
+
+
 def test_load_rejects_truncated_file(tmp_path):
     s = generate_scenario(GenerationConfig(), seed=0)
     path = tmp_path / "scenario.json"
@@ -250,9 +284,20 @@ def test_load_rejects_unknown_station_field(tmp_path):
         load_scenario(path)
 
 
-def test_load_rejects_missing_field(tmp_path):
-    path = _doc_for(tmp_path, lambda doc: doc.pop("budgets"))
-    with pytest.raises(ScenarioFormatError, match="missing field 'budgets'"):
+@pytest.mark.parametrize(
+    "field",
+    ["budgets", "stations.0.x_m", "mmw_pathloss.blockage_prob", "sub6_pathloss.exponent"],
+)
+def test_load_rejects_missing_field(tmp_path, field):
+    *outer, name = field.split(".")
+
+    def mutate(doc):
+        for key in outer:
+            doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+        doc.pop(name)
+
+    path = _doc_for(tmp_path, mutate)
+    with pytest.raises(ScenarioFormatError, match=f"missing field '{name}'"):
         load_scenario(path)
 
 
