@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 
 from .baselines import best_effort_allocate, random_allocate
 from .matching import (
-    Brb,
     InconsistentMatchingError,
     Matching,
     find_blocking_pairs,
     run_matching,
-    scenario_brbs,
 )
 from .oracle import (
     ConstraintReport,
@@ -49,7 +47,6 @@ __all__ = [
     "Band",
     "BandKind",
     "BaseStation",
-    "Brb",
     "ChannelRealization",
     "ConfigError",
     "ConstraintReport",
@@ -73,6 +70,5 @@ __all__ = [
     "realize_channels",
     "run_matching",
     "save_scenario",
-    "scenario_brbs",
     "validate_scenario",
 ]

@@ -158,7 +158,7 @@ def random_allocate(
     t, r_flat, budgets, demands = _flat_view(s, ch)
     demander_ids = ch.demander_ids
     axes = range(len(demander_ids))
-    m_total = len(t.brbs)
+    m_total = len(t.price)
 
     # Python floats: the same IEEE sums as numpy scalars, without per-BRB
     # array overhead.  Only granted rates are read, one ``item`` each.

@@ -206,6 +206,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ScenarioFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a valid but huge count, such as 10**15 BRBs, fails at its first array
+        print(f"error: not enough memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ demander holds as many BRBs as its demand and budget allow, a BRB holds
 exactly one demander.
 
 The procedure terminates because a demander never proposes to the same
-BRB twice, and the result is stable in the sense checked by
-:func:`find_blocking_pairs`.
+BRB twice.  :func:`find_blocking_pairs` audits the result for stability;
+see :func:`run_matching` for a pair that its acceptability rule can leave.
 
 Two exact shortcuts keep the rounds cheap without changing them.  A round
 visits only the demanders that proposed or were displaced in the round
@@ -50,16 +50,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .propagation import ChannelRealization, gamma_tensor, radio_settings
-from .scenario import Band, BandKind, Scenario
+from .scenario import BandKind, Scenario
 
 __all__ = [
-    "Brb",
     "Matching",
     "BrbTable",
     "InconsistentMatchingError",
     "BlockingPairs",
     "brb_table",
-    "scenario_brbs",
     "run_matching",
     "matching_from_assignment",
     "recompute_totals",
@@ -69,6 +67,10 @@ __all__ = [
 
 
 BRB_TABLE_CACHE_SIZE = 32
+
+# a BRB's key: (owner id, band code, index in band), band code 0 for
+# mmWave and 1 for sub-6
+BrbKey = tuple[int, int, int]
 
 
 class InconsistentMatchingError(ValueError):
@@ -83,35 +85,17 @@ def _check_zeta(zeta: float) -> None:
         raise ValueError(f"zeta must be a finite number, got {zeta!r}")
 
 
-@dataclass(frozen=True)
-class Brb:
-    """One backhaul resource block offered by one anchor.
-
-    ``index`` counts within the band, so a BRB is identified by the
-    triple (owner, band, index).  Bandwidth and price ride along for
-    convenience; they are functions of (owner, band) in any one scenario.
-    """
-
-    owner: int
-    band: BandKind
-    index: int
-    bandwidth_hz: float
-    price: float
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.owner, 0 if self.band is BandKind.MMWAVE else 1, self.index)
-
-
 @dataclass(frozen=True, eq=False)
 class BrbTable:
     """The canonical BRB axis of one deployment shape, as parallel arrays.
 
-    Flat index ``k`` names ``brbs[k]``, the BRB of anchor axis ``k // N``
-    (station order) at global index ``k % N`` into the channel tensors,
-    with ``N`` BRBs per anchor: ``k`` = anchor axis * N + global index.
-    The arrays give its price, band code (0 mmWave, 1 sub-6), index in
-    band, owner id, rank of its (owner, band, index) key, and position in
-    ``tiers``, the distinct prices ascending.  ``tie_order`` lists the flat
+    Flat index ``k`` names the BRB of anchor axis ``k // N`` (station
+    order) at global index ``k % N`` into the channel tensors, with ``N``
+    BRBs per anchor: ``k`` = anchor axis * N + global index.  The arrays
+    give its price, band code (0 mmWave, 1 sub-6), index in band, owner
+    id, rank of its key, and position in ``tiers``, the distinct prices
+    ascending.  Outside the table a BRB is named by its key, the tuple
+    (owner id, band code, index in band).  ``tie_order`` lists the flat
     indices by (price, band, owner, index), the order in which a demander
     ranks blocks of equal utility.  ``price_of`` and ``tier_of`` hold the
     prices and tier positions as Python numbers too, for the per-block
@@ -119,7 +103,6 @@ class BrbTable:
     through a cache, so every field is read-only.
     """
 
-    brbs: tuple[Brb, ...]
     price: np.ndarray
     band_code: np.ndarray
     index_in_band: np.ndarray
@@ -127,11 +110,20 @@ class BrbTable:
     key_rank: np.ndarray
     tier: np.ndarray
     tie_order: np.ndarray
-    flat_index: Mapping[Brb, int]
     tiers: tuple[float, ...]
     tier_sizes: tuple[int, ...]
     price_of: tuple[float, ...]
     tier_of: tuple[int, ...]
+
+    def keys(self, ks: np.ndarray | slice = slice(None)) -> list[BrbKey]:
+        """The keys of the flat BRBs ``ks`` (all by default), in that order."""
+        return list(
+            zip(
+                self.owner_id[ks].tolist(),
+                self.band_code[ks].tolist(),
+                self.index_in_band[ks].tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +137,8 @@ class Matching:
     recomputation from the channel realization.  ``rounds`` and
     ``proposals`` count the proposal rounds and individual proposals the
     scheme used (zero for one-shot schemes).  ``assigned`` (demander id
-    to its set of BRBs) and ``owner_of`` (held BRB to its demander) are
-    read-only views built on first use.
+    to the keys of its BRBs) and ``owner_of`` (held BRB's key to its
+    demander id) are read-only views built on first use.
     """
 
     table: BrbTable = field(repr=False)
@@ -159,7 +151,7 @@ class Matching:
 
     def __post_init__(self):
         holder = np.array(self.holder, dtype=int)
-        m_total, k2 = len(self.table.brbs), len(self.demander_ids)
+        m_total, k2 = len(self.table.price), len(self.demander_ids)
         low, high = holder.min(initial=-1), holder.max(initial=-1)
         if holder.shape != (m_total,) or low < -1 or high >= k2:
             raise InconsistentMatchingError(
@@ -171,15 +163,16 @@ class Matching:
         object.__setattr__(self, "demander_ids", tuple(self.demander_ids))
 
     @functools.cached_property
-    def owner_of(self) -> Mapping[Brb, int]:
-        brbs, ids = self.table.brbs, self.demander_ids
+    def owner_of(self) -> Mapping[BrbKey, int]:
+        ks = np.flatnonzero(self.holder >= 0)
+        ids = self.demander_ids
         return MappingProxyType(
-            {brbs[k]: ids[j] for k, j in enumerate(self.holder.tolist()) if j >= 0}
+            {b: ids[j] for b, j in zip(self.table.keys(ks), self.holder[ks].tolist())}
         )
 
     @functools.cached_property
-    def assigned(self) -> Mapping[int, frozenset[Brb]]:
-        held: dict[int, set[Brb]] = {d: set() for d in self.demander_ids}
+    def assigned(self) -> Mapping[int, frozenset[BrbKey]]:
+        held: dict[int, set[BrbKey]] = {d: set() for d in self.demander_ids}
         for b, d in self.owner_of.items():
             held[d].add(b)
         return MappingProxyType({d: frozenset(bs) for d, bs in held.items()})
@@ -190,46 +183,32 @@ class Matching:
 @functools.lru_cache(maxsize=BRB_TABLE_CACHE_SIZE)
 def _cached_brb_table(
     anchor_ids: tuple[int, ...],
-    mmw_band: Band,
-    sub6_band: Band,
+    n1: int,
+    n2: int,
     prices: tuple[tuple[float, float], ...],
 ) -> BrbTable:
-    bands = (mmw_band, sub6_band)
-    kinds = tuple(BandKind)  # a band's kind is its slot
-    # anchors by ascending id, then each anchor's own order, give key ranks
-    rank = {a: r for r, a in enumerate(sorted(anchor_ids))}
-    per_anchor = mmw_band.num_brbs + sub6_band.num_brbs
-    rows = [
-        (i, a, code, idx, code * mmw_band.num_brbs + idx)
-        for i, a in enumerate(anchor_ids)
-        for code, band in enumerate(bands)
-        for idx in range(band.num_brbs)
-    ]
-    brbs = tuple(
-        Brb(
-            owner=a,
-            band=kinds[code],
-            index=idx,
-            bandwidth_hz=bands[code].brb_bandwidth_hz,
-            price=prices[i][code],
-        )
-        for i, a, code, idx, _ in rows
-    )
-    tiers = sorted(set(b.price for b in brbs))
-    tier_of_price = {p: t for t, p in enumerate(tiers)}
+    # Python lists: micro tables are built for every new instance, and
+    # there a numpy call per column costs more than it saves
+    n, k1 = n1 + n2, len(anchor_ids)
+    owner, key_rank, price_of = [], [], []
+    by_id = sorted(anchor_ids)
+    for a, (mmw, sub6) in zip(anchor_ids, prices):
+        owner += [a] * n
+        # anchors by ascending id, then each anchor's own order
+        start = by_id.index(a) * n
+        key_rank += range(start, start + n)
+        price_of += [mmw] * n1 + [sub6] * n2
+    tiers = sorted(set(price_of))
+    tier_of = list(map({p: t for t, p in enumerate(tiers)}.__getitem__, price_of))
     ints = np.array(
-        [
-            (code, idx, a, rank[a] * per_anchor + n, tier_of_price[b.price])
-            for (_, a, code, idx, n), b in zip(rows, brbs)
-        ],
+        [([0] * n1 + [1] * n2) * k1, [*range(n1), *range(n2)] * k1, owner, key_rank, tier_of],
         dtype=int,
-    ).reshape(-1, 5).T.copy()
-    price = np.array([b.price for b in brbs], dtype=float)
+    )
+    price = np.array(price_of, dtype=float)
     tie_order = np.lexsort((ints[1], ints[2], ints[0], price))
     for a in (ints, price, tie_order):
         a.setflags(write=False)
     return BrbTable(
-        brbs=brbs,
         price=price,
         band_code=ints[0],
         index_in_band=ints[1],
@@ -237,27 +216,28 @@ def _cached_brb_table(
         key_rank=ints[3],
         tier=ints[4],
         tie_order=tie_order,
-        flat_index=MappingProxyType({b: k for k, b in enumerate(brbs)}),
         tiers=tuple(tiers),
         tier_sizes=tuple(np.bincount(ints[4], minlength=len(tiers)).tolist()),
         price_of=tuple(price.tolist()),
-        tier_of=tuple(ints[4].tolist()),
+        tier_of=tuple(tier_of),
     )
 
 
 def brb_table(s: Scenario) -> BrbTable:
     """The scenario's BRB table, built once per deployment shape.
 
-    The shape is the anchor ids in station order, both bands and every
-    anchor's two prices; station positions, budgets and demands do not
-    enter it.
+    The shape is the anchor ids in station order, both bands' BRB counts
+    and every anchor's two prices; station positions, budgets, demands
+    and bandwidths do not enter it.
     """
     anchor_ids = s.anchor_ids
     prices = tuple(
         (s.prices[a][BandKind.MMWAVE], s.prices[a][BandKind.SUB6])
         for a in anchor_ids
     )
-    return _cached_brb_table(anchor_ids, s.mmw_band, s.sub6_band, prices)
+    return _cached_brb_table(
+        anchor_ids, s.mmw_band.num_brbs, s.sub6_band.num_brbs, prices
+    )
 
 
 def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
@@ -281,19 +261,14 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
             "the channel realization was drawn for another scenario: its anchor "
             "ids, demander ids, mmWave BRB count, rate shape or radio settings differ"
         )
-    if m is not None and (len(m.holder) != len(t.brbs) or m.demander_ids != demander_ids):
+    if m is not None and (len(m.holder) != len(t.price) or m.demander_ids != demander_ids):
         raise InconsistentMatchingError(
             "the matching is not over this scenario's BRBs and demanders"
         )
-    rates = ch.rates.reshape(len(t.brbs), len(demander_ids))
+    rates = ch.rates.reshape(len(t.price), len(demander_ids))
     budgets = [float(s.budgets[d]) for d in demander_ids]
     demands = [float(s.demands_bps[d]) for d in demander_ids]
     return t, rates, budgets, demands
-
-
-def scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
-    """All K1 * (N1 + N2) BRBs: anchors in station order, mmWave first."""
-    return brb_table(s).brbs
 
 
 @dataclass
@@ -488,7 +463,7 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
 
 
 def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
-    """Run the proposal/acceptance rounds to a stable allocation.
+    """Run the proposal/acceptance rounds until no demander proposes.
 
     ``zeta`` is the price weight in bit/s per price unit.  Rounds are
     batch-synchronous: all active demanders propose against the state at
@@ -497,11 +472,18 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     displacement, so budgets are never exceeded.
 
     A demander proposes to the first block of its preference order that
-    it has not tried and can afford.  It skips tried blocks from
-    ``scan_from``; when the block found there is too dear, it takes the
-    best-placed head of the cheaper price tiers it can afford
-    (:meth:`_ProposalState.cheaper_head`), the same block a scan onward
-    would reach, without walking past every dear block in every round.
+    it has not tried and can afford.  That is the whole acceptability
+    rule: while its demand is unmet, a demander proposes to any
+    affordable untried block, even one of zero rate or negative utility,
+    and keeps what it wins until a stronger demander displaces it.  A
+    zero-rate block so held can keep a better, dearer one out of the
+    budget, a swap that :func:`find_blocking_pairs` reports.
+
+    A demander skips tried blocks from ``scan_from``; when the block found
+    there is too dear, it takes the best-placed head of the cheaper price
+    tiers it can afford (:meth:`_ProposalState.cheaper_head`), the same
+    block a scan onward would reach, without walking past every dear
+    block in every round.
 
     A round visits only the demanders that proposed or were displaced in
     the round before, in ascending axis order, which keeps the order of
@@ -610,25 +592,24 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
 
 
 def matching_from_assignment(
-    s: Scenario, ch: ChannelRealization, assignment: dict[int, set[Brb]]
+    s: Scenario, ch: ChannelRealization, assignment: dict[int, set[BrbKey]]
 ) -> Matching:
-    """Build a Matching from demander id -> BRB sets, with totals
+    """Build a Matching from demander id -> sets of BRB keys, with totals
     recomputed from the channels."""
     t = brb_table(s)
-    holder = np.full(len(t.brbs), -1, dtype=int)
-    for d, brbs in assignment.items():
+    holder = np.full(len(t.price), -1, dtype=int)
+    flat_of = {b: k for k, b in enumerate(t.keys())}
+    for d, keys in assignment.items():
         if d not in ch.demander_ids:
             raise InconsistentMatchingError(f"unknown demander id {d}")
         j = ch.demander_ids.index(d)
-        for b in brbs:
-            k = t.flat_index.get(b)
+        for b in keys:
+            k = flat_of.get(b)
             if k is None:
-                raise InconsistentMatchingError(
-                    f"BRB {b.key()} is not a block of this scenario"
-                )
+                raise InconsistentMatchingError(f"BRB {b} is not a block of this scenario")
             if holder[k] >= 0:
                 raise InconsistentMatchingError(
-                    f"BRB {b.key()} assigned to both {ch.demander_ids[holder[k]]} and {d}"
+                    f"BRB {b} assigned to both {ch.demander_ids[holder[k]]} and {d}"
                 )
             holder[k] = j
     return _matching_from_holder(s, ch, holder)
@@ -670,11 +651,11 @@ def _held_totals(
 
 class BlockingPairs(Sequence):
     """The blocking pairs of one allocation: a read-only sequence of
-    (demander id, Brb), sorted by demander id, then BRB key.
+    (demander id, BRB key), sorted by demander id, then BRB key.
 
     Built from the audit's ``(M, K2)`` mask over (flat BRB, demander
     axis).  Its length is the mask's count of true entries; the pairs are
-    listed, sorted and turned into ``Brb`` objects only on first indexing
+    listed, sorted and turned into key tuples only on first indexing
     or iteration, so an audit that only counts pays for no tuples.  It
     equals a list or BlockingPairs of the same pairs in the same order,
     and is falsy when empty.
@@ -689,20 +670,18 @@ class BlockingPairs(Sequence):
         self._table = table
         self._demander_ids = demander_ids
         self._count = int(np.count_nonzero(blocking))
-        self._pairs: list[tuple[int, Brb]] | None = None
+        self._pairs: list[tuple[int, BrbKey]] | None = None
 
     def __len__(self) -> int:
         return self._count
 
-    def _listed(self) -> list[tuple[int, Brb]]:
+    def _listed(self) -> list[tuple[int, BrbKey]]:
         if self._pairs is None:
             t = self._table
             ids = np.array(self._demander_ids, dtype=int)
             ks, js = np.nonzero(self._blocking)
             order = np.lexsort((t.key_rank[ks], ids[js]))
-            self._pairs = [
-                (d, t.brbs[k]) for d, k in zip(ids[js[order]].tolist(), ks[order].tolist())
-            ]
+            self._pairs = list(zip(ids[js[order]].tolist(), t.keys(ks[order])))
         return self._pairs
 
     def __getitem__(self, i):

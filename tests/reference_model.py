@@ -11,11 +11,44 @@ nothing here checks them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from scbn.matching import scenario_brbs
 from scbn.scenario import BandKind
+
+
+@dataclass(frozen=True)
+class Brb:
+    """One backhaul resource block offered by one anchor, as the reference
+    model sees it.
+
+    ``index`` counts within the band, so a BRB is identified by the
+    triple (owner, band, index), which :meth:`key` gives as the package
+    names blocks.  Bandwidth and price ride along for convenience; they
+    are functions of (owner, band) in any one scenario.
+    """
+
+    owner: int
+    band: BandKind
+    index: int
+    bandwidth_hz: float
+    price: float
+
+    def key(self) -> tuple[int, int, int]:
+        return (self.owner, 0 if self.band is BandKind.MMWAVE else 1, self.index)
+
+
+def scenario_brbs(s) -> tuple[Brb, ...]:
+    """All K1 * (N1 + N2) BRBs, built from the scenario: anchors in station
+    order, mmWave first."""
+    out: list[Brb] = []
+    for anchor in s.anchors:
+        for kind, band in ((BandKind.MMWAVE, s.mmw_band), (BandKind.SUB6, s.sub6_band)):
+            price = s.prices[anchor.id][kind]
+            for idx in range(band.num_brbs):
+                out.append(Brb(anchor.id, kind, idx, band.brb_bandwidth_hz, price))
+    return tuple(out)
 
 
 def mmw_pathloss_db(distance_m, slope, ref_loss_db, shadowing_db=0.0):

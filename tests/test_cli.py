@@ -445,6 +445,33 @@ def test_sweep_whose_area_overflows_the_distances_is_an_error_line(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+# 10**15 BRBs ask for petabytes of channel arrays, far beyond any host's
+# memory, so the first allocation is refused at once; never probe with a
+# count whose arrays could actually be allocated
+_HUGE_BRB_COUNT = 10**15
+
+
+def test_audit_of_a_huge_brb_count_is_an_error_line(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    doc = {
+        "num_stations": 3, "num_anchors": 1, "num_mmw_brbs": _HUGE_BRB_COUNT, "num_sub6_brbs": 1
+    }
+    params.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["stability-audit", "--trials", "1", "--params", str(params)])
+    assert rc == 1
+    assert "not enough memory" in _one_error_line(capsys)
+
+
+def test_sweep_over_a_huge_brb_count_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, "n1_values": [_HUGE_BRB_COUNT]}), encoding="utf-8")
+    rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "not enough memory" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("station_id, rc", [(2**63 - 1, 0), (2**63, 1), (-(2**63) - 1, 1)])
 def test_run_takes_station_ids_in_the_int64_range_only(tmp_path, capsys, station_id, rc):
     path = Path(_generate(tmp_path))

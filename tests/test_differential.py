@@ -5,8 +5,9 @@ The ``_ref_*`` functions below are the earlier ``run_matching``,
 ``find_blocking_pairs``, ``best_effort_allocate`` and ``random_allocate``
 (with their helpers), copied unchanged apart from the names and the
 record they return, ``_RefMatching``, which keeps the allocation as the
-``assigned`` and ``owner_of`` dicts those versions built.  They rebuild
-every ``Brb`` on each call and sort pairs by tuple key.  On random
+``assigned`` and ``owner_of`` dicts those versions built, over the
+reference model's own ``Brb`` records.  They rebuild every record from
+the scenario on each call and sort pairs by tuple key.  On random
 instances the current functions must give the very same results: the same
 pairs in the same order, the same holders, bit-identical rates and costs,
 the same round and proposal counts, and the same generator state after the
@@ -22,11 +23,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 import reference_model as ref
+from reference_model import Brb
 
 from scbn import matching
 from scbn.baselines import best_effort_allocate, random_allocate
 from scbn.matching import (
-    Brb,
     InconsistentMatchingError,
     Matching,
     _flat_view,
@@ -63,26 +64,6 @@ class _RefMatching:
     cost: dict[int, float]
     rounds: int = 0
     proposals: int = 0
-
-
-def _ref_scenario_brbs(s: Scenario) -> tuple[Brb, ...]:
-    """All K1 * (N1 + N2) BRBs, sorted by (owner, band, index), mmWave first."""
-    out: list[Brb] = []
-    for anchor in s.anchors:
-        for kind, band in ((BandKind.MMWAVE, s.mmw_band), (BandKind.SUB6, s.sub6_band)):
-            price = s.prices[anchor.id][kind]
-            for idx in range(band.num_brbs):
-                out.append(
-                    Brb(
-                        owner=anchor.id,
-                        band=kind,
-                        index=idx,
-                        bandwidth_hz=band.brb_bandwidth_hz,
-                        price=price,
-                    )
-                )
-    return tuple(out)
-
 
 
 @dataclass
@@ -125,7 +106,7 @@ def _ref_run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> _RefM
     adds a BRB's rate and price on acceptance and subtracts them on
     displacement, so budgets are never exceeded.
     """
-    brbs = _ref_scenario_brbs(s)
+    brbs = ref.scenario_brbs(s)
     owner_axis, owner_ids, global_n, price, band_code, index_in_band = _ref_flat_brb_arrays(
         s, brbs
     )
@@ -220,32 +201,32 @@ def _ref_run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> _RefM
 
 
 def _ref_check_consistency(m: Matching, s: Scenario, ch: ChannelRealization) -> None:
-    seen: dict[Brb, int] = {}
-    for d, brbs in m.assigned.items():
+    seen: dict[tuple[int, int, int], int] = {}
+    for d, keys in m.assigned.items():
         if d not in ch.demander_ids:
             raise InconsistentMatchingError(f"unknown demander id {d}")
-        for b in brbs:
+        for b in keys:
             if b in seen:
                 raise InconsistentMatchingError(
-                    f"BRB {b.key()} assigned to both {seen[b]} and {d}"
+                    f"BRB {b} assigned to both {seen[b]} and {d}"
                 )
             seen[b] = d
-            if b.owner not in ch.anchor_ids:
-                raise InconsistentMatchingError(f"BRB {b.key()} has unknown owner")
+            if b[0] not in ch.anchor_ids:
+                raise InconsistentMatchingError(f"BRB {b} has unknown owner")
     for b, d in m.owner_of.items():
         if seen.get(b) != d:
             raise InconsistentMatchingError(
-                f"owner_of[{b.key()}] = {d} but assigned says {seen.get(b)}"
+                f"owner_of[{b}] = {d} but assigned says {seen.get(b)}"
             )
     for b in seen:
         if b not in m.owner_of:
-            raise InconsistentMatchingError(f"BRB {b.key()} missing from owner_of")
+            raise InconsistentMatchingError(f"BRB {b} missing from owner_of")
 
 
 def _ref_find_blocking_pairs(
     m: Matching, s: Scenario, ch: ChannelRealization, zeta: float
-) -> list[tuple[int, Brb]]:
-    """All (demander, BRB) pairs that would break the matching.
+) -> list[tuple[int, tuple[int, int, int]]]:
+    """All (demander, BRB key) pairs that would break the matching.
 
     A pair blocks when the BRB strictly prefers the demander to its
     current holder (or is unassigned) and the demander strictly gains by
@@ -254,14 +235,14 @@ def _ref_find_blocking_pairs(
     within budget.
     """
     _ref_check_consistency(m, s, ch)
-    brbs = _ref_scenario_brbs(s)
+    brbs = ref.scenario_brbs(s)
     owner_axis, owner_ids, global_n, price, _band, _idx = _ref_flat_brb_arrays(s, brbs)
     rates = rate_tensor(s, ch)
     r_flat = rates[owner_axis, global_n, :]          # (M, K2)
     u_flat = r_flat - zeta * price[:, None]
     demander_ids = list(ch.demander_ids)
     axis_of = {d: j for j, d in enumerate(demander_ids)}
-    flat_index = {b: k for k, b in enumerate(brbs)}
+    flat_index = {b.key(): k for k, b in enumerate(brbs)}
 
     holder_axis = np.full(len(brbs), -1, dtype=int)
     for b, d in m.owner_of.items():
@@ -272,7 +253,7 @@ def _ref_find_blocking_pairs(
         -np.inf,
     )
 
-    pairs: list[tuple[int, Brb]] = []
+    pairs: list[tuple[int, tuple[int, int, int]]] = []
     m_total = len(brbs)
     for d in demander_ids:
         j = axis_of[d]
@@ -305,8 +286,8 @@ def _ref_find_blocking_pairs(
         else:
             wants_swap = np.zeros(m_total, dtype=bool)
         blocking = not_held & brb_wants & (wants_add | wants_swap)
-        pairs.extend((d, brbs[k]) for k in np.nonzero(blocking)[0])
-    pairs.sort(key=lambda pair: (pair[0],) + pair[1].key())
+        pairs.extend((d, brbs[k].key()) for k in np.nonzero(blocking)[0])
+    pairs.sort(key=lambda pair: (pair[0],) + pair[1])
     return pairs
 
 
@@ -347,7 +328,7 @@ def _ref_best_effort_allocate(s: Scenario, ch: ChannelRealization) -> _RefMatchi
     or dropped for lack of money are never re-requested, so an unlucky
     demander can finish both poor and underserved.
     """
-    brbs = _ref_scenario_brbs(s)
+    brbs = ref.scenario_brbs(s)
     owner_axis, _, global_n, price, _, _ = _ref_flat_brb_arrays(s, brbs)
     r_flat = rate_tensor(s, ch)[owner_axis, global_n, :]  # (M, K2)
     demander_ids = list(ch.demander_ids)
@@ -399,7 +380,7 @@ def _ref_random_allocate(
     demand is unmet and the BRB fits its remaining budget.  BRBs with no
     eligible taker stay unassigned.  Deterministic for a given ``rng``.
     """
-    brbs = _ref_scenario_brbs(s)
+    brbs = ref.scenario_brbs(s)
     owner_axis, _, global_n, price, _, _ = _ref_flat_brb_arrays(s, brbs)
     rates = rate_tensor(s, ch)
     r_flat = rates[owner_axis, global_n, :]
@@ -527,13 +508,37 @@ def test_flat_index_is_anchor_axis_times_n_plus_global_index(instances):
     assert loaded
     for s, ch in loaded:
         t, n = brb_table(s), s.brbs_per_anchor
-        for k, b in enumerate(t.brbs):
+        keys, brbs = t.keys(), ref.scenario_brbs(s)
+        for k, b in enumerate(brbs):
+            assert keys[k] == b.key()
             assert b.owner == s.anchor_ids[k // n]
             assert ref.brb_global_index(s, b) == k % n
         # so the flat rate matrix is the gather the reference schemes make
-        owner_axis, _, global_n, _, _, _ = _ref_flat_brb_arrays(s, t.brbs)
+        owner_axis, _, global_n, _, _, _ = _ref_flat_brb_arrays(s, brbs)
         gathered = rate_tensor(s, ch)[owner_axis, global_n, :]
         assert _flat_view(s, ch)[1].tobytes() == gathered.tobytes()
+
+
+def test_the_table_describes_the_reference_records(instances):
+    """Every array of the table, held to the records the reference model
+    builds from the scenario: keys, prices, key ranks, tiers and the tie
+    order (price, band, owner, index)."""
+    for s, _, _, _ in instances:
+        t, brbs = brb_table(s), ref.scenario_brbs(s)
+        keys = [b.key() for b in brbs]
+        prices = [b.price for b in brbs]
+        assert t.keys() == keys
+        assert t.price.tolist() == list(t.price_of) == prices
+        assert [keys[k] for k in np.argsort(t.key_rank)] == sorted(keys)
+        assert t.tiers == tuple(sorted(set(prices)))
+        assert [t.tiers[i] for i in t.tier_of] == prices
+        assert t.tier.tolist() == list(t.tier_of)
+        assert t.tier_sizes == tuple(prices.count(p) for p in t.tiers)
+        owner, band, index = zip(*keys) if keys else ((), (), ())
+        by_tie = sorted(
+            range(len(brbs)), key=lambda k: (prices[k], band[k], owner[k], index[k])
+        )
+        assert t.tie_order.tolist() == by_tie
 
 
 def test_each_mmwave_class_shares_one_rate_row_and_no_other_block_does(instances):
@@ -557,11 +562,14 @@ def _bits(values: dict) -> dict:
 
 
 def _assert_same_matching(new: Matching, old: _RefMatching) -> None:
-    assert new.assigned == old.assigned
-    assert new.owner_of == old.owner_of
-    holder = [-1] * len(new.table.brbs)
+    assert new.assigned == {
+        d: frozenset(b.key() for b in held) for d, held in old.assigned.items()
+    }
+    assert new.owner_of == {b.key(): d for b, d in old.owner_of.items()}
+    keys = new.table.keys()
+    holder = [-1] * len(keys)
     for b, d in old.owner_of.items():
-        holder[new.table.flat_index[b]] = new.demander_ids.index(d)
+        holder[keys.index(b.key())] = new.demander_ids.index(d)
     assert new.holder.tolist() == holder
     assert _bits(new.rate_bps) == _bits(old.rate_bps)
     assert _bits(new.cost) == _bits(old.cost)
@@ -570,11 +578,11 @@ def _assert_same_matching(new: Matching, old: _RefMatching) -> None:
 
 def _arbitrary_assignment(s, ch, rng) -> Matching:
     """A random allocation that ignores budgets, demands and rates."""
-    assignment: dict[int, set[Brb]] = {}
-    for b in _ref_scenario_brbs(s):
+    assignment: dict[int, set[tuple[int, int, int]]] = {}
+    for b in ref.scenario_brbs(s):
         j = int(rng.integers(len(ch.demander_ids) + 1)) - 1
         if j >= 0:
-            assignment.setdefault(ch.demander_ids[j], set()).add(b)
+            assignment.setdefault(ch.demander_ids[j], set()).add(b.key())
     return matching_from_assignment(s, ch, assignment)
 
 
@@ -636,7 +644,8 @@ def test_assignment_of_blocks_of_another_scenario_is_rejected(instances):
     s, ch, _, _ = next(
         inst for inst in instances if inst[0].mmw_band.num_brbs and inst[0].demanders
     )
-    b = replace(_ref_scenario_brbs(s)[0], price=123.0)
+    # one past the last mmWave block of the first anchor
+    b = (s.anchor_ids[0], 0, s.mmw_band.num_brbs)
     with pytest.raises(InconsistentMatchingError, match="not a block of this scenario"):
         matching_from_assignment(s, ch, {ch.demander_ids[0]: {b}})
 
@@ -1055,7 +1064,8 @@ def _three_tier_holding(gains, budget, held):
 def _blocks_in_pairs(s, ch, m) -> list[int]:
     pairs = find_blocking_pairs(m, s, ch, zeta=0.0)
     assert pairs == _ref_find_blocking_pairs(m, s, ch, zeta=0.0)
-    return sorted(brb_table(s).flat_index[b] for _, b in pairs)
+    keys = brb_table(s).keys()
+    return sorted(keys.index(b) for _, b in pairs)
 
 
 def test_a_swap_can_release_a_block_of_a_dearer_tier_than_it_needs():
@@ -1140,8 +1150,39 @@ def test_best_effort_stops_buying_at_a_dear_block_before_a_cheaper_one():
 # --- property test over random small instances ------------------------------------
 
 
-@st.composite
-def _small_instances(draw):
+class _HypothesisDraws:
+    """The draws of :func:`_small_instance`, made by a Hypothesis ``draw``."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def integer(self, low, high):
+        return self.draw(st.integers(low, high))
+
+    def choice(self, values):
+        return self.draw(st.sampled_from(values))
+
+    def real(self, low, high):
+        return self.draw(st.floats(low, high))
+
+
+class _NumpyDraws:
+    """The draws of :func:`_small_instance`, made by a seeded numpy generator."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def integer(self, low, high):
+        return int(self.rng.integers(low, high + 1))
+
+    def choice(self, values):
+        return values[int(self.rng.integers(len(values)))]
+
+    def real(self, low, high):
+        return float(self.rng.uniform(low, high))
+
+
+def _small_instance(draws):
     """A small scenario with per-anchor prices, per-demander budgets that
     may be below its cheapest block, bands that may be empty, and gains
     drawn from a few levels, so that equal rates are common.  Sub-6 gains
@@ -1152,35 +1193,41 @@ def _small_instances(draw):
     own; a step that changes a gain makes the class's rows differ, and its
     rounds are played one by one, with a second group starting
     mid-class."""
-    k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    n1, n2 = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+    k1, k2 = draws.integer(1, 3), draws.integer(1, 4)
+    n1, n2 = draws.integer(0, 8), draws.integer(0, 3)
     if n1 + n2 == 0:
         n1 = 1  # a zero-supply band, but some supply overall
-    levels = st.sampled_from((0.0, 1e-11, 1e-10, 1e-9))
+    levels = (0.0, 1e-11, 1e-10, 1e-9)
     gains = np.array(
-        [draw(levels) for _ in range(k1 * (n1 + n2) * k2)], dtype=float
+        [draws.choice(levels) for _ in range(k1 * (n1 + n2) * k2)], dtype=float
     ).reshape(k1, n1 + n2, k2)
     for a in range(k1 if n1 else 0):
-        stepped = draw(st.integers(0, 2)) == 0
+        stepped = draws.integer(0, 2) == 0
         for j in range(k2):
-            step = draw(st.integers(0, n1)) if stepped else 0
+            step = draws.integer(0, n1) if stepped else 0
             gains[a, :step, j] = gains[a, 0, j]
             gains[a, step:n1, j] = gains[a, n1 - 1, j]
-    price = st.sampled_from(_PRICES)
-    budget = st.one_of(st.sampled_from((0.05,) + _ROUND_BUDGETS), st.floats(0.01, 30.0))
+
+    def budget():
+        if draws.integer(0, 1):
+            return draws.real(0.01, 30.0)
+        return draws.choice((0.05,) + _ROUND_BUDGETS)
+
     s, ch = _hand_built(
         gains,
         n1,
-        [(draw(price), draw(price)) for _ in range(k1)],
-        [draw(budget) for _ in range(k2)],
-        [draw(st.floats(1e5, 400e6)) for _ in range(k2)],
+        [(draws.choice(_PRICES), draws.choice(_PRICES)) for _ in range(k1)],
+        [budget() for _ in range(k2)],
+        [draws.real(1e5, 400e6) for _ in range(k2)],
     )
-    zeta = draw(st.sampled_from((0.0, 1e5, 1e6)))
-    return s, ch, zeta, draw(st.integers(0, 2**31))
+    zeta = draws.choice((0.0, 1e5, 1e6))
+    return s, ch, zeta, draws.integer(0, 2**31)
 
 
-@given(_small_instances())
-def test_schemes_keep_their_guarantees_on_small_instances(instance):
+def _check_guarantees(instance) -> None:
+    """Every scheme matches its reference on ``instance``, stays within
+    budget and is audited alike; the matching is stable and its rounds
+    and proposals are bounded."""
     s, ch, zeta, seed = instance
     m = run_matching(s, ch, zeta)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta))
@@ -1200,5 +1247,34 @@ def test_schemes_keep_their_guarantees_on_small_instances(instance):
         assert len(pairs) == len(ref)
         assert bool(pairs) == bool(ref)
         assert list(pairs) == ref
-    k2, brbs = len(s.demander_ids), len(brb_table(s).brbs)
+    k2, brbs = len(s.demander_ids), len(brb_table(s).price)
     assert m.rounds <= m.proposals <= k2 * brbs
+
+
+@st.composite
+def _small_instances(draw):
+    return _small_instance(_HypothesisDraws(draw))
+
+
+@given(_small_instances())
+def test_schemes_keep_their_guarantees_on_small_instances(instance):
+    _check_guarantees(instance)
+
+
+# 97 of the corpus's 200 instances reach a skipped round; the floor is
+# about half that, low enough for edits that move a few instances
+_CORPUS_SIZE = 200
+_CORPUS_FAST_FORWARD_FLOOR = 48
+
+
+def test_schemes_keep_their_guarantees_on_a_fixed_corpus(skipped_rounds):
+    """The same checks on instances drawn from a seeded numpy generator,
+    which no edit elsewhere moves, unlike Hypothesis's derandomized
+    examples; the corpus must keep reaching the fast-forward."""
+    rng = np.random.default_rng(0x5CB)
+    reached = 0
+    for _ in range(_CORPUS_SIZE):
+        skipped_before = sum(skipped_rounds)
+        _check_guarantees(_small_instance(_NumpyDraws(rng)))
+        reached += sum(skipped_rounds) > skipped_before
+    assert reached >= _CORPUS_FAST_FORWARD_FLOOR

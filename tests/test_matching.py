@@ -24,7 +24,6 @@ from scbn.matching import (
     recompute_totals,
     run_matching,
     save_matching_csv,
-    scenario_brbs,
 )
 from scbn.oracle import brute_force_min_cost, check_constraints
 from scbn.propagation import rate_tensor, realize_channels
@@ -97,7 +96,7 @@ def _channels(s, seed=0):
 
 
 def _held_keys(m, d):
-    return sorted(b.key() for b in m.assigned[d])
+    return sorted(m.assigned[d])
 
 
 # --- utility functions --------------------------------------------------------
@@ -124,7 +123,7 @@ def test_brb_utility_is_the_achievable_rate():
         )
         for d, x in zip(s.demanders, (30.0, 10.0, 20.0))
     }
-    assert m.owner_of == {scenario_brbs(s)[0]: max(rates, key=rates.get)}
+    assert m.owner_of == {(0, 0, 0): max(rates, key=rates.get)}
 
 
 # --- hand-built game instances ------------------------------------------------
@@ -215,7 +214,7 @@ def test_run_matching_is_deterministic():
 
 
 def _reference_matching(s, ch, zeta):
-    brbs = scenario_brbs(s)
+    brbs = ref.scenario_brbs(s)
     rates = rate_tensor(s, ch)
     demanders = list(ch.demander_ids)
 
@@ -363,7 +362,10 @@ def test_matching_invariants_hold_on_random_instances():
 
 _TOTALS_SCRIPT = """
 import numpy as np
-from scbn.matching import matching_from_assignment, recompute_totals, run_matching
+from scbn.baselines import best_effort_allocate
+from scbn.matching import (
+    find_blocking_pairs, matching_from_assignment, recompute_totals, run_matching
+)
 from scbn.propagation import realize_channels
 from scbn.scenario import GenerationConfig, generate_scenario
 
@@ -375,11 +377,15 @@ for seed in range(20):
     rebuilt = matching_from_assignment(s, ch, {d: set(b) for d, b in m.assigned.items()})
     for totals in (rate, cost, rebuilt.rate_bps, rebuilt.cost):
         print(*(float(totals[d]).hex() for d in s.demander_ids))
+    print(sorted(m.owner_of.items()))
+    print(list(find_blocking_pairs(best_effort_allocate(s, ch), s, ch, 1e6)))
 """
 
 
 def test_recomputed_totals_do_not_depend_on_the_hash_seed():
-    # Brb hashes, and so set iteration order, change with PYTHONHASHSEED
+    # the totals are summed from sets of BRB keys, whose iteration order
+    # would follow PYTHONHASHSEED if a key hashed a str; the held keys and
+    # a best-effort allocation's blocking pairs are printed as well
     src = os.path.dirname(os.path.dirname(scbn.__file__))
     outputs = set()
     for hash_seed in ("1", "2", "3"):
@@ -400,10 +406,9 @@ def test_blocking_pairs_found_for_misallocated_block():
     # nothing: every free or stealable block blocks
     s = _build([(0, 0)], [(10, 0), (50, 0)], n1=2)
     ch = _channels(s)
-    brbs = scenario_brbs(s)
-    m = matching_from_assignment(s, ch, {2: {brbs[0]}})
+    m = matching_from_assignment(s, ch, {2: {(0, 0, 0)}})
     pairs = find_blocking_pairs(m, s, ch, zeta=0.0)
-    assert [(d, b.key()) for d, b in pairs] == [
+    assert list(pairs) == [
         (1, (0, 0, 0)),
         (1, (0, 0, 1)),
         (2, (0, 0, 1)),
@@ -424,12 +429,11 @@ def test_blocking_pairs_via_beneficial_swap():
         budget=10.0,
     )
     ch = _channels(s, seed=1)
-    sub6_brb = scenario_brbs(s)[1]
-    assert sub6_brb.band is BandKind.SUB6
+    sub6_brb = (0, 1, 0)
     m = matching_from_assignment(s, ch, {1: {sub6_brb}})
     assert m.rate_bps[1] >= 1.0
     pairs = find_blocking_pairs(m, s, ch, zeta=1e6)
-    assert [(d, b.key()) for d, b in pairs] == [(1, (0, 0, 0))]
+    assert list(pairs) == [(1, (0, 0, 0))]
 
 
 def test_no_blocking_pairs_when_nobody_wants_anything():
@@ -442,7 +446,7 @@ def test_no_blocking_pairs_when_nobody_wants_anything():
 def test_matching_rejects_a_holder_it_cannot_hold():
     s = _build([(0, 0)], [(10, 0), (20, 0)], n1=2)
     ch = _channels(s)
-    ok = matching_from_assignment(s, ch, {1: {scenario_brbs(s)[0]}})
+    ok = matching_from_assignment(s, ch, {1: {(0, 0, 0)}})
     assert ok.holder.tolist() == [0, -1]
     with pytest.raises(ValueError):
         ok.holder[0] = 1  # read-only
@@ -522,7 +526,7 @@ def test_schemes_and_audits_reject_a_realization_of_another_scenario(entry_point
 def test_matching_from_assignment_rejects_shared_brb():
     s = _build([(0, 0)], [(10, 0), (20, 0)], n1=1)
     ch = _channels(s)
-    (b0,) = scenario_brbs(s)
+    b0 = (0, 0, 0)
     with pytest.raises(InconsistentMatchingError, match="assigned to both"):
         matching_from_assignment(s, ch, {1: {b0}, 2: {b0}})
     with pytest.raises(InconsistentMatchingError, match="unknown demander id 7"):
@@ -563,7 +567,6 @@ def test_brb_table_tracks_one_anchors_sub6_price():
     assert a is not b
     assert a.price.tolist() == [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]
     assert b.price.tolist() == [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 7.0, 7.0]
-    assert [x.price for x in b.brbs] == b.price.tolist()
     assert (a.tiers, a.tier_sizes) == ((1.0, 2.0), (4, 4))
     assert (b.tiers, b.tier_sizes) == ((1.0, 2.0, 7.0), (4, 2, 2))
     # positions are not part of the shape
@@ -572,11 +575,11 @@ def test_brb_table_tracks_one_anchors_sub6_price():
 
 def test_brb_table_is_read_only():
     t = brb_table(_build([(0, 0)], [(10, 0)], n1=2, n2=1))
-    for array in (t.price, t.owner_id, t.key_rank, t.tier):
+    for array in (
+        t.price, t.band_code, t.index_in_band, t.owner_id, t.key_rank, t.tier, t.tie_order
+    ):
         with pytest.raises(ValueError):
             array[0] = 0
-    with pytest.raises(TypeError):
-        t.flat_index[t.brbs[0]] = 5
 
 
 def test_brb_table_cache_stays_bounded():

@@ -7,7 +7,7 @@ import pytest
 import reference_model as ref
 
 from scbn.experiments import random_micro_config
-from scbn.matching import matching_from_assignment, run_matching, scenario_brbs
+from scbn.matching import matching_from_assignment, run_matching
 from scbn.oracle import InstanceTooLargeError, brute_force_min_cost, check_constraints
 from scbn.propagation import realize_channels
 from scbn.scenario import (
@@ -52,8 +52,7 @@ def test_oracle_finds_the_unique_feasible_assignment():
     sol = brute_force_min_cost(s, ch)
     assert sol.feasible
     assert sol.total_cost == 1.0
-    (brb,) = scenario_brbs(s)
-    assert sol.matching.assigned[1] == frozenset({brb})
+    assert sol.matching.assigned[1] == frozenset({(0, 0, 0)})
 
 
 def test_oracle_reports_infeasibility():
@@ -72,7 +71,7 @@ def test_oracle_tie_break_is_the_first_enumerated_minimum():
     s = _tiny_scenario(n1=2)
     ch = realize_channels(s, np.random.default_rng(0))
     sol = brute_force_min_cost(s, ch)
-    b0, b1 = scenario_brbs(s)
+    b0, b1 = (0, 0, 0), (0, 0, 1)
     assert sol.total_cost == 1.0
     assert sol.matching.assigned[1] == frozenset({b1})
     assert b0 not in sol.matching.owner_of
@@ -182,7 +181,7 @@ def test_check_constraints_flags_unmet_demand():
 def test_check_constraints_flags_overspending():
     s = _tiny_scenario(n1=2, budget=1.5)
     ch = realize_channels(s, np.random.default_rng(0))
-    b0, b1 = scenario_brbs(s)
+    b0, b1 = (0, 0, 0), (0, 0, 1)
     m = matching_from_assignment(s, ch, {1: {b0, b1}})
     report = check_constraints(m, s, ch)
     assert not report.budget_ok
