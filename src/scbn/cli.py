@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -36,6 +35,7 @@ from .scenario import (
     ConfigError,
     GenerationConfig,
     ScenarioFormatError,
+    _write_json,
     generate_scenario,
     load_scenario,
     save_scenario,
@@ -132,9 +132,7 @@ def _cmd_stability_audit(args) -> int:
     summary = stability_audit(args.trials, args.seed, gen_cfg, zeta=args.zeta)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "stability_audit.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "stability_audit.json"), summary)
         write_manifest(
             args.out, "stability-audit", {"trials": args.trials, "zeta": args.zeta}, args.seed
         )

@@ -10,14 +10,11 @@ sweep points and across configs that share the deployment shape.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
-import json
 import os
 import statistics
 import typing
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -34,6 +31,8 @@ from .scenario import (
     Scenario,
     _fields,
     _read_json,
+    _write_csv,
+    _write_json,
     generate_scenario,
     resample_positions,
 )
@@ -163,11 +162,10 @@ def load_sweep_config(path: str) -> SweepConfig:
     cfg = _fields(_read_json(path, ConfigError), SweepConfig, path, ConfigError)
     try:
         check_schemes(cfg.schemes)
-        _check_trials(cfg.trials)
+        _check_count("trials", cfg.trials)
+        _check_count("workers", cfg.workers)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if cfg.workers < 1:
-        raise ConfigError(f"{path}: workers must be at least 1")
     return cfg
 
 
@@ -297,13 +295,14 @@ def _aggregate(trials: list[TrialResult], schemes) -> dict[str, AggregateMetrics
 def sweep(cfg: SweepConfig, axis: str) -> SweepResult:
     """Run the grid of ``SWEEPS[axis]``, ``cfg.trials`` paired trials per point.
 
-    The schemes and the trial count are checked, and every point's base
-    scenario is built, before the first trial, so a config that names no
-    scheme or no trial, or a grid value that gives no valid scenario,
-    fails the sweep at once with ConfigError.
+    The schemes, the trial count and the worker count are checked, and
+    every point's base scenario is built, before the first trial, so a
+    config that names no scheme, no trial or no worker, or a grid value
+    that gives no valid scenario, fails the sweep at once with ConfigError.
     """
     check_schemes(cfg.schemes)
-    _check_trials(cfg.trials)
+    _check_count("trials", cfg.trials)
+    _check_count("workers", cfg.workers)
     grid = SWEEPS[axis].grid
     value_lists = [getattr(cfg, values) for _, values, _ in grid]
     if not all(value_lists):
@@ -333,21 +332,15 @@ def sweep(cfg: SweepConfig, axis: str) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# CSV and manifest output.  Rates are reported in Mbit/s; repr() keeps full
-# precision and byte-stable formatting.
+# CSV and manifest output.  Rates are reported in Mbit/s.
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _aggregate_cell(agg: AggregateMetrics, column: str):
-    if column == "trials":
-        return agg.trials
+def _mbps(values: dict, column: str):
+    """``values[column]``, or ``values[x_bps] / 1e6`` for a column ``x_mbps``."""
     if column.endswith("_mbps"):
-        return _fmt(getattr(agg, column.removesuffix("_mbps") + "_bps") / 1e6)
-    return _fmt(getattr(agg, column))
+        return values[column.removesuffix("_mbps") + "_bps"] / 1e6
+    return values[column]
 
 
 @dataclass(frozen=True)
@@ -355,11 +348,9 @@ class SweepAxis:
     """One sweep axis of the CLI: the grid it walks and the CSV it writes."""
 
     # (point value name, SweepConfig value list, GenerationConfig field it
-    # sets), outermost first
+    # sets), outermost first; a point's CSV columns are its value names,
+    # *_bps ones written as *_mbps
     grid: tuple[tuple[str, str, str], ...]
-    point_columns: tuple[str, ...]
-    # a point's values -> its leading CSV cells
-    point_cells: Callable[[dict[str, float]], list]
     # AggregateMetrics columns, *_mbps ones read from the *_bps field
     columns: tuple[str, ...]
     filename: str
@@ -368,8 +359,6 @@ class SweepAxis:
 SWEEPS = {
     "n1": SweepAxis(
         grid=(("n1", "n1_values", "num_mmw_brbs"),),
-        point_columns=("n1",),
-        point_cells=lambda v: [int(v["n1"])],
         columns=(
             "mean_rate_mbps",
             "ci95_rate_mbps",
@@ -389,8 +378,6 @@ SWEEPS = {
             ("budget", "budget_values", "budget"),
             ("sub6_price", "sub6_price_values", "sub6_price"),
         ),
-        point_columns=("budget", "sub6_price"),
-        point_cells=lambda v: [_fmt(v["budget"]), _fmt(v["sub6_price"])],
         columns=("mean_rate_mbps", "ci95_rate_mbps", "mean_cost", "demand_met_fraction", "trials"),
         filename="results_budget_price.csv",
     ),
@@ -399,8 +386,6 @@ SWEEPS = {
             ("k", "k_values", "num_stations"),
             ("demand_bps", "demand_levels_bps", "demand_bps"),
         ),
-        point_columns=("k", "demand_mbps"),
-        point_cells=lambda v: [int(v["k"]), _fmt(v["demand_bps"] / 1e6)],
         columns=(
             "mean_rounds",
             "ci95_rounds",
@@ -426,32 +411,25 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
     """One row per (sweep point, scheme): the point's own cells, the
     scheme, then the axis's aggregate columns."""
     axis = SWEEPS[result.kind]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*axis.point_columns, "scheme", *axis.columns])
-        for point in result.points:
-            cells = axis.point_cells(point.values)
-            for scheme, agg in point.per_scheme.items():
-                writer.writerow(
-                    [*cells, scheme, *(_aggregate_cell(agg, c) for c in axis.columns)]
-                )
+    point_columns = [name.replace("_bps", "_mbps") for name, _, _ in axis.grid]
+    rows = (
+        [
+            *(_mbps(point.values, c) for c in point_columns),
+            scheme,
+            *(_mbps(vars(agg), c) for c in axis.columns),
+        ]
+        for point in result.points
+        for scheme, agg in point.per_scheme.items()
+    )
+    _write_csv(path, [*point_columns, "scheme", *axis.columns], rows)
 
 
 def write_manifest(out_dir: str, command: str, config_doc: dict, seed: int) -> str:
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "command": command,
-                "config": config_doc,
-                "seed": seed,
-                "version": __version__,
-            },
-            fh,
-            indent=2,
-            default=list,
-        )
-        fh.write("\n")
+    _write_json(
+        path,
+        {"command": command, "config": config_doc, "seed": seed, "version": __version__},
+    )
     return path
 
 
@@ -460,9 +438,9 @@ def write_manifest(out_dir: str, command: str, config_doc: dict, seed: int) -> s
 # ---------------------------------------------------------------------------
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+def _check_count(name: str, count: int) -> None:
+    if count < 1:
+        raise ConfigError(f"{name} must be at least 1, got {count}")
 
 
 def random_micro_config(rng: np.random.Generator) -> GenerationConfig:
@@ -498,7 +476,7 @@ def oracle_compare_rows(trials: int, seed: int, zeta: float = 1e6) -> list[dict]
     per-anchor capacity of family 3f holds by construction).  An audit of
     no instances would check nothing, so ``trials`` must be at least 1.
     """
-    _check_trials(trials)
+    _check_count("trials", trials)
     rows = []
     rng = np.random.default_rng([seed, 0xACE])
     for t in range(trials):
@@ -541,14 +519,7 @@ def write_oracle_csv(rows: list[dict], path: str) -> None:
         "gap",
         "constraints_3c_3f_ok",
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in rows:
-            # the instance number and 0/1 flags as integers, costs via _fmt
-            writer.writerow(
-                [int(r[c]) if isinstance(r[c], int) else _fmt(r[c]) for c in columns]
-            )
+    _write_csv(path, columns, ([r[c] for c in columns] for r in rows))
 
 
 def stability_audit(
@@ -565,7 +536,7 @@ def stability_audit(
     bound: displacement gives ``oracle_compare_rows(1, 98)`` 4 rounds with
     K1*N = 3.  ``trials`` must be at least 1.
     """
-    _check_trials(trials)
+    _check_count("trials", trials)
     if gen_cfg is None:
         gen_cfg = GenerationConfig()
     base = generate_scenario(gen_cfg, seed=seed)

@@ -39,7 +39,6 @@ stable sort, the first time it needs them.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -50,7 +49,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .propagation import ChannelRealization, gamma_tensor, radio_settings
-from .scenario import BandKind, Scenario
+from .scenario import BandKind, Scenario, _write_csv
 
 __all__ = [
     "Matching",
@@ -596,7 +595,7 @@ def matching_from_assignment(
 ) -> Matching:
     """Build a Matching from demander id -> sets of BRB keys, with totals
     recomputed from the channels."""
-    t = brb_table(s)
+    t, r_flat, _, _ = _flat_view(s, ch)
     holder = np.full(len(t.price), -1, dtype=int)
     flat_of = {b: k for k, b in enumerate(t.keys())}
     for d, keys in assignment.items():
@@ -612,17 +611,17 @@ def matching_from_assignment(
                     f"BRB {b} assigned to both {ch.demander_ids[holder[k]]} and {d}"
                 )
             holder[k] = j
-    return _matching_from_holder(s, ch, holder)
+    return _matching_from_holder(t, r_flat, ch.demander_ids, holder)
 
 
 def _matching_from_holder(
-    s: Scenario, ch: ChannelRealization, holder: np.ndarray
+    t: BrbTable, r_flat: np.ndarray, demander_ids: tuple[int, ...], holder: np.ndarray
 ) -> Matching:
-    """A Matching of ``holder`` with totals recomputed from the channels."""
-    t, r_flat, _, _ = _flat_view(s, ch)
-    rate, cost = _held_totals(t, r_flat, holder, ch.demander_ids)
+    """A Matching of ``holder`` over the table and rates of one
+    :func:`_flat_view`, with totals recomputed from those rates."""
+    rate, cost = _held_totals(t, r_flat, holder, demander_ids)
     return Matching(
-        table=t, demander_ids=ch.demander_ids, holder=holder, rate_bps=rate, cost=cost
+        table=t, demander_ids=demander_ids, holder=holder, rate_bps=rate, cost=cost
     )
 
 
@@ -775,11 +774,8 @@ def save_matching_csv(
         t.owner_id[ks].tolist(),
         [band[c] for c in t.band_code[ks].tolist()],
         t.index_in_band[ks].tolist(),
-        map(repr, gamma[ks, js].tolist()),
-        map(repr, r_flat[ks, js].tolist()),
-        map(repr, t.price[ks].tolist()),
+        gamma[ks, js].tolist(),
+        r_flat[ks, js].tolist(),
+        t.price[ks].tolist(),
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k2", "k1", "band", "n", "gamma", "rate_bps", "price"])
-        writer.writerows(rows)
+    _write_csv(path, ["k2", "k1", "band", "n", "gamma", "rate_bps", "price"], rows)

@@ -83,12 +83,15 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
     choices = np.indices((k2 + 1,) * m_total, dtype=np.int8).reshape(m_total, -1).T
     feasible, total_cost = _feasibility(choices, r_flat, t.price, budgets, demands)
     if not feasible.any():
-        empty = _matching_from_holder(s, ch, np.full(m_total, -1, dtype=int))
+        holder = np.full(m_total, -1, dtype=int)
+        empty = _matching_from_holder(t, r_flat, ch.demander_ids, holder)
         return OracleSolution(matching=empty, total_cost=math.inf, feasible=False)
     costs = np.where(feasible, total_cost, np.inf)
     best_row = int(np.argmin(costs))  # argmin takes the first, i.e. lexicographic
     return OracleSolution(
-        matching=_matching_from_holder(s, ch, choices[best_row].astype(int) - 1),
+        matching=_matching_from_holder(
+            t, r_flat, ch.demander_ids, choices[best_row].astype(int) - 1
+        ),
         total_cost=float(costs[best_row]),
         feasible=True,
     )

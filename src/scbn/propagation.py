@@ -14,12 +14,11 @@ can be compared on identical channels.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ConfigError, Scenario
+from .scenario import ConfigError, Scenario, _write_csv
 
 __all__ = [
     "ChannelRealization",
@@ -183,10 +182,11 @@ def rate_tensor(s: Scenario, ch: ChannelRealization) -> np.ndarray:
 
 def save_channels_csv(ch: ChannelRealization, path: str) -> None:
     """Dump a realization as rows of k1, n, k2, gain (full precision)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k1", "n", "k2", "gain"])
-        for i, a in enumerate(ch.anchor_ids):
-            for n in range(ch.num_brbs):
-                for j, d in enumerate(ch.demander_ids):
-                    writer.writerow([a, n, d, repr(float(ch.gains[i, n, j]))])
+    gains = ch.gains.tolist()
+    rows = (
+        [a, n, d, gains[i][n][j]]
+        for i, a in enumerate(ch.anchor_ids)
+        for n in range(ch.num_brbs)
+        for j, d in enumerate(ch.demander_ids)
+    )
+    _write_csv(path, ["k1", "n", "k2", "gain"], rows)

@@ -18,6 +18,7 @@ Unit conventions (also used by the JSON file format):
 
 from __future__ import annotations
 
+import csv
 import enum
 import functools
 import json
@@ -384,9 +385,10 @@ def validate_scenario(s: Scenario) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# JSON persistence.  Scenario files and configs are read by one strict
-# reader: unknown fields are rejected by name so that a stale or
-# hand-edited file fails loudly instead of being silently misread.
+# Persistence.  Scenario files and configs are read by one strict reader:
+# unknown fields are rejected by name so that a stale or hand-edited file
+# fails loudly instead of being silently misread.  Every output file, CSV
+# or JSON, is written by one of the two writers beside it.
 # ---------------------------------------------------------------------------
 
 _FORMAT = "scbn-scenario-v1"
@@ -398,9 +400,34 @@ def save_scenario(s: Scenario, path: str) -> None:
     The file is the format tag followed by the scenario's fields by name;
     json writes int keys as decimal strings and enums by value.
     """
+    _write_json(path, {"format": _FORMAT, **asdict(s)})
+
+
+def _write_json(path: str, doc) -> None:
+    """Write ``doc`` as UTF-8 JSON, indented by two, ending in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": _FORMAT, **asdict(s)}, fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Write ``header`` and ``rows`` as UTF-8 CSV by one cell rule: a bool
+    as 0 or 1, an int or str as is, a float by ``repr(float(v))``, which
+    keeps full precision and writes a numpy float as its bare value."""
+
+    def cell(v):
+        if isinstance(v, bool):
+            return int(v)
+        if isinstance(v, float):
+            return repr(float(v))
+        if isinstance(v, (int, str)):
+            return v
+        raise TypeError(f"no CSV cell rule for {type(v).__name__} {v!r}")
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(cell, row) for row in rows)
 
 
 def _read_json(path: str, error: type[ValueError]):

@@ -1056,7 +1056,8 @@ def _three_tier_holding(gains, budget, held):
     s, ch = _hand_built(gains.reshape(3, 2, 1), 2, prices, [budget], [1.0])
     holder = np.full(6, -1)
     holder[list(held)] = 0
-    m = matching._matching_from_holder(s, ch, holder)
+    t, rates, _, _ = matching._flat_view(s, ch)
+    m = matching._matching_from_holder(t, rates, ch.demander_ids, holder)
     assert brb_table(s).tiers == (1.0, 5.0, 20.0)
     return s, ch, m
 

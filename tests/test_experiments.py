@@ -26,7 +26,7 @@ from scbn.experiments import (
 )
 from scbn.matching import find_blocking_pairs, run_matching
 from scbn.propagation import realize_channels
-from scbn.scenario import ConfigError, GenerationConfig, generate_scenario
+from scbn.scenario import ConfigError, GenerationConfig, _write_csv, generate_scenario
 
 
 _SMALL = GenerationConfig(
@@ -206,6 +206,7 @@ def test_a_sweep_fails_before_running_any_trial(monkeypatch):
         ({"schemes": ()}, "no scheme given"),
         ({"schemes": ("random", "random")}, "given twice"),
         ({"trials": 0}, "trials must be at least 1"),
+        ({"workers": 0}, "workers must be at least 1"),
     ],
 )
 def test_a_sweep_checks_its_schemes_and_trials_before_any_trial(
@@ -422,7 +423,10 @@ def test_csv_writers_layout_and_reruns(tmp_path):
     path = tmp_path / "n1.csv"
     write_sweep_csv(res, str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].split(",")[:3] == ["n1", "scheme", "mean_rate_mbps"]
+    assert lines[0] == (
+        "n1,scheme,mean_rate_mbps,ci95_rate_mbps,mean_cost,ci95_cost,demand_met_fraction,"
+        "mean_rounds,mean_proposals,mean_blocking_pairs,budget_bound_fraction,trials"
+    )
     assert len(lines) == 1 + 2 * len(SCHEMES)
 
     res_again = sweep(_tiny_sweep_cfg(n1_values=(4, 8)), "n1")
@@ -434,14 +438,37 @@ def test_csv_writers_layout_and_reruns(tmp_path):
     )
     write_sweep_csv(res_bp, str(tmp_path / "bp.csv"))
     bp_lines = (tmp_path / "bp.csv").read_text(encoding="utf-8").splitlines()
-    assert bp_lines[0].startswith("budget,sub6_price,scheme")
+    assert bp_lines[0] == (
+        "budget,sub6_price,scheme,mean_rate_mbps,ci95_rate_mbps,mean_cost,"
+        "demand_met_fraction,trials"
+    )
     assert len(bp_lines) == 1 + 2 * len(SCHEMES)
 
     res_k = sweep(_tiny_sweep_cfg(k_values=(4,), demand_levels_bps=(30e6, 60e6)), "k")
     write_sweep_csv(res_k, str(tmp_path / "k.csv"))
     k_lines = (tmp_path / "k.csv").read_text(encoding="utf-8").splitlines()
-    assert k_lines[0].startswith("k,demand_mbps,scheme")
+    assert k_lines[0] == (
+        "k,demand_mbps,scheme,mean_rounds,ci95_rounds,mean_proposals,ci95_proposals,"
+        "mean_rate_mbps,demand_met_fraction,trials"
+    )
     assert len(k_lines) == 1 + 2 * len(SCHEMES)
+
+
+def test_every_csv_cell_follows_one_rule(tmp_path):
+    path = tmp_path / "cells.csv"
+    rows = [
+        [True, False, np.float64(0.1)],
+        [float("nan"), float("inf"), -0.0],
+        [1e-05, 5e16, 7],
+        [-3, "a,b", "matching"],
+    ]
+    _write_csv(str(path), ["x", "y", "z"], rows)
+    assert path.read_bytes() == (
+        b"x,y,z\r\n1,0,0.1\r\nnan,inf,-0.0\r\n1e-05,5e+16,7\r\n-3,\"a,b\",matching\r\n"
+    )
+    for stray in (np.int64(1), np.bool_(True), None):
+        with pytest.raises(TypeError, match="no CSV cell rule"):
+            _write_csv(str(path), ["x"], [[stray]])
 
 
 def test_int_and_float_axis_values_write_the_same_bytes(tmp_path):
