@@ -22,6 +22,7 @@ from .scenario import Scenario
 __all__ = ["best_effort_allocate", "random_allocate"]
 
 _WORDS = 1 << 32  # the span of one raw 32-bit word
+_LOW = _WORDS - 1  # the low 32 bits of a product word * n
 
 
 def _raw_words(rng: np.random.Generator, size: int) -> list[int]:
@@ -65,7 +66,7 @@ def _below(
             words += _raw_words(rng, len(words) + 1)
         x = words[used] * n
         used += 1
-        low = x & (_WORDS - 1)
+        low = x & _LOW
         if low >= n or low >= (_WORDS - n) % n:
             return x >> 32, used
 
@@ -85,51 +86,54 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     t, r_flat, budgets, demands = _flat_view(s, ch)  # r_flat: (M, K2)
     demander_ids = ch.demander_ids
     m_total, k2 = r_flat.shape
-    axes = np.arange(k2)
+    axes = np.arange(k2)[:, None]
+    # one contiguous row per demander: every pass below runs along rows
+    r_rows = r_flat.T.copy()
 
-    # column j of ``order`` lists demander j's blocks by descending rate,
-    # ties in canonical order; its positive rates lead, so the blocks worth
+    # row j of ``order`` lists demander j's blocks by descending rate, ties
+    # in canonical order; its positive rates lead, so the blocks worth
     # asking for are a prefix of it
-    order = np.argsort(-r_flat, axis=0, kind="stable")
-    r_sorted = r_flat[order, axes]
-    useful = np.count_nonzero(r_sorted > 0.0, axis=0)
+    order = np.argsort(-r_rows, axis=1, kind="stable")
+    r_sorted = r_rows[axes, order]
+    useful = np.count_nonzero(r_sorted > 0.0, axis=1)
     # a demander asks for blocks up to the first whose running rate covers
     # its demand.  Past the positive prefix the running rate adds 0.0 and
-    # stays put, so the sums below the demand counted over the whole column
-    # are those of the prefix, or the whole column
+    # stays put, so the sums below the demand counted over the whole row
+    # are those of the prefix, or the whole row
     need = np.array(demands)
-    covered = np.cumsum(r_sorted, axis=0)
+    covered = np.cumsum(r_sorted, axis=1)
     asks = np.where(
         need > 0.0,
-        np.minimum(np.count_nonzero(covered < need, axis=0) + 1, useful),
+        np.minimum(np.count_nonzero(covered < need[:, None], axis=1) + 1, useful),
         0,
     )
     depth = int(asks.max())
-    order, r_sorted = order[:depth], r_sorted[:depth]
-    asked = np.arange(depth)[:, None] < asks
+    order, r_sorted = order[:, :depth], r_sorted[:, :depth]
+    asked = np.arange(depth) < asks[:, None]
 
     # each asked block goes to its strongest requester, ties to the lower
     # axis; an asked rate is positive, so a block nobody asked for bids 0
     bid = np.zeros((m_total, k2))
-    bid[order[asked], np.nonzero(asked)[1]] = r_sorted[asked]
+    bid[order[asked], np.nonzero(asked)[0]] = r_sorted[asked]
     winner = np.where(bid.any(axis=1), bid.argmax(axis=1), -1)
 
     # winners buy their grants in asking order and stop at the first they
     # cannot pay for.  A running sum of non-negative prices never falls, so
-    # every grant after that one is too dear as well.  The running sums add
-    # the same floats in the same order as a purchase loop, and x + 0.0 == x
+    # every grant after that one is too dear as well.  The running sums
+    # along each row add the same floats in the same order as a purchase
+    # loop, and x + 0.0 == x
     won = asked & (winner[order] == axes)
-    spent = np.cumsum(np.where(won, t.price[order], 0.0), axis=0)
-    bought = won & (spent <= np.array(budgets))
+    spent = np.cumsum(np.where(won, t.price[order], 0.0), axis=1)
+    bought = won & (spent <= np.array(budgets)[:, None])
     rate = np.zeros(k2)
     if depth:
-        rate = np.cumsum(np.where(bought, r_sorted, 0.0), axis=0)[-1]
+        rate = np.cumsum(np.where(bought, r_sorted, 0.0), axis=1)[:, -1]
     # the running cost at a demander's last purchase
-    cost = np.where(bought, spent, 0.0).max(axis=0, initial=0.0)
+    cost = np.where(bought, spent, 0.0).max(axis=1, initial=0.0)
 
     holder = np.full(m_total, -1, dtype=int)
-    rows, cols = np.nonzero(bought)
-    holder[order[rows, cols]] = cols
+    js, cols = np.nonzero(bought)
+    holder[order[js, cols]] = js
     return Matching(
         table=t,
         demander_ids=demander_ids,
@@ -151,9 +155,10 @@ def random_allocate(
     The order is ``rng.permutation(M)``, and each grant among n eligible
     demanders takes the one at ``rng.integers(n)``.  Those draws are made
     from one block of M raw 32-bit words, drawn once after the
-    permutation, by ``_below``; at the end the generator is rewound and
-    moved past exactly the words the draws used, so both the draws and
-    its final state equal those of one scalar ``rng.integers`` per grant.
+    permutation, by ``_below``, whose first test is made inline; at the
+    end the generator is rewound and moved past exactly the words the
+    draws used, so both the draws and its final state equal those of one
+    scalar ``rng.integers`` per grant.
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)
     demander_ids = ch.demander_ids
@@ -191,8 +196,19 @@ def random_allocate(
         eligible = eligible_in[tier_of[m]]
         if not eligible:
             continue
-        pick, used = _below(len(eligible), words, used, rng)
-        j = eligible[pick]
+        n = len(eligible)
+        if n == 1:
+            j = eligible[0]  # as _below(1): no word used
+        else:
+            # _below's first test, inline: it accepts a word whose product
+            # x = word * n has low 32 bits of at least n.  Any other word,
+            # and a block of words used up, go to _below
+            x = words[used] * n if used < len(words) else 0
+            if x & _LOW >= n:
+                j, used = eligible[x >> 32], used + 1
+            else:
+                pick, used = _below(n, words, used, rng)
+                j = eligible[pick]
         holder[m] = j
         rate[j] += rate_of(m, j)
         cost[j] += price[m]

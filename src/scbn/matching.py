@@ -32,15 +32,14 @@ shared by the class (:func:`_rate_rows`), and that shared row object is
 what the fast-forward takes for a class: a run goes on only while the
 next block's row is the very same object.  Each preference order is read
 through a memoryview of its numpy row, of which the rounds touch only a
-short prefix, and prices and tiers come as Python sequences built once
-per table.  A demander's blocks are grouped by price tier with one
-stable sort, the first time it needs them.
+short prefix, and prices come as a Python sequence built once per table.
+A demander whose best untried block is too dear finds the first one it
+can afford in one numpy pass over its order and tried flags.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -239,6 +238,13 @@ def brb_table(s: Scenario) -> BrbTable:
     )
 
 
+# _flat_view's per-scenario terms (s, t, drawn_for, budgets, demands) for
+# the last scenario it saw: a trial runs every scheme and audit on one
+# scenario object.  A Scenario is frozen and replaced, never edited in
+# place, so terms found by identity are current
+_last_view: tuple = (None,)
+
+
 def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     """``(t, rates, budgets, demands)``: the scenario's BRB table, the
     ``(M, K2)`` rates of its flat BRBs for each demander axis (a view of
@@ -247,43 +253,39 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     InconsistentMatchingError for a realization drawn for another scenario
     or a matching ``m`` over other BRBs or demanders.
     """
-    t = brb_table(s)
-    anchor_ids, demander_ids = s.anchor_ids, s.demander_ids
-    drawn_for = (
-        ch.anchor_ids, ch.demander_ids, ch.num_mmw_brbs, ch.rates.shape, ch.radio
-    )
-    shape = (len(anchor_ids), s.brbs_per_anchor, len(demander_ids))
-    if drawn_for != (
-        anchor_ids, demander_ids, s.mmw_band.num_brbs, shape, radio_settings(s)
-    ):
+    global _last_view
+    last = _last_view
+    if last[0] is not s:
+        ids = s.demander_ids
+        shape = (len(s.anchor_ids), s.brbs_per_anchor, len(ids))
+        drawn_for = (s.anchor_ids, ids, s.mmw_band.num_brbs, shape, radio_settings(s))
+        budgets = tuple(float(s.budgets[d]) for d in ids)
+        demands = tuple(float(s.demands_bps[d]) for d in ids)
+        last = _last_view = (s, brb_table(s), drawn_for, budgets, demands)
+    _, t, drawn_for, budgets, demands = last
+    if (ch.anchor_ids, ch.demander_ids, ch.num_mmw_brbs, ch.rates.shape, ch.radio) != drawn_for:
         raise InconsistentMatchingError(
             "the channel realization was drawn for another scenario: its anchor "
             "ids, demander ids, mmWave BRB count, rate shape or radio settings differ"
         )
-    if m is not None and (len(m.holder) != len(t.price) or m.demander_ids != demander_ids):
+    if m is not None and (len(m.holder) != len(t.price) or m.demander_ids != s.demander_ids):
         raise InconsistentMatchingError(
             "the matching is not over this scenario's BRBs and demanders"
         )
-    rates = ch.rates.reshape(len(t.price), len(demander_ids))
-    budgets = [float(s.budgets[d]) for d in demander_ids]
-    demands = [float(s.demands_bps[d]) for d in demander_ids]
-    return t, rates, budgets, demands
+    return t, ch.rates.reshape(len(t.price), len(budgets)), budgets, demands
 
 
-@dataclass
+@dataclass(slots=True)
 class _ProposalState:
     """Mutable per-demander state inside run_matching.
 
     ``order`` is a memoryview of the demander's argsorted numpy row: the
     rounds read only a short prefix of it, so it is never converted to a
-    list as a whole.  Every position of ``order`` before ``scan_from`` has been applied to.
-    A block of one price tier is affordable exactly when every block of
-    that tier is, so a demander applies to each tier's blocks in
-    preference order: within a tier, the applied positions are a prefix.
-    ``tier_positions[i]`` lists the positions in ``order`` of tier ``i``'s
-    blocks, ascending, and ``tier_heads[i]`` indexes its first possibly
-    unapplied one (a head only moves forward); both are built the first
-    time the demander's best untried block is too dear.
+    list as a whole.  Every position of ``order`` before ``scan_from`` has
+    been applied to.  A block of one price tier is affordable exactly when
+    every block of that tier is, so a demander applies to each tier's
+    blocks in preference order: within a tier, the applied positions are a
+    prefix.
     """
 
     order: memoryview          # flat BRB indices in preference order
@@ -291,40 +293,21 @@ class _ProposalState:
     scan_from: int = 0         # first position possibly unapplied
     cost: float = 0.0
     rate_bps: float = 0.0
-    tier_positions: list[list[int]] | None = None
-    tier_heads: list[int] | None = None
 
-    def cheaper_head(self, dear_tier: int, t: BrbTable, budget: float) -> int:
+    def cheaper_head(self, price: np.ndarray, budget: float) -> int:
         """The best untried block the budget covers, or -1, when the best
-        untried block is of tier ``dear_tier`` and too dear.
+        untried block, the one at ``scan_from``, is too dear.
 
-        Tiers ascend in price and a float sum is monotone in each term, so
-        ``dear_tier`` and every dearer tier are unaffordable and the
-        affordable tiers are a prefix of ``t.tiers``.  Each affordable
-        tier's head is its best untried block; the head placed first in
-        ``order`` is the block a scan from ``scan_from`` would reach first,
-        so the choice is the scan's, without walking past the dear blocks.
+        The block a scan onward would reach, found in one numpy pass over
+        ``order`` from ``scan_from`` (never empty): the first untried block
+        whose ``cost + price``, the float sum run_matching compares and
+        stores as the cost, is within budget.  ``price`` is per flat block.
         """
-        order, applied, tiers = self.order, self.applied, t.tiers
-        if self.tier_positions is None:
-            # positions grouped by tier, ascending within each: a stable sort
-            by_tier = np.argsort(t.tier[order], kind="stable").tolist()
-            self.tier_positions = []
-            for end, size in zip(itertools.accumulate(t.tier_sizes), t.tier_sizes):
-                self.tier_positions.append(by_tier[end - size : end])
-            self.tier_heads = [0] * len(tiers)
-        best = len(order)
-        for i in range(dear_tier):
-            # the same float sum run_matching compares and stores as the cost
-            if not self.cost + tiers[i] <= budget:
-                break
-            positions, h = self.tier_positions[i], self.tier_heads[i]
-            while h < len(positions) and applied[order[positions[h]]]:
-                h += 1
-            self.tier_heads[i] = h
-            if h < len(positions) and positions[h] < best:
-                best = positions[h]
-        return order[best] if best < len(order) else -1
+        rest = self.order.obj[self.scan_from :]
+        ok = np.frombuffer(self.applied, dtype=np.uint8)[rest] == 0
+        ok &= self.cost + price[rest] <= budget
+        i = ok.argmax()
+        return int(rest[i]) if ok[i] else -1
 
 
 def _rate_rows(r: np.ndarray, n1: int) -> list[list[float]]:
@@ -384,9 +367,9 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
     prefix (see ``_ProposalState``), so m+1 is untried.  An applicant that
     reached m by a scan from ``scan_from`` reaches m+1 next.  One that
     reached m through :meth:`_ProposalState.cheaper_head` still finds the
-    same too dear block at ``scan_from``, as its cost did not fall, and m's
-    tier head moves on to m+1, which still comes before every other
-    affordable tier's head.
+    same too dear block at ``scan_from``, as its cost did not fall, and
+    every untried block between it and m is still too dear, so the first
+    untried block it affords is m+1.
 
     The holders read at the start hold for the whole run, because a
     repeated round displaces nobody: a convoy's target is free, and a
@@ -406,8 +389,8 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
     """
     last = len(rates) - 1
     k = last
-    # per convoy, the winner's run length and its sums after it; None for
-    # a rejection
+    # per convoy, the winner's run length, its sums after it and its rate
+    # on the class; None for a rejection
     reach = []
     for m, applicants, w in groups:
         row = rates[m]
@@ -424,7 +407,7 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
         else:
             st = states[w]
             rate, cost, need, budget = st.rate_bps, st.cost, demands[w], budgets[w]
-            p = price[m]  # the class shares one price
+            r, p = row[w], price[m]  # the class shares one row and one price
             while (
                 i < k
                 and rates[m + i + 1] is row
@@ -433,9 +416,9 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
                 and cost + p <= budget
             ):
                 i += 1
-                rate += row[w]
+                rate += r
                 cost += p
-            reach.append((i, rate, cost))
+            reach.append((i, rate, cost, r))
         k = i
         if not k:
             return 0
@@ -449,12 +432,12 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
         if run is None:
             continue
         holder[m + 1 : m + k + 1] = [w] * k
-        i, rate, cost = run
+        i, rate, cost, r = run
         st = states[w]
         if i == k:
             st.rate_bps, st.cost = rate, cost
             continue
-        r, p = rates[m][w], price[m]
+        p = price[m]
         for _ in range(k):
             st.rate_bps += r
             st.cost += p
@@ -479,10 +462,10 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     budget, a swap that :func:`find_blocking_pairs` reports.
 
     A demander skips tried blocks from ``scan_from``; when the block found
-    there is too dear, it takes the best-placed head of the cheaper price
-    tiers it can afford (:meth:`_ProposalState.cheaper_head`), the same
-    block a scan onward would reach, without walking past every dear
-    block in every round.
+    there is too dear, :meth:`_ProposalState.cheaper_head` finds in one
+    numpy pass the first untried block after it that the budget covers,
+    the same block a scan onward would reach, without walking past every
+    dear block in every round.
 
     A round visits only the demanders that proposed or were displaced in
     the round before, in ascending axis order, which keeps the order of
@@ -511,7 +494,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
 
     # Python floats from here on: the same IEEE sums as numpy scalars, faster
     rates = _rate_rows(ch.rates, s.mmw_band.num_brbs)
-    price, tier_of = t.price_of, t.tier_of
+    price = t.price_of
     holder = [-1] * m_total
     rounds = 0
     proposals = 0
@@ -536,7 +519,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
             # the comparison uses the same float sum later stored as the
             # cost, so cost <= budget can never be violated
             if not st.cost + price[choice] <= budgets[j]:
-                choice = st.cheaper_head(tier_of[choice], t, budgets[j])
+                choice = st.cheaper_head(t.price, budgets[j])
             if choice >= 0:
                 applied[choice] = 1
                 round_proposals.setdefault(choice, []).append(j)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import reference_model as ref
 
+from scbn import baselines
 from scbn.baselines import _below, _raw_words, best_effort_allocate, random_allocate
 from scbn.matching import recompute_totals
 from scbn.propagation import rate_tensor, realize_channels
@@ -326,3 +327,46 @@ def test_a_draw_below_one_consumes_no_word():
     assert _below(1, words, 0, rng) == (0, 0)
     assert words == []
     np.testing.assert_equal(rng.bit_generator.state, start)
+
+
+# With three demanders eligible for every block, each grant is _below(3):
+# a word is rejected when the low 32 bits of word * 3 are below
+# (2**32 - 3) % 3 = 1, so exactly when it is 0.  0xAAAAAAAB * 3 has low
+# bits 1, which the inline test (low >= n) passes to _below, and _below
+# accepts.  Four blocks draw a first block of four words; a refill draws
+# one more word than the block it follows.
+_CRAFTED_WORDS = {
+    # the fourth rejection uses up the first block inside _below
+    "refill-inside-below": [0, 0, 0, 0, 2**31, 0xAAAAAAAB, 0, 3 * 2**30, 1 << 30],
+    # the first grant ends on the block's last word, so the second finds
+    # the words used up before its first test
+    "refill-before-a-grant": [0, 0, 0, 2**31, 0xAAAAAAAB, 0, 3 * 2**30, 1 << 30],
+}
+
+
+@pytest.mark.parametrize("stream", list(_CRAFTED_WORDS.values()), ids=list(_CRAFTED_WORDS))
+def test_random_allocation_draws_through_rejections_and_refills(monkeypatch, stream):
+    s = _scenario([(0, 0)], [(10, 0), (20, 0), (30, 0)], n1=4)
+    ch = realize_channels(s, np.random.default_rng(0))
+    sizes: list[int] = []
+    source = iter(stream + [2**31] * 16)  # spare words for the final rewind
+
+    def crafted(rng, size):
+        sizes.append(size)
+        return [next(source) for _ in range(size)]
+
+    monkeypatch.setattr(baselines, "_raw_words", crafted)
+    m = random_allocate(s, ch, np.random.default_rng(1))
+
+    # _below over the whole stream at once, which never runs out of words
+    picks, used = [], 0
+    for _ in range(4):
+        pick, used = _below(3, stream, used, None)
+        picks.append(pick)
+    assert 0 in picks and 2 in picks  # both halves of a product's range
+    holder = [-1] * 4
+    for k, pick in zip(np.random.default_rng(1).permutation(4).tolist(), picks):
+        holder[k] = pick
+    assert m.holder.tolist() == holder
+    # the block, one refill, and the rewind past every word used
+    assert sizes == [4, 5, used] and used == len(stream)

@@ -1262,20 +1262,32 @@ def test_schemes_keep_their_guarantees_on_small_instances(instance):
     _check_guarantees(instance)
 
 
-# 97 of the corpus's 200 instances reach a skipped round; the floor is
-# about half that, low enough for edits that move a few instances
+# 97 of the corpus's 200 instances reach a skipped round; of the 137 in
+# which a demander's best untried block is too dear, 75 propose past it to
+# a cheaper block and 134 find none to afford.  Each floor is about half
+# its count, low enough for edits that move a few instances
 _CORPUS_SIZE = 200
 _CORPUS_FAST_FORWARD_FLOOR = 48
+_CORPUS_CHEAPER_PICK_FLOOR = 37
+_CORPUS_CHEAPER_REFUSAL_FLOOR = 67
 
 
-def test_schemes_keep_their_guarantees_on_a_fixed_corpus(skipped_rounds):
+def test_schemes_keep_their_guarantees_on_a_fixed_corpus(
+    skipped_rounds, tier_head_choices
+):
     """The same checks on instances drawn from a seeded numpy generator,
     which no edit elsewhere moves, unlike Hypothesis's derandomized
-    examples; the corpus must keep reaching the fast-forward."""
+    examples; the corpus must keep reaching the fast-forward and both
+    outcomes of the search past a too dear block."""
     rng = np.random.default_rng(0x5CB)
-    reached = 0
+    reached = picked = refused = 0
     for _ in range(_CORPUS_SIZE):
-        skipped_before = sum(skipped_rounds)
+        skipped_before, choices_before = sum(skipped_rounds), len(tier_head_choices)
         _check_guarantees(_small_instance(_NumpyDraws(rng)))
         reached += sum(skipped_rounds) > skipped_before
+        choices = tier_head_choices[choices_before:]
+        picked += any(choices)
+        refused += not all(choices)
     assert reached >= _CORPUS_FAST_FORWARD_FLOOR
+    assert picked >= _CORPUS_CHEAPER_PICK_FLOOR
+    assert refused >= _CORPUS_CHEAPER_REFUSAL_FLOOR
