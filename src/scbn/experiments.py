@@ -232,13 +232,15 @@ def run_trial(
         rates = [m.rate_bps[d] for d in demanders]
         costs = [m.cost[d] for d in demanders]
         met = [
-            m.rate_bps[d] >= trial_s.demands_bps[d] for d in demanders
+            float(m.rate_bps[d] >= trial_s.demands_bps[d]) for d in demanders
         ]
+        # one reduction per row, each as np.mean of that row alone
+        avg_rate, avg_cost, met_fraction = np.mean([rates, costs, met], axis=1).tolist()
         pairs = find_blocking_pairs(m, trial_s, ch, zeta_bps_per_unit)
         per_scheme[scheme] = SchemeMetrics(
-            avg_rate_bps=float(np.mean(rates)),
-            avg_cost=float(np.mean(costs)),
-            demand_met_fraction=float(np.mean(met)),
+            avg_rate_bps=avg_rate,
+            avg_cost=avg_cost,
+            demand_met_fraction=met_fraction,
             rounds=m.rounds,
             proposals=m.proposals,
             blocking_pairs=len(pairs),

@@ -28,19 +28,23 @@ one step every following round that repeats it a block further on.
 
 The set-up works per mmWave class and per price tier too.  An anchor's
 mmWave rates, bitwise equal across its blocks, become one Python row
-shared by the class (:func:`_rate_rows`), and that shared row object is
-what the fast-forward takes for a class: a run goes on only while the
-next block's row is the very same object.  Each preference order is read
-through a memoryview of its numpy row, of which the rounds touch only a
-short prefix, and prices come as a Python sequence built once per table.
-A demander whose best untried block is too dear finds the first one it
-can afford in one numpy pass over its order and tried flags.
+shared by the class (:func:`_rate_rows`); any other block's row is built
+when the rounds first read it.  A shared row marks a uniform class, whose
+held blocks always form a prefix of it, so the fast-forward bounds a
+run by the class's end instead of testing each block.  Each preference
+order is read through a memoryview of its numpy row, of which the rounds
+touch only a short prefix, and prices come as a Python sequence built
+once per table.  The holder is an ``array('q')``, which
+:class:`Matching` copies through the buffer protocol.  A demander whose
+best untried block is too dear finds the first one it can afford in one
+numpy pass over its order and tried flags.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -285,7 +289,8 @@ class _ProposalState:
     been applied to.  A block of one price tier is affordable exactly when
     every block of that tier is, so a demander applies to each tier's
     blocks in preference order: within a tier, the applied positions are a
-    prefix.
+    prefix.  The blocks of a uniform mmWave class are consecutive in that
+    order, by index, so a demander applies to them in index order.
     """
 
     order: memoryview          # flat BRB indices in preference order
@@ -310,54 +315,58 @@ class _ProposalState:
         return int(rest[i]) if ok[i] else -1
 
 
-def _rate_rows(r: np.ndarray, n1: int) -> list[list[float]]:
+def _rate_rows(r: np.ndarray, n1: int) -> list[list[float] | None]:
     """``rows[k]`` lists flat BRB ``k``'s rates, from the ``(K1, N, K2)``
-    rates ``r``, as Python floats, one per demander axis.
+    rates ``r``, as Python floats, one per demander axis, or is None until
+    the rounds first read it as ``r_flat[k].tolist()``.
 
-    The row object defines an mmWave class: ``rows[k] is rows[m]`` holds
-    exactly when ``k`` and ``m`` are blocks of one anchor's uniform mmWave
-    class.  An anchor's mmWave rows are equal by construction, as its links
-    share one shadowing draw.  When they are bitwise equal and free of NaN,
-    so that ``==`` agrees, the class shares one row list; every other row,
-    sub-6 or of a class whose rows differ, is a list of its own.
+    The row object marks an mmWave class: an anchor's mmWave rows are
+    equal by construction, as its links share one shadowing draw.  When
+    they are bitwise equal and free of NaN, so that ``==`` agrees, the
+    class is uniform and shares one row list, built here; every other
+    entry, sub-6 or of a class whose rows differ, starts as None.
     """
-    rows: list[list[float]] = []
-    for a in range(r.shape[0]):
+    k1, n = r.shape[:2]
+    rows: list[list[float] | None] = [None] * (k1 * n)
+    for a in range(k1 if n1 else 0):
         mmw = r[a, :n1]
-        head = mmw[0].tolist() if n1 else []
-        if (
-            n1
-            and mmw.tobytes() == mmw[0].tobytes() * n1
-            and not any(map(math.isnan, head))
-        ):
-            rows += [head] * n1
-        else:
-            rows += mmw.tolist()
-        rows += r[a, n1:].tolist()
+        head = mmw[0].tolist()
+        if mmw.tobytes() == mmw[0].tobytes() * n1 and not any(map(math.isnan, head)):
+            rows[a * n : a * n + n1] = [head] * n1
     return rows
 
 
-def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int:
+def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1) -> int:
     """Play at once every round that repeats the one just played a block
     further on; return how many rounds that was.
+
+    In a uniform mmWave class (one that shares a row, see
+    :func:`_rate_rows`) the held blocks always form a prefix.  A demander
+    applies to the class's blocks in index order (see ``_ProposalState``),
+    a proposal to a free block always wins it, and no block is ever freed,
+    as a displaced holder's block goes to its displacer.  So every block a
+    demander has tried is held, and every proposal to a free block of the
+    class goes to its first free block: a round has at most one convoy per
+    class, and every block after its block m is free.  A run therefore ends
+    at the class end, m - m % n + n1 (``n`` blocks per anchor, ``n1``
+    mmWave), or where the winner's demand or budget, or a rejection's
+    holders, stop it.
 
     ``groups`` lists the round's contests as (block m, applicants, winner),
     and the applicants of all groups are every demander that proposed in
     it.  No block changed holder in the round: a free block went to its
     winner (a convoy), or a held block's holder kept it against every
     applicant (a rejection, winner -1).  Round ``i`` after it repeats it
-    when, for every group, block m+i is on the flat axis and shares m's
-    row object, ``rates[m + i] is rates[m]``, so that it lies in m's
-    uniform mmWave class (see :func:`_rate_rows`) and every applicant
-    rates it as it rates m, and
-      - for a convoy, m+i is free and the winner can still propose: its
-        demand unmet and cost + price within budget, the same float sum
-        the proposal loop compares;
+    when, for every group, m lies in a uniform class with m+i in it, which
+    holds when ``rates[m + 1] is rates[m]`` and i is within the class's
+    end, so that every applicant rates m+i as it rates m, and
+      - for a convoy, the winner can still propose: its demand unmet and
+        cost + price within budget, the same float sum the proposal loop
+        compares (m+i is free, by the prefix);
       - for a rejection, m+i is held and its holder's rate on it is at
         least the best applicant's, so the holder keeps it, ties included.
-    Free and held are read at the start of the run.  A class whose rows
-    differ, and any run of sub-6 blocks, shares no row object and is
-    played round by round.
+    Holders are read at the start of the run.  A class whose rows differ,
+    and any sub-6 block, shares no row object and is played round by round.
 
     Then m+i is each applicant's next choice, and the convoy's winner takes
     it or the rejection's holder keeps it.  The class shares one price, so
@@ -373,12 +382,12 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
 
     The holders read at the start hold for the whole run, because a
     repeated round displaces nobody: a convoy's target is free, and a
-    rejected block keeps its holder.  No block is ever freed, so a convoy's
-    targets, free at the start, are taken by no other group first, and a
-    rejection's targets, held at the start, stay held by the same holder.
-    Only a convoy's winner gains anything; a convoy loser's or a rejected
-    applicant's rate and cost do not move, so it still affords the class,
-    and no demander outside the round's applicants wakes.
+    rejected block keeps its holder.  A convoy's targets, free at the
+    start, are taken by no other group first, and a rejection's targets,
+    held at the start, stay held by the same holder.  Only a convoy's
+    winner gains anything; a convoy loser's or a rejected applicant's rate
+    and cost do not move, so it still affords the class, and no demander
+    outside the round's applicants wakes.
 
     The skipped rounds set the tried flags by slice and move ``scan_from``
     along for the applicants that scanned to m.  A convoy's holders are set
@@ -387,18 +396,19 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
     those of the first pass when its run set the final length.  A
     rejection changes no holder and no total.
     """
-    last = len(rates) - 1
-    k = last
+    k = n1
     # per convoy, the winner's run length, its sums after it and its rate
     # on the class; None for a rejection
     reach = []
     for m, applicants, w in groups:
+        k = min(k, n1 - 1 - m % n)  # the blocks left in m's class
+        if k <= 0 or rates[m + 1] is not rates[m]:
+            return 0
         row = rates[m]
-        k = min(k, last - m)
         i = 0
         if w < 0:
             top = max(row[j] for j in applicants)
-            while i < k and rates[m + i + 1] is row:
+            while i < k:
                 h = holder[m + i + 1]
                 if h < 0 or not top <= row[h]:
                     break
@@ -408,13 +418,7 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
             st = states[w]
             rate, cost, need, budget = st.rate_bps, st.cost, demands[w], budgets[w]
             r, p = row[w], price[m]  # the class shares one row and one price
-            while (
-                i < k
-                and rates[m + i + 1] is row
-                and rate < need
-                and holder[m + i + 1] < 0
-                and cost + p <= budget
-            ):
+            while i < k and rate < need and cost + p <= budget:
                 i += 1
                 rate += r
                 cost += p
@@ -431,7 +435,7 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets) -> int
                 st.scan_from += k
         if run is None:
             continue
-        holder[m + 1 : m + k + 1] = [w] * k
+        holder[m + 1 : m + k + 1] = array("q", [w]) * k
         i, rate, cost, r = run
         st = states[w]
         if i == k:
@@ -493,9 +497,10 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     ]
 
     # Python floats from here on: the same IEEE sums as numpy scalars, faster
-    rates = _rate_rows(ch.rates, s.mmw_band.num_brbs)
+    n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
+    rates = _rate_rows(ch.rates, n1)
     price = t.price_of
-    holder = [-1] * m_total
+    holder = array("q", [-1]) * m_total
     rounds = 0
     proposals = 0
 
@@ -532,6 +537,8 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
         contests = []  # (block, applicants, winner or -1) until a block changes holder
         for m, applicants in round_proposals.items():
             rate_m = rates[m]
+            if rate_m is None:
+                rate_m = rates[m] = r_flat[m].tolist()
             if len(applicants) == 1:
                 best = applicants[0]
             else:
@@ -557,7 +564,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
         active = sorted(set(proposers).union(displaced)) if displaced else proposers
         if contests is not None:
             skipped = _skip_repeats(
-                contests, states, holder, rates, price, demands, budgets
+                contests, states, holder, rates, price, demands, budgets, n, n1
             )
             rounds += skipped
             proposals += skipped * len(proposers)
@@ -716,9 +723,8 @@ def find_blocking_pairs(
     # No block strictly prefers its holder to itself, so this also rules
     # out every block its demander already holds.
     free = holder < 0
-    holder_rate = np.where(
-        free, -np.inf, r_flat[np.arange(len(holder)), np.maximum(holder, 0)]
-    )
+    holder_rate = np.full(len(holder), -np.inf)
+    holder_rate[ks] = r_flat[ks, js]
     brb_wants = free[:, None] | (r_flat > holder_rate[:, None])
     # (ii) demander side, as (T, K2) tables over (price tier, demander
     # axis): a block's price is its tier's, so ``spend`` is the very float
@@ -735,7 +741,7 @@ def find_blocking_pairs(
     np.minimum.at(least, t.tier[ks] * k2 + js, u_flat[ks, js])
     least = np.minimum.accumulate(least.reshape(-1, k2)[::-1], axis=0)[::-1]
     cover = np.searchsorted(tiers, spend - budget, side="left")
-    bar = np.take_along_axis(least, cover, axis=0)
+    bar = least[cover, np.arange(k2)]
     blocking = brb_wants & (add_ok[t.tier] | (bar[t.tier] < u_flat))
     return BlockingPairs(blocking, t, ch.demander_ids)
 

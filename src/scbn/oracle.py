@@ -4,11 +4,14 @@ The global problem: assign each BRB to at most one demander so that
 every demander's rate meets its demand, no budget is exceeded, and the
 total spent price is minimal.  For micro instances the whole assignment
 space (K2 + 1)^M is enumerable, which gives a ground-truth optimum to
-hold the distributed matching against.
+hold the distributed matching against.  The enumeration, and which
+blocks each demander holds in each assignment, is built once per shape
+(K2, M) and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,20 +52,36 @@ class OracleSolution:
     feasible: bool
 
 
-def _feasibility(choices: np.ndarray, r_flat, price, budgets, demands):
-    """Per-assignment feasibility and cost for rows of demander choices.
+# one entry per legal shape, about 3 MB for all of them
+@functools.lru_cache(maxsize=(MAX_ORACLE_DEMANDERS + 1) * MAX_ORACLE_BRBS)
+def _enumeration(k2: int, m_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every assignment of ``m_total`` BRBs to ``k2`` demanders, read-only.
 
-    ``choices`` holds 0 for unassigned, j+1 for demander axis j.
+    ``choices`` has a row per assignment, in lexicographic order with the
+    last BRB varying fastest, holding 0 for unassigned and j+1 for
+    demander axis j.  ``held[j]`` is the ``(M, rows)`` mask of the blocks
+    demander axis j holds in each row.
     """
-    k2 = len(budgets)
+    choices = np.indices((k2 + 1,) * m_total, dtype=np.int8).reshape(m_total, -1)
+    held = choices == np.arange(1, k2 + 1, dtype=np.int8)[:, None, None]
+    for a in (choices, held):
+        a.setflags(write=False)
+    return choices.T, held
+
+
+def _feasibility(choices, held, r_flat, price, budgets, demands):
+    """Per-assignment feasibility and cost for the rows of
+    :func:`_enumeration`.
+
+    Each sum adds its M terms one by one in BRB order: the BRB axis is
+    never the innermost in memory, so numpy does not sum it pairwise, which
+    from eight terms on would give other bits.
+    """
     total_cost = ((choices > 0) * price[None, :]).sum(axis=1)
-    feasible = np.ones(len(choices), dtype=bool)
-    for j in range(k2):
-        mask = choices == j + 1
-        rate_j = (mask * r_flat[:, j][None, :]).sum(axis=1)
-        cost_j = (mask * price[None, :]).sum(axis=1)
-        feasible &= (rate_j >= demands[j]) & (cost_j <= budgets[j])
-    return feasible, total_cost
+    rate = (held * r_flat.T[:, :, None]).sum(axis=1)
+    cost = (held * price[None, :, None]).sum(axis=1)
+    feasible = (rate >= np.array(demands)[:, None]) & (cost <= np.array(budgets)[:, None])
+    return feasible.all(axis=0), total_cost
 
 
 def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
@@ -79,9 +98,8 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
             f"instance has {m_total} BRBs and {k2} demanders; the exhaustive oracle "
             f"is limited to {MAX_ORACLE_BRBS} BRBs and {MAX_ORACLE_DEMANDERS} demanders"
         )
-    # every row of choices, in lexicographic order: the last BRB varies fastest
-    choices = np.indices((k2 + 1,) * m_total, dtype=np.int8).reshape(m_total, -1).T
-    feasible, total_cost = _feasibility(choices, r_flat, t.price, budgets, demands)
+    choices, held = _enumeration(k2, m_total)
+    feasible, total_cost = _feasibility(choices, held, r_flat, t.price, budgets, demands)
     if not feasible.any():
         holder = np.full(m_total, -1, dtype=int)
         empty = _matching_from_holder(t, r_flat, ch.demander_ids, holder)

@@ -4,8 +4,9 @@ feasibility rule, one link or one block at a time.
 These are plain formulas from the paper (Semiari et al., arXiv:1501.02410),
 written independently of the vectorised code in ``scbn``: the tests hold
 ``realize_channels``, ``gamma_tensor``, ``rate_tensor``, the preference
-orders and the exhaustive oracle to them.  Inputs are assumed valid;
-nothing here checks them.
+orders and the exhaustive oracle to them.  :func:`brute_force_min_cost`
+is the oracle as it was before its enumeration was shared per shape, one
+demander at a time.  Inputs are assumed valid; nothing here checks them.
 """
 
 from __future__ import annotations
@@ -130,3 +131,34 @@ def sample_feasible_costs(s, ch, samples, rng):
         ):
             costs.append(sum(paid))
     return np.array(costs)
+
+
+def oracle_feasibility(choices, r_flat, price, budgets, demands):
+    """Per-assignment feasibility and cost for rows of demander choices,
+    one demander at a time.
+
+    ``choices`` holds 0 for unassigned, j+1 for demander axis j.
+    """
+    k2 = len(budgets)
+    total_cost = ((choices > 0) * price[None, :]).sum(axis=1)
+    feasible = np.ones(len(choices), dtype=bool)
+    for j in range(k2):
+        mask = choices == j + 1
+        rate_j = (mask * r_flat[:, j][None, :]).sum(axis=1)
+        cost_j = (mask * price[None, :]).sum(axis=1)
+        feasible &= (rate_j >= demands[j]) & (cost_j <= budgets[j])
+    return feasible, total_cost
+
+
+def brute_force_min_cost(r_flat, price, budgets, demands):
+    """``(feasible, total_cost, holder)`` of the cheapest feasible
+    assignment of the ``(M, K2)`` rates ``r_flat``, the first minimum in
+    lexicographic order, or ``(False, inf, all -1)``."""
+    m_total, k2 = r_flat.shape
+    choices = np.indices((k2 + 1,) * m_total, dtype=np.int8).reshape(m_total, -1).T
+    feasible, total_cost = oracle_feasibility(choices, r_flat, price, budgets, demands)
+    if not feasible.any():
+        return False, math.inf, [-1] * m_total
+    costs = np.where(feasible, total_cost, np.inf)
+    best = int(np.argmin(costs))
+    return True, float(costs[best]), (choices[best].astype(int) - 1).tolist()

@@ -541,20 +541,44 @@ def test_the_table_describes_the_reference_records(instances):
         assert t.tie_order.tolist() == by_tie
 
 
-def test_each_mmwave_class_shares_one_rate_row_and_no_other_block_does(instances):
+@pytest.fixture
+def rate_row_lists(monkeypatch):
+    """Records the row list ``_rate_rows`` makes for each run_matching call,
+    which the rounds then fill in."""
+    made: list[list] = []
+    rate_rows = matching._rate_rows
+    monkeypatch.setattr(
+        matching, "_rate_rows", lambda *args: made.append(rate_rows(*args)) or made[-1]
+    )
+    return made
+
+
+def test_each_mmwave_class_shares_one_rate_row_and_no_other_block_does(
+    instances, rate_row_lists
+):
     """The fast-forward takes blocks that share a row object for one
     uniform mmWave class: on drawn realizations that is every mmWave class,
-    whole, and nothing else."""
-    for s, ch, _, _ in instances:
+    whole, with the class's rates bitwise.  Every other entry is None
+    until the rounds read it, and a row once read is the block's rates."""
+    read = 0
+    for s, ch, zeta, _ in instances:
         n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
+        r_flat = _flat_view(s, ch)[1]
         rows = matching._rate_rows(ch.rates, n1)
-        assert np.array(rows).reshape(ch.rates.shape).tobytes() == ch.rates.tobytes()
-        sharing: dict[int, list[int]] = {}
-        for k, row in enumerate(rows):
-            sharing.setdefault(id(row), []).append(k)
-        classes = [list(range(a * n, a * n + n1)) for a in range(len(s.anchors)) if n1]
-        singles = [[k] for k in range(len(rows)) if k % n >= n1]
-        assert sorted(sharing.values()) == sorted(classes + singles)
+        for c0 in range(0, len(rows) if n1 else 0, n):
+            assert all(rows[k] is rows[c0] for k in range(c0, c0 + n1))
+            assert np.array(rows[c0]).tobytes() == r_flat[c0].tobytes()
+            assert r_flat[c0 : c0 + n1].tobytes() == r_flat[c0].tobytes() * n1
+        assert all(rows[k] is None for k in range(len(rows)) if k % n >= n1)
+        run_matching(s, ch, zeta)
+        after = rate_row_lists[-1]
+        for k, row in enumerate(after):
+            if k % n < n1:
+                assert row is after[k - k % n]
+            elif row is not None:
+                read += 1
+                assert np.array(row).tobytes() == r_flat[k].tobytes()
+    assert read  # some sub-6 row was read
 
 
 def _bits(values: dict) -> dict:
@@ -805,14 +829,22 @@ def _convoy_gains(k2, n, link_gains=(1e-9, 5e-10, 2e-10, 1e-10)):
 _RICH = 1e12  # a budget or demand no test instance reaches
 
 
-def test_a_class_whose_rows_differ_gets_a_row_per_block():
+def test_a_class_whose_rows_differ_gets_a_row_per_block(rate_row_lists):
+    """Such a class shares no row: each entry is None until the rounds
+    read it, and then it is a list of its own, the block's rates."""
     gains = _convoy_gains(3, 8)
     gains[0, 4, 1] = 3e-10  # one demander's rate on one block differs
     s, ch = _hand_built(gains, 8, [(0.1, 1.0)], [_RICH] * 3, [_RICH] * 3)
-    assert len({id(row) for row in matching._rate_rows(ch.rates, 8)}) == 8
+    run_matching(s, ch, zeta=0.0)
+    (rows,) = rate_row_lists
+    assert matching._rate_rows(ch.rates, 8) == [None] * 8
+    r_flat = _flat_view(s, ch)[1]
+    read = [k for k, row in enumerate(rows) if row is not None]
+    assert read and len({id(rows[k]) for k in read}) == len(read)
+    for k in read:
+        assert np.array(rows[k]).tobytes() == r_flat[k].tobytes()
     # equal but NaN rates do not compare equal, so they share no row either
-    rows = matching._rate_rows(np.full((1, 3, 2), np.nan), 3)
-    assert len({id(row) for row in rows}) == 3
+    assert matching._rate_rows(np.full((1, 3, 2), np.nan), 3) == [None] * 3
 
 
 def test_a_convoy_over_one_mmwave_class_is_skipped_to_its_end(skipped_rounds):
@@ -1270,6 +1302,8 @@ _CORPUS_SIZE = 200
 _CORPUS_FAST_FORWARD_FLOOR = 48
 _CORPUS_CHEAPER_PICK_FLOOR = 37
 _CORPUS_CHEAPER_REFUSAL_FLOOR = 67
+# and 395 rounds of the corpus end in a convoy on a uniform mmWave class
+_CORPUS_CONVOY_FLOOR = 197
 
 
 def test_schemes_keep_their_guarantees_on_a_fixed_corpus(
@@ -1291,3 +1325,44 @@ def test_schemes_keep_their_guarantees_on_a_fixed_corpus(
     assert reached >= _CORPUS_FAST_FORWARD_FLOOR
     assert picked >= _CORPUS_CHEAPER_PICK_FLOOR
     assert refused >= _CORPUS_CHEAPER_REFUSAL_FLOOR
+
+
+def _uniform_classes(s, ch) -> list[range]:
+    """The flat blocks of each mmWave class whose rates are bitwise equal
+    across its blocks and free of NaN."""
+    n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
+    return [
+        range(a * n, a * n + n1)
+        for a, mmw in enumerate(ch.rates[:, :n1])
+        if n1 and mmw.tobytes() == mmw[0].tobytes() * n1 and not np.isnan(mmw).any()
+    ]
+
+
+def test_held_blocks_of_a_uniform_class_form_a_prefix_on_a_fixed_corpus(monkeypatch):
+    """What bounds a fast-forward run by its class's end: at every call of
+    ``_skip_repeats``, every block after a convoy's block in its uniform
+    class is free, and in every final matching the held blocks of each
+    uniform class form a prefix of it."""
+    skip_repeats = matching._skip_repeats
+    classes: list[range] = []
+    convoys = 0
+
+    def checked(groups, states, holder, *args):
+        nonlocal convoys
+        for m, _, w in groups:
+            for c in classes:
+                if w >= 0 and m in c:
+                    convoys += 1
+                    assert all(h < 0 for h in holder[m + 1 : c.stop])
+        return skip_repeats(groups, states, holder, *args)
+
+    monkeypatch.setattr(matching, "_skip_repeats", checked)
+    rng = np.random.default_rng(0x5CB)
+    for _ in range(_CORPUS_SIZE):
+        s, ch, zeta, _ = _small_instance(_NumpyDraws(rng))
+        classes = _uniform_classes(s, ch)
+        m = run_matching(s, ch, zeta)
+        for c in classes:
+            held = (m.holder[c.start : c.stop] >= 0).tolist()
+            assert held == sorted(held, reverse=True)
+    assert convoys >= _CORPUS_CONVOY_FLOOR

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import reference_model as ref
 
+from scbn import oracle
 from scbn.experiments import random_micro_config
-from scbn.matching import matching_from_assignment, run_matching
+from scbn.matching import _flat_view, matching_from_assignment, run_matching
 from scbn.oracle import InstanceTooLargeError, brute_force_min_cost, check_constraints
 from scbn.propagation import realize_channels
 from scbn.scenario import (
@@ -152,6 +153,57 @@ def test_audit_distribution_mixes_feasible_and_infeasible_instances():
         ch = realize_channels(s, rng)
         outcomes.add(brute_force_min_cost(s, ch).feasible)
     assert outcomes == {True, False}
+
+
+def _largest_legal_instance(seed, demand_bps):
+    """Three demanders and eight BRBs, close enough to meet small demands."""
+    cfg = GenerationConfig(
+        num_stations=5,
+        num_anchors=2,
+        num_mmw_brbs=2,
+        num_sub6_brbs=2,
+        demand_bps=demand_bps,
+        budget=9.0,
+        mmw_price=1.3,
+        sub6_price=2.7,
+        area_side_m=150.0,
+    )
+    s = generate_scenario(cfg, seed=seed)
+    return s, realize_channels(s, np.random.default_rng(seed))
+
+
+def test_oracle_matches_the_per_demander_reference():
+    """The shared enumeration and its one broadcast over demanders give the
+    bits of the per-demander loop: 200 micro instances drawn as
+    ``oracle_compare_rows`` draws them, and the largest legal shape."""
+    rng = np.random.default_rng([0, 0xACE])
+    instances = []
+    for _ in range(200):
+        s = generate_scenario(random_micro_config(rng), seed=int(rng.integers(2**31)))
+        instances.append((s, realize_channels(s, rng)))
+    instances += [
+        _largest_legal_instance(seed, demand)
+        for seed, demand in enumerate((2e6, 2e6, 5e8))
+    ]
+    outcomes = set()
+    for s, ch in instances:
+        t, r_flat, budgets, demands = _flat_view(s, ch)
+        sol = brute_force_min_cost(s, ch)
+        feasible, total_cost, holder = ref.brute_force_min_cost(
+            r_flat, t.price, budgets, demands
+        )
+        # every assignment, not only the cheapest
+        choices, held = oracle._enumeration(*r_flat.shape[::-1])
+        new_rows = oracle._feasibility(choices, held, r_flat, t.price, budgets, demands)
+        ref_rows = ref.oracle_feasibility(choices, r_flat, t.price, budgets, demands)
+        assert new_rows[0].tolist() == ref_rows[0].tolist()
+        assert new_rows[1].tobytes() == ref_rows[1].tobytes()
+        assert sol.feasible == feasible
+        assert sol.total_cost.hex() == total_cost.hex()
+        assert sol.matching.holder.tolist() == holder
+        outcomes.add((r_flat.shape, feasible))
+    assert {((8, 3), True), ((8, 3), False)} <= outcomes
+    assert len({f for _, f in outcomes}) == 2
 
 
 # --- constraint audit -----------------------------------------------------------
