@@ -13,8 +13,6 @@ state the scalar draws would have left it in.
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 
 from .matching import Matching, _flat_view
@@ -171,7 +169,7 @@ def random_allocate(
     # array overhead.  Only granted rates are read, one ``item`` each.
     rate_of = r_flat.item
     price, tier_of, tiers = t.price_of, t.tier_of, t.tiers
-    holder = array("q", [-1]) * m_total
+    holder = [-1] * m_total
     rate = [0.0 for _ in axes]
     cost = [0.0 for _ in axes]
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    SCHEMES,
     SWEEPS,
     check_schemes,
     load_generation_config,
@@ -110,9 +111,7 @@ def _cmd_oracle_compare(args) -> int:
     write_oracle_csv(rows, out_csv)
     write_manifest(args.out, "oracle-compare", {"trials": args.trials}, args.seed)
     feasible = sum(r["feasible"] for r in rows)
-    bad_gap = sum(
-        1 for r in rows if r["gap"] == r["gap"] and r["gap"] < -1e-9
-    )
+    bad_gap = sum(1 for r in rows if r["gap"] < -1e-9)  # a NaN gap compares false
     bad_constraints = sum(1 for r in rows if not r["constraints_3c_3f_ok"])
     print(
         f"{len(rows)} instances, {feasible} feasible, "
@@ -165,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.add_argument("--channel-seed", type=int, default=0)
     p.add_argument("--zeta", type=float, default=1e6, help="price weight in bit/s per unit")
-    p.add_argument("--schemes", default="matching,best_effort,random")
+    p.add_argument("--schemes", default=",".join(SCHEMES))
     p.add_argument("--dump-channels", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_run)

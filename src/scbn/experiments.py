@@ -13,9 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
-import statistics
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,9 +62,17 @@ __all__ = [
 SCHEME_MATCHING = "matching"
 SCHEME_BEST_EFFORT = "best_effort"
 SCHEME_RANDOM = "random"
-SCHEMES = (SCHEME_MATCHING, SCHEME_BEST_EFFORT, SCHEME_RANDOM)
+# scheme name -> its run on (s, ch, zeta, rng).  Each run looks its
+# function up in this module when called, so a wrapper put in its place
+# here is the one that runs
+_SCHEME_RUNS = {
+    SCHEME_MATCHING: lambda s, ch, zeta, rng: run_matching(s, ch, zeta),
+    SCHEME_BEST_EFFORT: lambda s, ch, zeta, rng: best_effort_allocate(s, ch),
+    SCHEME_RANDOM: lambda s, ch, zeta, rng: random_allocate(s, ch, rng),
+}
+SCHEMES = tuple(_SCHEME_RUNS)
 
-_Z975 = statistics.NormalDist().inv_cdf(0.975)
+_Z975 = 1.9599639845400536  # the standard normal's 97.5% quantile
 
 
 @dataclass(frozen=True)
@@ -203,13 +209,10 @@ def run_scheme(
     rng: np.random.Generator,
 ) -> Matching:
     """Allocate with one named scheme; only the random baseline draws from rng."""
-    if scheme == SCHEME_MATCHING:
-        return run_matching(s, ch, zeta_bps_per_unit)
-    if scheme == SCHEME_BEST_EFFORT:
-        return best_effort_allocate(s, ch)
-    if scheme == SCHEME_RANDOM:
-        return random_allocate(s, ch, rng)
-    raise ConfigError(f"unknown scheme '{scheme}'")
+    run = _SCHEME_RUNS.get(scheme)
+    if run is None:
+        raise ConfigError(f"unknown scheme '{scheme}'")
+    return run(s, ch, zeta_bps_per_unit, rng)
 
 
 def run_trial(
@@ -321,6 +324,9 @@ def sweep(cfg: SweepConfig, axis: str) -> SweepResult:
         for trial_idx in range(cfg.trials)
     ]
     if cfg.workers > 1:
+        # imported here: only a parallel sweep needs multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_trial_job, jobs, chunksize=8))
     else:
@@ -468,6 +474,18 @@ def random_micro_config(rng: np.random.Generator) -> GenerationConfig:
     )
 
 
+# the keys of an oracle_compare_rows row, in order: the oracle CSV's columns
+_ORACLE_COLUMNS = (
+    "instance",
+    "feasible",
+    "oracle_cost",
+    "matching_cost",
+    "matching_met_demands",
+    "gap",
+    "constraints_3c_3f_ok",
+)
+
+
 def oracle_compare_rows(trials: int, seed: int, zeta: float = 1e6) -> list[dict]:
     """Match the distributed algorithm against the exhaustive oracle.
 
@@ -497,31 +515,14 @@ def oracle_compare_rows(trials: int, seed: int, zeta: float = 1e6) -> list[dict]
             if (sol.feasible and matching_met)
             else float("nan")
         )
-        rows.append(
-            {
-                "instance": t,
-                "feasible": sol.feasible,
-                "oracle_cost": sol.total_cost if sol.feasible else float("nan"),
-                "matching_cost": matching_cost,
-                "matching_met_demands": matching_met,
-                "gap": gap,
-                "constraints_3c_3f_ok": report.budget_ok,
-            }
-        )
+        oracle_cost = sol.total_cost if sol.feasible else float("nan")
+        cells = (t, sol.feasible, oracle_cost, matching_cost, matching_met, gap, report.budget_ok)
+        rows.append(dict(zip(_ORACLE_COLUMNS, cells)))
     return rows
 
 
 def write_oracle_csv(rows: list[dict], path: str) -> None:
-    columns = (
-        "instance",
-        "feasible",
-        "oracle_cost",
-        "matching_cost",
-        "matching_met_demands",
-        "gap",
-        "constraints_3c_3f_ok",
-    )
-    _write_csv(path, columns, ([r[c] for c in columns] for r in rows))
+    _write_csv(path, _ORACLE_COLUMNS, ([r[c] for c in _ORACLE_COLUMNS] for r in rows))
 
 
 def stability_audit(

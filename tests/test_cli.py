@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbn.cli import main
-from scbn.experiments import SWEEPS, SweepConfig
+from scbn.experiments import SCHEMES, SWEEPS, SweepConfig
 from scbn.scenario import GenerationConfig, load_scenario
 
 _PARAMS = {
@@ -112,6 +112,8 @@ def test_run_is_byte_reproducible(tmp_path):
         assert rc == 0
     for filename in ("matching_matching.csv", "matching_best_effort.csv", "matching_random.csv"):
         assert (tmp_path / "a" / filename).read_bytes() == (tmp_path / "b" / filename).read_bytes()
+    written = sorted(p.name for p in (tmp_path / "a").glob("matching_*.csv"))
+    assert written == sorted(f"matching_{name}.csv" for name in SCHEMES)
 
 
 def test_run_rejects_unknown_scheme(tmp_path, capsys):

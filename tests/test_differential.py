@@ -870,6 +870,32 @@ def test_a_run_stops_at_the_end_of_its_class(skipped_rounds):
     assert skipped_rounds[0] == 1
 
 
+def test_a_zero_rate_holding_can_leave_one_blocking_pair():
+    """Demander 3 wins sub-6 block (0, 1, 0), cannot afford (2, 1, 0) at
+    price 1.0, buys the zero-rate (0, 1, 1) instead and then loses (0, 1, 0)
+    to demander 6.  It never releases the zero-rate block, so it ends with
+    rate 0 at cost 0.5, and releasing that block would free exactly the
+    price of (2, 1, 0): the acceptability rule leaves one blocking pair."""
+    gains = np.zeros((3, 9, 4))
+    gains[0, 6, 0] = gains[2, 6, 0] = 1e-10
+    gains[0, 6, 3] = gains[0, 8, 3] = 1e-11
+    gains[2, :6, 3] = 1e-11
+    s, ch = _hand_built(
+        gains,
+        6,
+        [(1.0, 0.5), (1.0, 1.0), (2.0, 1.0)],
+        [1.0, 0.05, 0.05, 3.0],
+        [476564.0, 1e5, 1e5, 18473365.0],
+    )
+    m = run_matching(s, ch, zeta=0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
+    assert m.assigned[3] == {(0, 1, 1)}
+    assert (m.cost[3], m.rate_bps[3]) == (0.5, 0.0)
+    assert (m.rounds, m.proposals) == (3, 6)
+    assert find_blocking_pairs(m, s, ch, 0.0) == [(3, (2, 1, 0))]
+    assert _ref_find_blocking_pairs(m, s, ch, 0.0) == [(3, (2, 1, 0))]
+
+
 def test_a_class_whose_rates_differ_mid_class_is_played_round_by_round(skipped_rounds):
     gains = _convoy_gains(3, 8)
     gains[0, 4, 1] = 3e-10  # demander 1 likes block 4 less than its neighbours

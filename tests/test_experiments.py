@@ -50,6 +50,28 @@ def test_run_trial_is_deterministic():
     assert a == b
 
 
+def test_each_scheme_calls_its_function_as_experiments_holds_it(monkeypatch):
+    """A scheme's run looks its function up in ``experiments`` when called,
+    so wrappers put there, as bench's tracing does, see every call."""
+    s = generate_scenario(_SMALL, seed=1)
+    unwrapped = run_trial(s, 1e6, SCHEMES, np.random.default_rng([1, 0]))
+    names = ("run_matching", "best_effort_allocate", "random_allocate")
+    calls = []
+    for name in names:
+        fn = getattr(experiments, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(experiments, name, counted)
+    assert run_trial(s, 1e6, SCHEMES, np.random.default_rng([1, 0])) == unwrapped
+    assert sorted(calls) == sorted(names)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="unknown scheme 'telepathy'"):
+        experiments.run_scheme("telepathy", s, realize_channels(s, rng), 1e6, rng)
+
+
 def test_run_trial_matching_metrics_do_not_depend_on_other_schemes():
     # schemes share one placement and channel draw per trial, so dropping
     # the baselines must not change the matching column
