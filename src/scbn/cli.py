@@ -35,7 +35,6 @@ from .propagation import realize_channels, save_channels_csv
 from .scenario import (
     ConfigError,
     GenerationConfig,
-    ScenarioFormatError,
     _write_json,
     generate_scenario,
     load_scenario,
@@ -200,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

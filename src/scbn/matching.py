@@ -93,39 +93,26 @@ class BrbTable:
 
     Flat index ``k`` names the BRB of anchor axis ``k // N`` (station
     order) at global index ``k % N`` into the channel tensors, with ``N``
-    BRBs per anchor: ``k`` = anchor axis * N + global index.  The arrays
-    give its price, band code (0 mmWave, 1 sub-6), index in band, owner
-    id, rank of its key, and position in ``tiers``, the distinct prices
-    ascending.  Outside the table a BRB is named by its key, the tuple
-    (owner id, band code, index in band).  ``tie_order`` lists the flat
-    indices by (price, band, owner, index), the order in which a demander
-    ranks blocks of equal utility.  ``price_of`` and ``tier_of`` hold the
-    prices and tier positions as Python numbers too, for the per-block
-    loops of the matching and the random baseline.  Tables are shared
-    through a cache, so every field is read-only.
+    BRBs per anchor: ``k`` = anchor axis * N + global index.  ``keys[k]``
+    is its key, the tuple (owner id, band code, index in band) that names
+    a BRB outside the table, band code 0 for mmWave and 1 for sub-6; keys
+    sort as tuples do.  The arrays give its price and its position in
+    ``tiers``, the distinct prices ascending.  ``tie_order`` lists the
+    flat indices by (price, band, owner, index), the order in which a
+    demander ranks blocks of equal utility.  ``price_of`` and ``tier_of``
+    hold the prices and tier positions as Python numbers too, for the
+    per-block loops of the matching and the random baseline.  Tables are
+    shared through a cache, so every field is read-only.
     """
 
+    keys: tuple[BrbKey, ...]
     price: np.ndarray
-    band_code: np.ndarray
-    index_in_band: np.ndarray
-    owner_id: np.ndarray
-    key_rank: np.ndarray
     tier: np.ndarray
     tie_order: np.ndarray
     tiers: tuple[float, ...]
     tier_sizes: tuple[int, ...]
     price_of: tuple[float, ...]
     tier_of: tuple[int, ...]
-
-    def keys(self, ks: np.ndarray | slice = slice(None)) -> list[BrbKey]:
-        """The keys of the flat BRBs ``ks`` (all by default), in that order."""
-        return list(
-            zip(
-                self.owner_id[ks].tolist(),
-                self.band_code[ks].tolist(),
-                self.index_in_band[ks].tolist(),
-            )
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +153,10 @@ class Matching:
 
     @functools.cached_property
     def owner_of(self) -> Mapping[BrbKey, int]:
+        keys, ids = self.table.keys, self.demander_ids
         ks = np.flatnonzero(self.holder >= 0)
-        ids = self.demander_ids
         return MappingProxyType(
-            {b: ids[j] for b, j in zip(self.table.keys(ks), self.holder[ks].tolist())}
+            {keys[k]: ids[j] for k, j in zip(ks.tolist(), self.holder[ks].tolist())}
         )
 
     @functools.cached_property
@@ -192,34 +179,25 @@ def _cached_brb_table(
     # Python lists: micro tables are built for every new instance, and
     # there a numpy call per column costs more than it saves
     n, k1 = n1 + n2, len(anchor_ids)
-    owner, key_rank, price_of = [], [], []
-    by_id = sorted(anchor_ids)
+    owner, price_of = [], []
     for a, (mmw, sub6) in zip(anchor_ids, prices):
         owner += [a] * n
-        # anchors by ascending id, then each anchor's own order
-        start = by_id.index(a) * n
-        key_rank += range(start, start + n)
         price_of += [mmw] * n1 + [sub6] * n2
+    band, index = ([0] * n1 + [1] * n2) * k1, [*range(n1), *range(n2)] * k1
     tiers = sorted(set(price_of))
     tier_of = list(map({p: t for t, p in enumerate(tiers)}.__getitem__, price_of))
-    ints = np.array(
-        [([0] * n1 + [1] * n2) * k1, [*range(n1), *range(n2)] * k1, owner, key_rank, tier_of],
-        dtype=int,
-    )
     price = np.array(price_of, dtype=float)
-    tie_order = np.lexsort((ints[1], ints[2], ints[0], price))
-    for a in (ints, price, tie_order):
+    tier = np.array(tier_of, dtype=int)
+    tie_order = np.lexsort((index, owner, band, price))
+    for a in (price, tier, tie_order):
         a.setflags(write=False)
     return BrbTable(
+        keys=tuple(zip(owner, band, index)),
         price=price,
-        band_code=ints[0],
-        index_in_band=ints[1],
-        owner_id=ints[2],
-        key_rank=ints[3],
-        tier=ints[4],
+        tier=tier,
         tie_order=tie_order,
         tiers=tuple(tiers),
-        tier_sizes=tuple(np.bincount(ints[4], minlength=len(tiers)).tolist()),
+        tier_sizes=tuple(np.bincount(tier, minlength=len(tiers)).tolist()),
         price_of=tuple(price.tolist()),
         tier_of=tuple(tier_of),
     )
@@ -587,7 +565,7 @@ def matching_from_assignment(
     recomputed from the channels."""
     t, r_flat, _, _ = _flat_view(s, ch)
     holder = np.full(len(t.price), -1, dtype=int)
-    flat_of = {b: k for k, b in enumerate(t.keys())}
+    flat_of = {b: k for k, b in enumerate(t.keys)}
     for d, keys in assignment.items():
         if d not in ch.demander_ids:
             raise InconsistentMatchingError(f"unknown demander id {d}")
@@ -640,14 +618,14 @@ def _held_totals(
 
 class BlockingPairs(Sequence):
     """The blocking pairs of one allocation: a read-only sequence of
-    (demander id, BRB key), sorted by demander id, then BRB key.
+    (demander id, BRB key), sorted as tuples: by demander id, then BRB key.
 
     Built from the audit's ``(M, K2)`` mask over (flat BRB, demander
-    axis).  Its length is the mask's count of true entries; the pairs are
-    listed, sorted and turned into key tuples only on first indexing
-    or iteration, so an audit that only counts pays for no tuples.  It
-    equals a list or BlockingPairs of the same pairs in the same order,
-    and is falsy when empty.
+    axis) and the table whose ``keys`` name its flat BRBs.  Its length is
+    the mask's count of true entries; the pairs are listed and sorted only
+    on first indexing or iteration, so an audit that only counts pays for
+    no tuples.  It equals a list or BlockingPairs of the
+    same pairs in the same order, and is falsy when empty.
     """
 
     __slots__ = ("_blocking", "_table", "_demander_ids", "_count", "_pairs")
@@ -666,11 +644,13 @@ class BlockingPairs(Sequence):
 
     def _listed(self) -> list[tuple[int, BrbKey]]:
         if self._pairs is None:
-            t = self._table
-            ids = np.array(self._demander_ids, dtype=int)
-            ks, js = np.nonzero(self._blocking)
-            order = np.lexsort((t.key_rank[ks], ids[js]))
-            self._pairs = list(zip(ids[js[order]].tolist(), t.keys(ks[order])))
+            keys, ids = self._table.keys, self._demander_ids
+            # by demander axis, then flat index: already sorted when anchor
+            # and demander ids ascend in station order, as generated
+            js, ks = np.nonzero(self._blocking.T)
+            self._pairs = sorted(
+                (ids[j], keys[k]) for j, k in zip(js.tolist(), ks.tolist())
+            )
         return self._pairs
 
     def __getitem__(self, i):
@@ -749,22 +729,18 @@ def find_blocking_pairs(
 def save_matching_csv(
     m: Matching, s: Scenario, ch: ChannelRealization, path: str
 ) -> None:
-    """Dump rows of k2, k1, band, n, gamma, rate_bps, price, sorted."""
+    """Dump rows of k2, k1, band, n, gamma, rate_bps, price, one per held
+    BRB, sorted by demander id, then BRB key."""
     t, r_flat, _, _ = _flat_view(s, ch, m)
+    keys, ids = t.keys, ch.demander_ids
     ks = np.flatnonzero(m.holder >= 0)
-    ids = np.array(ch.demander_ids, dtype=int)[m.holder[ks]]
-    order = np.lexsort((t.key_rank[ks], ids))  # demander id, then BRB key
-    ks, ids = ks[order], ids[order]
-    js = m.holder[ks]
+    held = sorted(  # demander id, then BRB key
+        (ids[j], keys[k], k, j) for k, j in zip(ks.tolist(), m.holder[ks].tolist())
+    )
     gamma = gamma_tensor(s, ch).reshape(r_flat.shape)
     band = [kind.value for kind in BandKind]
-    rows = zip(
-        ids.tolist(),
-        t.owner_id[ks].tolist(),
-        [band[c] for c in t.band_code[ks].tolist()],
-        t.index_in_band[ks].tolist(),
-        gamma[ks, js].tolist(),
-        r_flat[ks, js].tolist(),
-        t.price[ks].tolist(),
-    )
+    rows = [
+        (d, a, band[c], i, gamma[k, j], r_flat[k, j], t.price_of[k])
+        for d, (a, c, i), k, j in held
+    ]
     _write_csv(path, ["k2", "k1", "band", "n", "gamma", "rate_bps", "price"], rows)

@@ -116,7 +116,9 @@ class Sub6Params:
 class Scenario:
     """One deployment: stations, bands, prices, budgets and link models.
 
-    The first ``len(anchor_ids)`` stations are anchors.  ``prices`` gives
+    The anchors and the demanders are the stations of each role, in
+    station order, so a file may interleave the roles;
+    :func:`generate_scenario` puts the anchors first.  ``prices`` gives
     each anchor's price per band.  ``budgets`` and ``demands_bps`` are
     keyed by demanding-station id; generation assigns every demander the
     same value but files may override per station.

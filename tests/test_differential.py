@@ -16,6 +16,7 @@ random baseline.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from reference_model import Brb
 
 from scbn import matching
 from scbn.baselines import best_effort_allocate, random_allocate
+from scbn.experiments import SCHEMES, _budget_bound_fraction, run_scheme
 from scbn.matching import (
     InconsistentMatchingError,
     Matching,
@@ -508,7 +510,7 @@ def test_flat_index_is_anchor_axis_times_n_plus_global_index(instances):
     assert loaded
     for s, ch in loaded:
         t, n = brb_table(s), s.brbs_per_anchor
-        keys, brbs = t.keys(), ref.scenario_brbs(s)
+        keys, brbs = t.keys, ref.scenario_brbs(s)
         for k, b in enumerate(brbs):
             assert keys[k] == b.key()
             assert b.owner == s.anchor_ids[k // n]
@@ -521,15 +523,14 @@ def test_flat_index_is_anchor_axis_times_n_plus_global_index(instances):
 
 def test_the_table_describes_the_reference_records(instances):
     """Every array of the table, held to the records the reference model
-    builds from the scenario: keys, prices, key ranks, tiers and the tie
-    order (price, band, owner, index)."""
+    builds from the scenario: keys, prices, tiers and the tie order
+    (price, band, owner, index)."""
     for s, _, _, _ in instances:
         t, brbs = brb_table(s), ref.scenario_brbs(s)
         keys = [b.key() for b in brbs]
         prices = [b.price for b in brbs]
-        assert t.keys() == keys
+        assert list(t.keys) == keys
         assert t.price.tolist() == list(t.price_of) == prices
-        assert [keys[k] for k in np.argsort(t.key_rank)] == sorted(keys)
         assert t.tiers == tuple(sorted(set(prices)))
         assert [t.tiers[i] for i in t.tier_of] == prices
         assert t.tier.tolist() == list(t.tier_of)
@@ -590,7 +591,7 @@ def _assert_same_matching(new: Matching, old: _RefMatching) -> None:
         d: frozenset(b.key() for b in held) for d, held in old.assigned.items()
     }
     assert new.owner_of == {b.key(): d for b, d in old.owner_of.items()}
-    keys = new.table.keys()
+    keys = new.table.keys
     holder = [-1] * len(keys)
     for b, d in old.owner_of.items():
         holder[keys.index(b.key())] = new.demander_ids.index(d)
@@ -767,6 +768,53 @@ def test_large_k60_trials_match_the_reference():
         s = resample_positions(base, rng)
         ch = realize_channels(s, rng)
         _assert_same_matching(run_matching(s, ch, 1e6), _ref_run_matching(s, ch, 1e6))
+
+
+# --- money in powers of two ----------------------------------------------------
+
+
+def _money_scaled(s: Scenario, factor: float) -> Scenario:
+    return replace(
+        s,
+        prices={a: {b: p * factor for b, p in ps.items()} for a, ps in s.prices.items()},
+        budgets={d: v * factor for d, v in s.budgets.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, zeta",
+    [
+        (GenerationConfig(), 1e6),
+        (_BUDGET_BOUND, 1e5),
+        (GenerationConfig(num_stations=60, area_side_m=800.0, demand_bps=1e8), 1e6),
+    ],
+    ids=["reference", "budget-bound", "k60"],
+)
+def test_scaling_money_by_a_power_of_two_scales_only_the_costs(cfg, zeta):
+    """Prices and budgets times 2**k and zeta over 2**k leave every
+    utility, every budget test and every tier order as they were, each
+    product and comparison exact in binary floating point: every scheme
+    grants the same blocks in the same rounds, the audits find as many
+    blocking pairs and budget-bound demanders, and each cost is exactly
+    2**k times its old value."""
+    base = generate_scenario(cfg, seed=0)
+    for i in range(8):
+        rng = np.random.default_rng([0, i])
+        s = resample_positions(base, rng)
+        ch = realize_channels(s, rng)
+        for scheme in SCHEMES:
+            m = run_scheme(scheme, s, ch, zeta, copy.deepcopy(rng))
+            pairs = len(find_blocking_pairs(m, s, ch, zeta))
+            for factor in (0.25, 4.0, 2.0**-10):
+                scaled = _money_scaled(s, factor)
+                z = zeta / factor
+                mf = run_scheme(scheme, scaled, ch, z, copy.deepcopy(rng))
+                assert mf.holder.tolist() == m.holder.tolist()
+                assert _bits(mf.rate_bps) == _bits(m.rate_bps)
+                assert (mf.rounds, mf.proposals) == (m.rounds, m.proposals)
+                assert _bits(mf.cost) == _bits({d: c * factor for d, c in m.cost.items()})
+                assert len(find_blocking_pairs(mf, scaled, ch, z)) == pairs
+                assert _budget_bound_fraction(scaled, mf) == _budget_bound_fraction(s, m)
 
 
 # --- rounds that repeat the previous one a block further on -----------------------
@@ -1123,7 +1171,7 @@ def _three_tier_holding(gains, budget, held):
 def _blocks_in_pairs(s, ch, m) -> list[int]:
     pairs = find_blocking_pairs(m, s, ch, zeta=0.0)
     assert pairs == _ref_find_blocking_pairs(m, s, ch, zeta=0.0)
-    keys = brb_table(s).keys()
+    keys = brb_table(s).keys
     return sorted(keys.index(b) for _, b in pairs)
 
 

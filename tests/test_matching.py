@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 import os
 import subprocess
@@ -12,7 +13,8 @@ import reference_model as ref
 
 import scbn
 from scbn.baselines import best_effort_allocate, random_allocate
-from scbn.experiments import random_micro_config
+from scbn.cli import main
+from scbn.experiments import SCHEMES, random_micro_config
 from scbn.matching import (
     BRB_TABLE_CACHE_SIZE,
     InconsistentMatchingError,
@@ -37,7 +39,9 @@ from scbn.scenario import (
     Scenario,
     Sub6Params,
     generate_scenario,
+    load_scenario,
     resample_positions,
+    save_scenario,
 )
 
 
@@ -551,6 +555,39 @@ def test_save_matching_csv_layout(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def test_matching_csv_rows_follow_ids_not_station_order(tmp_path):
+    """Anchors listed under descending ids and demanders under shuffled
+    ones: every scheme's rows still come by demander id, then by key
+    (anchor id, mmWave before sub-6, index in band)."""
+    cfg = GenerationConfig(num_stations=7, num_anchors=3, num_mmw_brbs=4, num_sub6_brbs=3)
+    s = generate_scenario(cfg, seed=0)
+    new_id = dict(enumerate((19, 16, 7, 4, 13, 10, 1)))
+    s = replace(
+        s,
+        stations=tuple(replace(st, id=new_id[st.id]) for st in s.stations),
+        prices={new_id[a]: p for a, p in s.prices.items()},
+        budgets={new_id[d]: v for d, v in s.budgets.items()},
+        demands_bps={new_id[d]: v for d, v in s.demands_bps.items()},
+    )
+    path = str(tmp_path / "scenario.json")
+    save_scenario(s, path)
+    loaded = load_scenario(path)
+    assert (loaded.anchor_ids, loaded.demander_ids) == ((19, 16, 7), (4, 13, 10, 1))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+    for scheme in SCHEMES:
+        with open(out / f"matching_{scheme}.csv", encoding="utf-8", newline="") as fh:
+            rows = [
+                (int(r["k2"]), int(r["k1"]), r["band"] != "mmwave", int(r["n"]))
+                for r in csv.DictReader(fh)
+            ]
+        assert rows == sorted(rows)
+        # the order is not the station order: some demander holds blocks
+        # of two anchors, and some of both bands of one anchor
+        assert len({(d, a) for d, a, _, _ in rows}) > len({d for d, _, _, _ in rows})
+        assert len({r[:3] for r in rows}) > len({r[:2] for r in rows})
+
+
 # --- BRB table ------------------------------------------------------------------
 
 
@@ -575,9 +612,7 @@ def test_brb_table_tracks_one_anchors_sub6_price():
 
 def test_brb_table_is_read_only():
     t = brb_table(_build([(0, 0)], [(10, 0)], n1=2, n2=1))
-    for array in (
-        t.price, t.band_code, t.index_in_band, t.owner_id, t.key_rank, t.tier, t.tie_order
-    ):
+    for array in (t.price, t.tier, t.tie_order):
         with pytest.raises(ValueError):
             array[0] = 0
 
