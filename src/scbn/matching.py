@@ -31,13 +31,21 @@ mmWave rates, bitwise equal across its blocks, become one Python row
 shared by the class (:func:`_rate_rows`); any other block's row is built
 when the rounds first read it.  A shared row marks a uniform class, whose
 held blocks always form a prefix of it, so the fast-forward bounds a
-run by the class's end instead of testing each block.  Each preference
-order is read through a memoryview of its numpy row, of which the rounds
-touch only a short prefix, and prices come as a Python sequence built
-once per table.  The holder is an ``array('q')``, which
-:class:`Matching` copies through the buffer protocol.  A demander whose
-best untried block is too dear finds the first one it can afford in one
-numpy pass over its order and tried flags.
+run by the class's end instead of testing each block.  No preference
+order is sorted up front.  Each starts as an exact prefix: the uniform
+classes whose utility is strictly above the demander's best block
+outside every class, best first, each as its blocks in index order.  A
+uniform class has one utility and one price and is one run of the tie
+order, so these classes come first in the whole order, in that order; a
+class that only ties that block may come after it, so it stays out
+(:func:`_preferences`).  A demander whose scan runs off its prefix, or
+whose best untried block is too dear, gets its whole order then, one
+stable argsort of its row read through a memoryview; at reference scale
+most demanders never do.  Prices come as a Python sequence built once
+per table.  The holder is an ``array('q')``, which :class:`Matching`
+copies through the buffer protocol.  A demander whose best untried block
+is too dear finds the first one it can afford in one numpy pass over its
+order and tried flags.
 """
 
 from __future__ import annotations
@@ -101,8 +109,12 @@ class BrbTable:
     flat indices by (price, band, owner, index), the order in which a
     demander ranks blocks of equal utility.  ``price_of`` and ``tier_of``
     hold the prices and tier positions as Python numbers too, for the
-    per-block loops of the matching and the random baseline.  Tables are
-    shared through a cache, so every field is read-only.
+    per-block loops of the matching and the random baseline.
+    ``class_runs[a]`` lists the flat blocks of anchor axis ``a``'s mmWave
+    class in index order, one run of the tie order, and ``class_order``
+    the anchor axes in the tie order of their classes, by mmWave price,
+    then owner id; it is empty when there are no mmWave blocks.  Tables
+    are shared through a cache, so every field is read-only.
     """
 
     keys: tuple[BrbKey, ...]
@@ -113,6 +125,8 @@ class BrbTable:
     tier_sizes: tuple[int, ...]
     price_of: tuple[float, ...]
     tier_of: tuple[int, ...]
+    class_order: tuple[int, ...]
+    class_runs: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +181,23 @@ class Matching:
         return MappingProxyType({d: frozenset(bs) for d, bs in held.items()})
 
 
+# The blocks' layout depends on the anchor ids and band sizes alone,
+# which random micro instances share while their prices differ
+@functools.lru_cache(maxsize=BRB_TABLE_CACHE_SIZE)
+def _layout(anchor_ids: tuple[int, ...], n1: int, n2: int):
+    """``(keys, owner, band, index, class_runs)`` of the flat blocks: each
+    block's key, its owner id, band code and index in band as read-only
+    arrays, and each anchor axis's mmWave blocks in index order."""
+    n, k1 = n1 + n2, len(anchor_ids)
+    owner = [a for a in anchor_ids for _ in range(n)]
+    band, index = ([0] * n1 + [1] * n2) * k1, [*range(n1), *range(n2)] * k1
+    arrays = [np.array(c, dtype=int) for c in (owner, band, index)]
+    for a in arrays:
+        a.setflags(write=False)
+    class_runs = tuple(tuple(range(a * n, a * n + n1)) for a in range(k1))
+    return (tuple(zip(owner, band, index)), *arrays, class_runs)
+
+
 # Resampled trials share one shape; a bounded cache keeps memory flat for
 # streams of distinct shapes such as random micro instances.
 @functools.lru_cache(maxsize=BRB_TABLE_CACHE_SIZE)
@@ -178,12 +209,10 @@ def _cached_brb_table(
 ) -> BrbTable:
     # Python lists: micro tables are built for every new instance, and
     # there a numpy call per column costs more than it saves
-    n, k1 = n1 + n2, len(anchor_ids)
-    owner, price_of = [], []
-    for a, (mmw, sub6) in zip(anchor_ids, prices):
-        owner += [a] * n
+    keys, owner, band, index, class_runs = _layout(anchor_ids, n1, n2)
+    price_of = []
+    for mmw, sub6 in prices:
         price_of += [mmw] * n1 + [sub6] * n2
-    band, index = ([0] * n1 + [1] * n2) * k1, [*range(n1), *range(n2)] * k1
     tiers = sorted(set(price_of))
     tier_of = list(map({p: t for t, p in enumerate(tiers)}.__getitem__, price_of))
     price = np.array(price_of, dtype=float)
@@ -191,8 +220,10 @@ def _cached_brb_table(
     tie_order = np.lexsort((index, owner, band, price))
     for a in (price, tier, tie_order):
         a.setflags(write=False)
+    # the anchor axes of the mmWave classes, by mmWave price, then owner id
+    classes = sorted(zip([mmw for mmw, _ in prices], anchor_ids, range(len(prices))))
     return BrbTable(
-        keys=tuple(zip(owner, band, index)),
+        keys=keys,
         price=price,
         tier=tier,
         tie_order=tie_order,
@@ -200,6 +231,8 @@ def _cached_brb_table(
         tier_sizes=tuple(np.bincount(tier, minlength=len(tiers)).tolist()),
         price_of=tuple(price.tolist()),
         tier_of=tuple(tier_of),
+        class_order=tuple(a for _, _, a in classes) if n1 else (),
+        class_runs=class_runs,
     )
 
 
@@ -261,32 +294,51 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
 class _ProposalState:
     """Mutable per-demander state inside run_matching.
 
-    ``order`` is a memoryview of the demander's argsorted numpy row: the
-    rounds read only a short prefix of it, so it is never converted to a
-    list as a whole.  Every position of ``order`` before ``scan_from`` has
-    been applied to.  A block of one price tier is affordable exactly when
-    every block of that tier is, so a demander applies to each tier's
-    blocks in preference order: within a tier, the applied positions are a
-    prefix.  The blocks of a uniform mmWave class are consecutive in that
-    order, by index, so a demander applies to them in index order.
+    ``order`` lists flat BRB indices in the demander's preference order,
+    whole or as an exact prefix of ``end`` positions.  A prefix is a tuple
+    of the uniform mmWave classes strictly above the demander's best block
+    outside every class, by (-utility, tie rank); each class has one
+    utility and is one run of the tie order, so they come first in the
+    whole order, and a class that only ties that block stays out (see
+    :func:`_preferences`).  :meth:`complete` replaces the prefix by a
+    memoryview of the whole argsorted numpy row, which starts with it, when
+    a scan runs off its end or :meth:`cheaper_head` needs the rest of the
+    order.  The rounds read only a short prefix of a whole row, so it is
+    never converted to a list.  Every position of ``order`` before
+    ``scan_from`` has been applied to; completing an order keeps them.  A
+    block of one price tier is affordable exactly when every block of that
+    tier is, so a demander applies to each tier's blocks in preference
+    order: within a tier, the applied positions are a prefix.  The blocks
+    of a uniform mmWave class are consecutive in that order, by index, so
+    a demander applies to them in index order.
     """
 
-    order: memoryview          # flat BRB indices in preference order
+    order: Sequence[int]       # flat BRB indices in preference order, or a prefix
+    end: int                   # len(order), M once the order is whole
     applied: bytearray         # nonzero per flat BRB already proposed to
     scan_from: int = 0         # first position possibly unapplied
     cost: float = 0.0
     rate_bps: float = 0.0
+
+    def complete(self, order: np.ndarray) -> None:
+        """Read on in ``order``, the whole preference order, which starts
+        with the prefix read so far: called when a scan runs off the
+        prefix (``scan_from == end``) or before :meth:`cheaper_head`
+        (``scan_from < end``)."""
+        self.order = memoryview(order)
+        self.end = len(order)
 
     def cheaper_head(self, price: np.ndarray, budget: float) -> int:
         """The best untried block the budget covers, or -1, when the best
         untried block, the one at ``scan_from``, is too dear.
 
         The block a scan onward would reach, found in one numpy pass over
-        ``order`` from ``scan_from`` (never empty): the first untried block
-        whose ``cost + price``, the float sum run_matching compares and
-        stores as the cost, is within budget.  ``price`` is per flat block.
+        the whole ``order`` from ``scan_from`` (never empty): the first
+        untried block whose ``cost + price``, the float sum run_matching
+        compares and stores as the cost, is within budget.  ``price`` is
+        per flat block.
         """
-        rest = self.order.obj[self.scan_from :]
+        rest = np.asarray(self.order[self.scan_from :])
         ok = np.frombuffer(self.applied, dtype=np.uint8)[rest] == 0
         ok &= self.cost + price[rest] <= budget
         i = ok.argmax()
@@ -312,6 +364,55 @@ def _rate_rows(r: np.ndarray, n1: int) -> list[list[float] | None]:
         if mmw.tobytes() == mmw[0].tobytes() * n1 and not any(map(math.isnan, head)):
             rows[a * n : a * n + n1] = [head] * n1
     return rows
+
+
+def _preferences(t: BrbTable, u_flat: np.ndarray, rates, n: int, n1: int):
+    """``(prefixes, full)`` for the ``(M, K2)`` utilities ``u_flat``:
+    each demander axis's exact preference prefix, and ``full(j)``, demander
+    axis j's whole preference order as a numpy row.
+
+    The whole order is the flat blocks by utility, descending, then in the
+    tie order (price, band, owner, index): ``full(j)`` is
+    ``ties[np.argsort(-u_flat[ties, j], kind="stable")]``, one row of a
+    ``-u_flat[ties].T`` made at a call's first completion.  A prefix is
+    what of that order can be told without sorting the row: the uniform
+    mmWave classes (those that share a row of ``rates``, see
+    :func:`_rate_rows`) whose utility is strictly above the demander's best
+    block outside every class, by (-utility, tie rank), each as its blocks
+    in index order.  It is exact.  A uniform class has one utility and one
+    price, and its blocks are consecutive in the tie order, so it is one
+    run of the whole order.  Every class strictly above the best block
+    outside the classes comes before that block, and so before every other
+    block outside them and every class not above it; a class that ties
+    with that block may come after it, so it stays out, and so does one of
+    NaN utility.  With no sub-6 block the best outside is -inf and the
+    prefix is the whole order; with no mmWave block, or when some class is
+    not uniform, every prefix is empty.
+    """
+    ties = t.tie_order
+    neg = None
+
+    def full(j: int) -> np.ndarray:
+        nonlocal neg
+        if neg is None:
+            neg = -u_flat.take(ties, 0).T
+        return ties.take(neg[j].argsort(kind="stable"))
+
+    k2, classes, runs = u_flat.shape[1], t.class_order, t.class_runs
+    # rates[::n] holds each anchor's first row: None for a class whose rows differ
+    if not classes or None in rates[::n]:
+        return [()] * k2, full
+    u = u_flat.reshape(len(u_flat) // n, n, k2)
+    heads = u[:, 0].T.tolist()  # each class's utility, per demander axis
+    best = np.maximum.reduce(u[:, n1:], axis=(0, 1), initial=-np.inf).tolist()
+    prefixes = []
+    for head, b in zip(heads, best):
+        above = [a for a in classes if head[a] > b]
+        prefix = ()
+        for a in sorted(above, key=head.__getitem__, reverse=True):
+            prefix += runs[a]
+        prefixes.append(prefix)
+    return prefixes, full
 
 
 def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1) -> int:
@@ -449,6 +550,21 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     the same block a scan onward would reach, without walking past every
     dear block in every round.
 
+    The preference order ranks blocks by utility, then by the tie order
+    (price, band, owner, index), but is not sorted up front.  Each
+    demander starts with an exact prefix of it: the uniform mmWave classes
+    strictly above its best block outside every class, by (-utility, tie
+    rank), each as its blocks in index order.  A uniform class has one
+    utility and one price, and its blocks are consecutive in the tie
+    order, so it is one run of the whole order, and every class strictly
+    above the best block outside the classes comes before that block; a
+    class that ties with it may come after it, so it stays out (see
+    :func:`_preferences`).  A demander whose scan runs off its prefix, or
+    that needs :meth:`~_ProposalState.cheaper_head`, which reads the whole
+    rest of the order, gets its whole row then, by the stable argsort the
+    prefix stands for.  Its positions before ``scan_from`` are the
+    prefix's, so ``scan_from`` and the tried flags stay valid.
+
     A round visits only the demanders that proposed or were displaced in
     the round before, in ascending axis order, which keeps the order of
     every float sum: a demander that did neither has the rate, cost and
@@ -464,19 +580,14 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     demander_ids = ch.demander_ids
     m_total, k2 = r_flat.shape
 
-    # utility of every flat BRB for every demander
-    u_flat = r_flat - zeta * t.price[:, None]
-    # preference: utility first, then the cheaper block, then (band, owner, index)
-    ties = t.tie_order
-    order_arrays = ties[np.argsort(-u_flat[ties].T, axis=1, kind="stable")]
-    states = [
-        _ProposalState(order=memoryview(row), applied=bytearray(m_total))
-        for row in order_arrays
-    ]
-
     # Python floats from here on: the same IEEE sums as numpy scalars, faster
     n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
     rates = _rate_rows(ch.rates, n1)
+    # utility of every flat BRB for every demander; preference: utility
+    # first, then the cheaper block, then (band, owner, index)
+    u_flat = r_flat - zeta * t.price[:, None]
+    prefixes, full = _preferences(t, u_flat, rates, n, n1)
+    states = [_ProposalState(p, len(p), bytearray(m_total)) for p in prefixes]
     price = t.price_of
     holder = array("q", [-1]) * m_total
     rounds = 0
@@ -492,9 +603,15 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
                 continue
             order = st.order
             applied = st.applied
-            pos = st.scan_from
-            while pos < m_total and applied[order[pos]]:
+            pos, end = st.scan_from, st.end
+            while pos < end and applied[order[pos]]:
                 pos += 1
+            if pos == end < m_total:  # ran off the prefix: read on in the whole order
+                st.scan_from = pos
+                st.complete(full(j))
+                order = st.order
+                while pos < m_total and applied[order[pos]]:
+                    pos += 1
             st.scan_from = pos
             if pos == m_total:
                 continue
@@ -502,6 +619,8 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
             # the comparison uses the same float sum later stored as the
             # cost, so cost <= budget can never be violated
             if not st.cost + price[choice] <= budgets[j]:
+                if st.end < m_total:
+                    st.complete(full(j))
                 choice = st.cheaper_head(t.price, budgets[j])
             if choice >= 0:
                 applied[choice] = 1

@@ -523,8 +523,8 @@ def test_flat_index_is_anchor_axis_times_n_plus_global_index(instances):
 
 def test_the_table_describes_the_reference_records(instances):
     """Every array of the table, held to the records the reference model
-    builds from the scenario: keys, prices, tiers and the tie order
-    (price, band, owner, index)."""
+    builds from the scenario: keys, prices, tiers, the tie order (price,
+    band, owner, index) and the mmWave classes in it."""
     for s, _, _, _ in instances:
         t, brbs = brb_table(s), ref.scenario_brbs(s)
         keys = [b.key() for b in brbs]
@@ -540,6 +540,12 @@ def test_the_table_describes_the_reference_records(instances):
             range(len(brbs)), key=lambda k: (prices[k], band[k], owner[k], index[k])
         )
         assert t.tie_order.tolist() == by_tie
+        mmw = [k for k in by_tie if band[k] == 0]
+        assert [list(run) for run in t.class_runs] == [
+            [k for k in mmw if owner[k] == a] for a in s.anchor_ids
+        ]
+        heads = [k for k in mmw if index[k] == 0]
+        assert list(t.class_order) == [k // s.brbs_per_anchor for k in heads]
 
 
 @pytest.fixture
@@ -694,6 +700,24 @@ def tier_head_choices(monkeypatch):
     return made
 
 
+@pytest.fixture
+def completions(monkeypatch):
+    """Records, for each preference order completed, the length of the
+    prefix it replaced and whether a scan ran off that prefix (otherwise
+    it was completed for ``cheaper_head``); and checks that the whole
+    order starts with the prefix."""
+    made: list[tuple[int, bool]] = []
+    complete = _ProposalState.complete
+
+    def recorded(self, order):
+        assert order[: self.end].tolist() == list(self.order)
+        made.append((self.end, self.scan_from == self.end))
+        complete(self, order)
+
+    monkeypatch.setattr(_ProposalState, "complete", recorded)
+    return made
+
+
 # trials in which demanders run out of money with many dear blocks untried,
 # so that their best untried block is too dear round after round
 _BUDGET_BOUND = GenerationConfig(
@@ -770,7 +794,7 @@ def test_large_k60_trials_match_the_reference():
         _assert_same_matching(run_matching(s, ch, 1e6), _ref_run_matching(s, ch, 1e6))
 
 
-# --- money in powers of two ----------------------------------------------------
+# --- money and utilities in powers of two -----------------------------------------
 
 
 def _money_scaled(s: Scenario, factor: float) -> Scenario:
@@ -814,6 +838,63 @@ def test_scaling_money_by_a_power_of_two_scales_only_the_costs(cfg, zeta):
                 assert (mf.rounds, mf.proposals) == (m.rounds, m.proposals)
                 assert _bits(mf.cost) == _bits({d: c * factor for d, c in m.cost.items()})
                 assert len(find_blocking_pairs(mf, scaled, ch, z)) == pairs
+                assert _budget_bound_fraction(scaled, mf) == _budget_bound_fraction(s, m)
+
+
+def _utility_scaled(s: Scenario, factor: float) -> Scenario:
+    return replace(
+        s,
+        mmw_band=replace(s.mmw_band, brb_bandwidth_hz=s.mmw_band.brb_bandwidth_hz * factor),
+        sub6_band=replace(
+            s.sub6_band, brb_bandwidth_hz=s.sub6_band.brb_bandwidth_hz * factor
+        ),
+        demands_bps={d: v * factor for d, v in s.demands_bps.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, zeta",
+    [
+        (GenerationConfig(), 1e6),
+        (_BUDGET_BOUND, 1e5),
+        (GenerationConfig(num_stations=60, area_side_m=800.0, demand_bps=1e8), 1e6),
+    ],
+    ids=["reference", "budget-bound", "k60"],
+)
+def test_scaling_utilities_by_a_power_of_two_scales_only_the_rates(cfg, zeta):
+    """Both BRB bandwidths, every demand and zeta times 2**k scale every
+    rate, demand and utility by 2**k, each product exact in binary
+    floating point, and leave every comparison as it was: every scheme
+    grants the same blocks in the same rounds at the same costs, the
+    audits find as many blocking pairs and budget-bound demanders, and
+    each rate is exactly 2**k times its old value."""
+    base = generate_scenario(cfg, seed=0)
+    for i in range(5):
+        rng = np.random.default_rng([0, i])
+        s = resample_positions(base, rng)
+        drawn = copy.deepcopy(rng)
+        ch = realize_channels(s, rng)
+        variants = []  # (factor, scenario, the same draw for it)
+        for factor in (0.25, 4.0, 2.0**-10, 2.0**20):
+            scaled = _utility_scaled(s, factor)
+            rng_f = copy.deepcopy(drawn)
+            ch_f = realize_channels(scaled, rng_f)
+            assert rng_f.bit_generator.state == rng.bit_generator.state
+            assert ch_f.gains.tobytes() == ch.gains.tobytes()
+            variants.append((factor, scaled, ch_f))
+        for scheme in SCHEMES:
+            m = run_scheme(scheme, s, ch, zeta, copy.deepcopy(rng))
+            pairs = len(find_blocking_pairs(m, s, ch, zeta))
+            for factor, scaled, ch_f in variants:
+                z = zeta * factor
+                mf = run_scheme(scheme, scaled, ch_f, z, copy.deepcopy(rng))
+                assert mf.holder.tolist() == m.holder.tolist()
+                assert (mf.rounds, mf.proposals) == (m.rounds, m.proposals)
+                assert _bits(mf.cost) == _bits(m.cost)
+                assert _bits(mf.rate_bps) == _bits(
+                    {d: r * factor for d, r in m.rate_bps.items()}
+                )
+                assert len(find_blocking_pairs(mf, scaled, ch_f, z)) == pairs
                 assert _budget_bound_fraction(scaled, mf) == _budget_bound_fraction(s, m)
 
 
@@ -1370,35 +1451,46 @@ def test_schemes_keep_their_guarantees_on_small_instances(instance):
 
 # 97 of the corpus's 200 instances reach a skipped round; of the 137 in
 # which a demander's best untried block is too dear, 75 propose past it to
-# a cheaper block and 134 find none to afford.  Each floor is about half
-# its count, low enough for edits that move a few instances
+# a cheaper block and 134 find none to afford.  In 63 a scan runs off a
+# non-empty preference prefix, and in 40 an order is completed for the
+# search past a too dear block.  Each floor is about half its count, low
+# enough for edits that move a few instances
 _CORPUS_SIZE = 200
 _CORPUS_FAST_FORWARD_FLOOR = 48
 _CORPUS_CHEAPER_PICK_FLOOR = 37
 _CORPUS_CHEAPER_REFUSAL_FLOOR = 67
+_CORPUS_RAN_OFF_PREFIX_FLOOR = 31
+_CORPUS_COMPLETED_FOR_SEARCH_FLOOR = 20
 # and 395 rounds of the corpus end in a convoy on a uniform mmWave class
 _CORPUS_CONVOY_FLOOR = 197
 
 
 def test_schemes_keep_their_guarantees_on_a_fixed_corpus(
-    skipped_rounds, tier_head_choices
+    skipped_rounds, tier_head_choices, completions
 ):
     """The same checks on instances drawn from a seeded numpy generator,
     which no edit elsewhere moves, unlike Hypothesis's derandomized
-    examples; the corpus must keep reaching the fast-forward and both
-    outcomes of the search past a too dear block."""
+    examples; the corpus must keep reaching the fast-forward, both
+    outcomes of the search past a too dear block, and both ways a
+    preference prefix is completed."""
     rng = np.random.default_rng(0x5CB)
-    reached = picked = refused = 0
+    reached = picked = refused = ran_off = for_search = 0
     for _ in range(_CORPUS_SIZE):
         skipped_before, choices_before = sum(skipped_rounds), len(tier_head_choices)
+        completed_before = len(completions)
         _check_guarantees(_small_instance(_NumpyDraws(rng)))
         reached += sum(skipped_rounds) > skipped_before
         choices = tier_head_choices[choices_before:]
         picked += any(choices)
         refused += not all(choices)
+        completed = completions[completed_before:]
+        ran_off += any(end > 0 and off for end, off in completed)
+        for_search += not all(off for _, off in completed)
     assert reached >= _CORPUS_FAST_FORWARD_FLOOR
     assert picked >= _CORPUS_CHEAPER_PICK_FLOOR
     assert refused >= _CORPUS_CHEAPER_REFUSAL_FLOOR
+    assert ran_off >= _CORPUS_RAN_OFF_PREFIX_FLOOR
+    assert for_search >= _CORPUS_COMPLETED_FOR_SEARCH_FLOOR
 
 
 def _uniform_classes(s, ch) -> list[range]:
@@ -1440,3 +1532,141 @@ def test_held_blocks_of_a_uniform_class_form_a_prefix_on_a_fixed_corpus(monkeypa
             held = (m.holder[c.start : c.stop] >= 0).tolist()
             assert held == sorted(held, reverse=True)
     assert convoys >= _CORPUS_CONVOY_FLOOR
+
+
+# --- preference prefixes ------------------------------------------------------------
+
+
+def _checked_prefixes(s, ch, zeta) -> list[list[int]]:
+    """Each demander's preference prefix, held to the first positions of
+    the stable argsort of its whole utility row, which run_matching once
+    made for every demander before the rounds, and with its completed
+    order held to that whole row."""
+    t, r_flat, _, _ = _flat_view(s, ch)
+    n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
+    u_flat = r_flat - zeta * t.price[:, None]
+    ties = t.tie_order
+    whole = ties[np.argsort(-u_flat[ties].T, axis=1, kind="stable")]
+    rows = matching._rate_rows(ch.rates, n1)
+    prefixes, full = matching._preferences(t, u_flat, rows, n, n1)
+    assert len(prefixes) == len(whole)
+    for j, prefix in enumerate(prefixes):
+        assert list(prefix) == whole[j, : len(prefix)].tolist()
+        assert full(j).tolist() == whole[j].tolist()
+    return [list(p) for p in prefixes]
+
+
+@pytest.mark.parametrize(
+    "cfg, zeta",
+    [
+        (GenerationConfig(), 1e6),
+        (_BUDGET_BOUND, 1e5),
+        (GenerationConfig(num_stations=60, area_side_m=800.0, demand_bps=1e8), 1e6),
+    ],
+    ids=["reference", "budget-bound", "k60"],
+)
+def test_each_prefix_starts_the_whole_order_on_the_bench_shapes(cfg, zeta):
+    base = generate_scenario(cfg, seed=0)
+    lengths = []
+    for i in range(3):
+        rng = np.random.default_rng([0, i])
+        s = resample_positions(base, rng)
+        lengths += map(len, _checked_prefixes(s, realize_channels(s, rng), zeta))
+    # some orders start with a class, none is whole (there are sub-6 blocks)
+    assert 0 < max(lengths) < len(brb_table(base).price)
+
+
+def test_each_prefix_starts_the_whole_order_on_a_fixed_corpus(instances):
+    """On the fixed corpus and the differential instances; some order has
+    a non-empty prefix in 134 of the corpus's 200 instances and in 204 of
+    the 240 others, and the floor is about half of that."""
+    rng = np.random.default_rng(0x5CB)
+    corpus = [_small_instance(_NumpyDraws(rng)) for _ in range(_CORPUS_SIZE)]
+    started = 0
+    for s, ch, zeta, _ in corpus + instances:
+        started += any(_checked_prefixes(s, ch, zeta))
+    assert started >= 169
+
+
+def _with_rates(shape, n1, prices, rates, tmp_path=None):
+    """A scenario of ``shape`` (K1, N, K2) anchors, blocks per anchor and
+    demanders, of which the first ``n1`` blocks are mmWave, with one
+    (mmWave, sub-6) price pair per anchor, and a realization whose rates
+    are ``rates``.  With ``tmp_path``, the anchors get descending ids (see
+    :func:`_relabelled`)."""
+    k1, _, k2 = shape
+    s, _ = _hand_built(np.zeros(shape), n1, prices, [1e9] * k2, [1e12] * k2)
+    if tmp_path is not None:
+        s = _relabelled(s, np.random.default_rng(1), tmp_path / "relabelled.json")
+    ch = ChannelRealization(
+        gains=np.zeros(shape),
+        rates=np.array(rates, dtype=float).reshape(shape),
+        los=np.ones((k1, k2), dtype=bool),
+        num_mmw_brbs=n1,
+        anchor_ids=s.anchor_ids,
+        demander_ids=s.demander_ids,
+        radio=radio_settings(s),
+    )
+    return s, ch
+
+
+_EVEN = ((1.0, 1.0), (1.0, 1.0))
+
+
+def test_without_sub6_blocks_the_prefix_is_the_whole_order():
+    """With no block outside the classes the prefix is every class, so
+    the search past a too dear class reads an order that is never
+    completed: the better class (price 2) does not fit the budget of 1,
+    and the demander takes one block of the other (price 1) instead."""
+    gains = np.array([1e-9, 1e-9, 1e-10, 1e-10]).reshape(2, 2, 1)
+    s, ch = _hand_built(gains, 2, ((2.0, 1.0), (1.0, 1.0)), [1.0], [1e12])
+    assert _checked_prefixes(s, ch, 0.0) == [[0, 1, 2, 3]]
+    m = run_matching(s, ch, 0.0)
+    _assert_same_matching(m, _ref_run_matching(s, ch, 0.0))
+    assert m.holder.tolist() == [-1, -1, 0, -1]
+
+
+def test_without_mmwave_blocks_every_prefix_is_empty():
+    s, ch = _with_rates((2, 2, 2), 0, _EVEN, [3, 4, 5, 6, 7, 8, 9, 1])
+    assert _checked_prefixes(s, ch, 0.0) == [[], []]
+
+
+def test_a_class_whose_rows_differ_leaves_every_prefix_empty():
+    # anchor 0's class steps at its second block; anchor 1's is uniform
+    # and beats every sub-6 block, but its prefix waits too
+    rates = [[5, 5], [5, 6], [9, 9], [7, 7], [7, 7], [1, 1]]
+    s, ch = _with_rates((2, 3, 2), 2, _EVEN, rates)
+    assert _checked_prefixes(s, ch, 0.0) == [[], []]
+
+
+def test_a_nan_leaves_its_prefixes_empty():
+    # a class with a NaN rate is not uniform, so no order has a prefix
+    rates = [[np.nan, 5], [np.nan, 5], [1, 1], [7, 7], [7, 7], [1, 1]]
+    s, ch = _with_rates((2, 3, 2), 2, _EVEN, rates)
+    assert _checked_prefixes(s, ch, 0.0) == [[], []]
+    # a NaN sub-6 rate leaves no best block outside the classes to beat
+    # for its demander alone
+    rates = [[5, 5], [5, 5], [np.nan, 1], [7, 7], [7, 7], [1, 1]]
+    s, ch = _with_rates((2, 3, 2), 2, _EVEN, rates)
+    assert _checked_prefixes(s, ch, 0.0) == [[], [3, 4, 0, 1]]
+
+
+def test_a_class_that_ties_the_best_sub6_block_stays_out_of_the_prefix():
+    """Anchor 0's class rates 5, as does its sub-6 block, which is cheaper
+    and so ranks first among the three; only anchor 1's class, at 7, is
+    strictly above it."""
+    prices = ((1.0, 0.5), (1.0, 0.5))
+    s, ch = _with_rates((2, 3, 1), 2, prices, [5, 5, 5, 7, 7, 4])
+    assert _checked_prefixes(s, ch, 0.0) == [[3, 4]]
+
+
+def test_classes_of_equal_utility_keep_the_tie_order(tmp_path):
+    """Two classes of one utility above every sub-6 block enter the prefix
+    in the tie order: the cheaper class first, and at one price the one of
+    the lower owner id, although its anchor axis is the higher."""
+    rates = [7, 7, 1, 7, 7, 1]
+    s, ch = _with_rates((2, 3, 1), 2, ((2.0, 1.0), (1.0, 1.0)), rates)
+    assert _checked_prefixes(s, ch, 0.0) == [[3, 4, 0, 1]]
+    s, ch = _with_rates((2, 3, 1), 2, _EVEN, rates, tmp_path)
+    assert s.anchor_ids[0] > s.anchor_ids[1]
+    assert _checked_prefixes(s, ch, 0.0) == [[3, 4, 0, 1]]
