@@ -134,10 +134,10 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     holder = np.full(m_total, -1, dtype=int)
     js, cols = np.nonzero(bought)
     holder[order[js, cols]] = js
-    return Matching(
+    return Matching._built(
+        holder,
         table=t,
         demander_ids=demander_ids,
-        holder=holder,
         rate_bps=dict(zip(demander_ids, rate.tolist())),
         cost=dict(zip(demander_ids, cost.tolist())),
     )
@@ -221,10 +221,10 @@ def random_allocate(
                 eligible_in[i].remove(j)
     rng.bit_generator.state = start
     _raw_words(rng, used)
-    return Matching(
+    return Matching._built(
+        np.array(holder, dtype=int),
         table=t,
         demander_ids=demander_ids,
-        holder=holder,
         rate_bps=dict(zip(demander_ids, rate)),
         cost=dict(zip(demander_ids, cost)),
     )

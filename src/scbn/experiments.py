@@ -506,7 +506,10 @@ def oracle_compare_rows(trials: int, seed: int, zeta: float = 1e6) -> list[dict]
         m = run_matching(s, ch, zeta)
         sol = brute_force_min_cost(s, ch)
         report = check_constraints(m, s, ch)
-        matching_cost = float(sum(m.cost.values()))
+        # left to right: sum() adds floats with compensation from Python 3.12
+        matching_cost = 0.0
+        for c in m.cost.values():
+            matching_cost += c
         matching_met = all(
             m.rate_bps[d] >= s.demands_bps[d] for d in s.demander_ids
         )

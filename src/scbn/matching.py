@@ -42,8 +42,8 @@ class that only ties that block may come after it, so it stays out
 whose best untried block is too dear, gets its whole order then, one
 stable argsort of its row read through a memoryview; at reference scale
 most demanders never do.  Prices come as a Python sequence built once
-per table.  The holder is an ``array('q')``, which :class:`Matching`
-copies through the buffer protocol.  A demander whose best untried block
+per table.  The holder is an ``array('q')``, which the result reads
+through the buffer protocol.  A demander whose best untried block
 is too dear finds the first one it can afford in one numpy pass over its
 order and tried flags.
 """
@@ -164,6 +164,14 @@ class Matching:
         holder.setflags(write=False)
         object.__setattr__(self, "holder", holder)
         object.__setattr__(self, "demander_ids", tuple(self.demander_ids))
+
+    @classmethod
+    def _built(cls, holder: np.ndarray, **fields) -> Matching:
+        """A result of an in-range int ``holder``, made read-only, not checked or copied."""
+        m = cls.__new__(cls)
+        holder.setflags(write=False)
+        m.__dict__.update(fields, holder=holder)
+        return m
 
     @functools.cached_property
     def owner_of(self) -> Mapping[BrbKey, int]:
@@ -666,10 +674,10 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
             rounds += skipped
             proposals += skipped * len(proposers)
 
-    return Matching(
+    return Matching._built(
+        np.frombuffer(holder, dtype=np.int64),
         table=t,
         demander_ids=demander_ids,
-        holder=holder,
         rate_bps={d: st.rate_bps for d, st in zip(demander_ids, states)},
         cost={d: st.cost for d, st in zip(demander_ids, states)},
         rounds=rounds,
@@ -698,18 +706,15 @@ def matching_from_assignment(
                     f"BRB {b} assigned to both {ch.demander_ids[holder[k]]} and {d}"
                 )
             holder[k] = j
-    return _matching_from_holder(t, r_flat, ch.demander_ids, holder)
+    return Matching(t, ch.demander_ids, holder, *_held_totals(t, r_flat, holder, ch.demander_ids))
 
 
 def _matching_from_holder(
     t: BrbTable, r_flat: np.ndarray, demander_ids: tuple[int, ...], holder: np.ndarray
 ) -> Matching:
-    """A Matching of ``holder`` over the table and rates of one
-    :func:`_flat_view`, with totals recomputed from those rates."""
+    """A Matching of an in-range ``holder``, its totals summed from one :func:`_flat_view`."""
     rate, cost = _held_totals(t, r_flat, holder, demander_ids)
-    return Matching(
-        table=t, demander_ids=demander_ids, holder=holder, rate_bps=rate, cost=cost
-    )
+    return Matching._built(holder, table=t, demander_ids=demander_ids, rate_bps=rate, cost=cost)
 
 
 def recompute_totals(

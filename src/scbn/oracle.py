@@ -4,14 +4,12 @@ The global problem: assign each BRB to at most one demander so that
 every demander's rate meets its demand, no budget is exceeded, and the
 total spent price is minimal.  For micro instances the whole assignment
 space (K2 + 1)^M is enumerable, which gives a ground-truth optimum to
-hold the distributed matching against.  The enumeration, and which
-blocks each demander holds in each assignment, is built once per shape
-(K2, M) and shared read-only.
+hold the distributed matching against.  Each assignment's sums are
+built once per prefix of blocks, along a tree of the blocks' choices.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -52,36 +50,29 @@ class OracleSolution:
     feasible: bool
 
 
-# one entry per legal shape, about 3 MB for all of them
-@functools.lru_cache(maxsize=(MAX_ORACLE_DEMANDERS + 1) * MAX_ORACLE_BRBS)
-def _enumeration(k2: int, m_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every assignment of ``m_total`` BRBs to ``k2`` demanders, read-only.
+def _tree_feasibility(r_flat, price, budgets, demands):
+    """Feasibility and total price of every assignment of the ``(M, K2)``
+    rates' blocks, in ``(K2 + 1)**M`` columns.
 
-    ``choices`` has a row per assignment, in lexicographic order with the
-    last BRB varying fastest, holding 0 for unassigned and j+1 for
-    demander axis j.  ``held[j]`` is the ``(M, rows)`` mask of the blocks
-    demander axis j holds in each row.
+    Column i gives block l its base-(K2+1) digit l, least significant
+    first: 0 leaves the block free, j+1 gives it to demander axis j.  One
+    broadcast add along the prefix axis extends the 2*K2 + 1 sums of every
+    prefix (each demander's rate and cost, then the total price) by the
+    next block's K2+1 choices, so each sum adds its M terms in BRB order,
+    0.0 times its value for a block it does not count.  Cost sums add
+    negated prices, so both tests read sum >= bound (negation is exact).
     """
-    choices = np.indices((k2 + 1,) * m_total, dtype=np.int8).reshape(m_total, -1)
-    held = choices == np.arange(1, k2 + 1, dtype=np.int8)[:, None, None]
-    for a in (choices, held):
-        a.setflags(write=False)
-    return choices.T, held
-
-
-def _feasibility(choices, held, r_flat, price, budgets, demands):
-    """Per-assignment feasibility and cost for the rows of
-    :func:`_enumeration`.
-
-    Each sum adds its M terms one by one in BRB order: the BRB axis is
-    never the innermost in memory, so numpy does not sum it pairwise, which
-    from eight terms on would give other bits.
-    """
-    total_cost = ((choices > 0) * price[None, :]).sum(axis=1)
-    rate = (held * r_flat.T[:, :, None]).sum(axis=1)
-    cost = (held * price[None, :, None]).sum(axis=1)
-    feasible = (rate >= np.array(demands)[:, None]) & (cost <= np.array(budgets)[:, None])
-    return feasible.all(axis=0), total_cost
+    k2 = r_flat.shape[1]
+    eye = np.eye(k2 + 1)
+    values = np.concatenate((r_flat, price[:, None].repeat(k2 + 1, axis=1)), axis=1)
+    factors = np.concatenate((eye[1:], -eye[1:], 1 - eye[:1]))
+    # (M, 2*K2 + 1, K2 + 1, 1): block l's term in each sum for each choice
+    terms = (values[:, :, None] * factors)[..., None]
+    sums = terms[0].transpose(0, 2, 1)
+    for term in terms[1:]:
+        sums = (term + sums).reshape(2 * k2 + 1, 1, -1)
+    bounds = np.array((*demands, *[-b for b in budgets]))
+    return (sums[:-1, 0] >= bounds[:, None]).all(axis=0), sums[-1, 0]
 
 
 def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
@@ -98,19 +89,20 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
             f"instance has {m_total} BRBs and {k2} demanders; the exhaustive oracle "
             f"is limited to {MAX_ORACLE_BRBS} BRBs and {MAX_ORACLE_DEMANDERS} demanders"
         )
-    choices, held = _enumeration(k2, m_total)
-    feasible, total_cost = _feasibility(choices, held, r_flat, t.price, budgets, demands)
+    feasible, total_cost = _tree_feasibility(r_flat, t.price, budgets, demands)
     if not feasible.any():
-        holder = np.full(m_total, -1, dtype=int)
-        empty = _matching_from_holder(t, r_flat, ch.demander_ids, holder)
-        return OracleSolution(matching=empty, total_cost=math.inf, feasible=False)
+        zero = {f: dict.fromkeys(ch.demander_ids, 0.0) for f in ("rate_bps", "cost")}
+        free = Matching._built(np.full(m_total, -1), table=t, demander_ids=ch.demander_ids, **zero)
+        return OracleSolution(matching=free, total_cost=math.inf, feasible=False)
     costs = np.where(feasible, total_cost, np.inf)
-    best_row = int(np.argmin(costs))  # argmin takes the first, i.e. lexicographic
+    tied = np.flatnonzero(costs == costs.min())
+    # lexicographic order reads a column's digits reversed; its first minimum wins
+    shape = (k2 + 1,) * m_total
+    first = np.ravel_multi_index(np.unravel_index(tied, shape)[::-1], shape).min()
+    holder = np.array(np.unravel_index(first, shape)) - 1
     return OracleSolution(
-        matching=_matching_from_holder(
-            t, r_flat, ch.demander_ids, choices[best_row].astype(int) - 1
-        ),
-        total_cost=float(costs[best_row]),
+        matching=_matching_from_holder(t, r_flat, ch.demander_ids, holder),
+        total_cost=float(costs[tied[0]]),
         feasible=True,
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import reference_model as ref
 from reference_model import Brb
@@ -823,22 +823,37 @@ def test_scaling_money_by_a_power_of_two_scales_only_the_costs(cfg, zeta):
     2**k times its old value."""
     base = generate_scenario(cfg, seed=0)
     for i in range(8):
-        rng = np.random.default_rng([0, i])
-        s = resample_positions(base, rng)
-        ch = realize_channels(s, rng)
-        for scheme in SCHEMES:
-            m = run_scheme(scheme, s, ch, zeta, copy.deepcopy(rng))
-            pairs = len(find_blocking_pairs(m, s, ch, zeta))
-            for factor in (0.25, 4.0, 2.0**-10):
-                scaled = _money_scaled(s, factor)
-                z = zeta / factor
-                mf = run_scheme(scheme, scaled, ch, z, copy.deepcopy(rng))
-                assert mf.holder.tolist() == m.holder.tolist()
-                assert _bits(mf.rate_bps) == _bits(m.rate_bps)
-                assert (mf.rounds, mf.proposals) == (m.rounds, m.proposals)
-                assert _bits(mf.cost) == _bits({d: c * factor for d, c in m.cost.items()})
-                assert len(find_blocking_pairs(mf, scaled, ch, z)) == pairs
-                assert _budget_bound_fraction(scaled, mf) == _budget_bound_fraction(s, m)
+        _assert_money_scales_only_the_costs(base, i, zeta, (0.25, 4.0, 2.0**-10))
+
+
+_REFERENCE = generate_scenario(GenerationConfig(), seed=0)
+
+
+@given(st.integers(-60, 60), st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_scaling_money_by_any_power_of_two_scales_only_the_costs(k, trial):
+    """The same relation for any 2**k within [2**-60, 2**60], on a drawn
+    trial of the reference shape."""
+    _assert_money_scales_only_the_costs(_REFERENCE, trial, 1e6, (2.0**k,))
+
+
+def _assert_money_scales_only_the_costs(base, trial, zeta, factors):
+    rng = np.random.default_rng([0, trial])
+    s = resample_positions(base, rng)
+    ch = realize_channels(s, rng)
+    for scheme in SCHEMES:
+        m = run_scheme(scheme, s, ch, zeta, copy.deepcopy(rng))
+        pairs = len(find_blocking_pairs(m, s, ch, zeta))
+        for factor in factors:
+            scaled = _money_scaled(s, factor)
+            z = zeta / factor
+            mf = run_scheme(scheme, scaled, ch, z, copy.deepcopy(rng))
+            assert mf.holder.tolist() == m.holder.tolist()
+            assert _bits(mf.rate_bps) == _bits(m.rate_bps)
+            assert (mf.rounds, mf.proposals) == (m.rounds, m.proposals)
+            assert _bits(mf.cost) == _bits({d: c * factor for d, c in m.cost.items()})
+            assert len(find_blocking_pairs(mf, scaled, ch, z)) == pairs
+            assert _budget_bound_fraction(scaled, mf) == _budget_bound_fraction(s, m)
 
 
 def _utility_scaled(s: Scenario, factor: float) -> Scenario:

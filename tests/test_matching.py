@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -454,7 +455,7 @@ def test_matching_rejects_a_holder_it_cannot_hold():
     assert ok.holder.tolist() == [0, -1]
     with pytest.raises(ValueError):
         ok.holder[0] = 1  # read-only
-    for holder in ([0], [0, -1, -1], [0, 2], [-2, 1]):
+    for holder in ([0], [0, -1, -1], [0, 2], [-2, 1], array("q", [0, 2])):
         with pytest.raises(InconsistentMatchingError, match="demander axes"):
             Matching(
                 table=ok.table,
@@ -463,6 +464,32 @@ def test_matching_rejects_a_holder_it_cannot_hold():
                 rate_bps=ok.rate_bps,
                 cost=ok.cost,
             )
+
+
+def test_schemes_build_holders_the_constructor_accepts():
+    """The schemes and the oracle build their results without the
+    constructor's check: each holder is a read-only int array that
+    ``Matching(...)`` accepts as it is."""
+    s = _build([(0, 0)], [(10, 0), (20, 0)], n1=2, n2=1, demand=5e6, budget=2.5)
+    ch = _channels(s)
+    for m in (
+        run_matching(s, ch, zeta=0.0),
+        best_effort_allocate(s, ch),
+        random_allocate(s, ch, np.random.default_rng(0)),
+        brute_force_min_cost(s, ch).matching,
+    ):
+        assert m.holder.dtype.kind == "i" and not m.holder.flags.writeable
+        again = Matching(
+            table=m.table,
+            demander_ids=m.demander_ids,
+            holder=m.holder,
+            rate_bps=m.rate_bps,
+            cost=m.cost,
+            rounds=m.rounds,
+            proposals=m.proposals,
+        )
+        assert again.holder.tolist() == m.holder.tolist()
+        assert again.owner_of == m.owner_of
 
 
 def test_audits_reject_a_matching_of_another_scenario():

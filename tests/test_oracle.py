@@ -173,9 +173,10 @@ def _largest_legal_instance(seed, demand_bps):
 
 
 def test_oracle_matches_the_per_demander_reference():
-    """The shared enumeration and its one broadcast over demanders give the
-    bits of the per-demander loop: 200 micro instances drawn as
-    ``oracle_compare_rows`` draws them, and the largest legal shape."""
+    """The sums along the prefix tree give the bits of the per-demander
+    loop for every assignment, not only the cheapest: 200 micro instances
+    drawn as ``oracle_compare_rows`` draws them, and the largest legal
+    shape."""
     rng = np.random.default_rng([0, 0xACE])
     instances = []
     for _ in range(200):
@@ -192,9 +193,14 @@ def test_oracle_matches_the_per_demander_reference():
         feasible, total_cost, holder = ref.brute_force_min_cost(
             r_flat, t.price, budgets, demands
         )
-        # every assignment, not only the cheapest
-        choices, held = oracle._enumeration(*r_flat.shape[::-1])
-        new_rows = oracle._feasibility(choices, held, r_flat, t.price, budgets, demands)
+        # a tree column's digits reversed are its lexicographic digits
+        m_total, k2 = r_flat.shape
+        shape = (k2 + 1,) * m_total
+        new_rows = [
+            a.reshape(shape).T.ravel()
+            for a in oracle._tree_feasibility(r_flat, t.price, budgets, demands)
+        ]
+        choices = np.indices(shape, dtype=np.int8).reshape(m_total, -1).T
         ref_rows = ref.oracle_feasibility(choices, r_flat, t.price, budgets, demands)
         assert new_rows[0].tolist() == ref_rows[0].tolist()
         assert new_rows[1].tobytes() == ref_rows[1].tobytes()
