@@ -84,7 +84,6 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     demander can finish both poor and underserved.
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)  # r_flat: (M, K2)
-    demander_ids = ch.demander_ids
     m_total, k2 = r_flat.shape
     axes = np.arange(k2)[:, None]
     # one contiguous row per demander: every pass below runs along rows
@@ -134,13 +133,7 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     holder = np.full(m_total, -1, dtype=int)
     js, cols = np.nonzero(bought)
     holder[order[js, cols]] = js
-    return Matching._built(
-        holder,
-        table=t,
-        demander_ids=demander_ids,
-        rate_bps=dict(zip(demander_ids, rate.tolist())),
-        cost=dict(zip(demander_ids, cost.tolist())),
-    )
+    return Matching._built(holder, t, ch.demander_ids, rate.tolist(), cost.tolist())
 
 
 def random_allocate(
@@ -161,8 +154,7 @@ def random_allocate(
     scalar ``rng.integers`` per grant.
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)
-    demander_ids = ch.demander_ids
-    axes = range(len(demander_ids))
+    axes = range(len(ch.demander_ids))
     m_total = len(t.price)
 
     # Python floats: the same IEEE sums as numpy scalars, without per-BRB
@@ -221,10 +213,4 @@ def random_allocate(
                 eligible_in[i].remove(j)
     rng.bit_generator.state = start
     _raw_words(rng, used)
-    return Matching._built(
-        np.array(holder, dtype=int),
-        table=t,
-        demander_ids=demander_ids,
-        rate_bps=dict(zip(demander_ids, rate)),
-        cost=dict(zip(demander_ids, cost)),
-    )
+    return Matching._built(np.array(holder, dtype=int), t, ch.demander_ids, rate, cost)

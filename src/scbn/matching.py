@@ -11,41 +11,17 @@ demander holds as many BRBs as its demand and budget allow, a BRB holds
 exactly one demander.
 
 The procedure terminates because a demander never proposes to the same
-BRB twice.  :func:`find_blocking_pairs` audits the result for stability;
-see :func:`run_matching` for a pair that its acceptability rule can leave.
+BRB twice.  :func:`find_blocking_pairs` audits the result for stability.
 
-Two exact shortcuts keep the rounds cheap without changing them.  A round
-visits only the demanders that proposed or were displaced in the round
-before: any other demander's rate, cost and tried blocks are as they were
-when it last failed to propose.  And since every mmWave BRB of a link
-shares one shadowing draw, an anchor's mmWave blocks are interchangeable
-for each demander, so demanders that want that anchor march down its
-block indices together, one block per round: as a convoy over free
-blocks, whose strongest member takes each block, or as a rejection run
-over blocks held by a stronger demander, which keeps each one.  After a
-round in which no block changed holder, :func:`_skip_repeats` applies in
-one step every following round that repeats it a block further on.
-
-The set-up works per mmWave class and per price tier too.  An anchor's
-mmWave rates, bitwise equal across its blocks, become one Python row
-shared by the class (:func:`_rate_rows`); any other block's row is built
-when the rounds first read it.  A shared row marks a uniform class, whose
-held blocks always form a prefix of it, so the fast-forward bounds a
-run by the class's end instead of testing each block.  No preference
-order is sorted up front.  Each starts as an exact prefix: the uniform
-classes whose utility is strictly above the demander's best block
-outside every class, best first, each as its blocks in index order.  A
-uniform class has one utility and one price and is one run of the tie
-order, so these classes come first in the whole order, in that order; a
-class that only ties that block may come after it, so it stays out
-(:func:`_preferences`).  A demander whose scan runs off its prefix, or
-whose best untried block is too dear, gets its whole order then, one
-stable argsort of its row read through a memoryview; at reference scale
-most demanders never do.  Prices come as a Python sequence built once
-per table.  The holder is an ``array('q')``, which the result reads
-through the buffer protocol.  A demander whose best untried block
-is too dear finds the first one it can afford in one numpy pass over its
-order and tried flags.
+The rules and the exact shortcuts of the rounds are each argued once, in
+the docstring of the code they license: the acceptability rule and the
+visiting order (:func:`run_matching`), the one row of a uniform mmWave
+class (:func:`_rate_rows`), the order in which a demander applies
+(:class:`_ProposalState`), the preference prefixes (:func:`_preferences`)
+and their completion (:meth:`_ProposalState.complete`), the search past a
+too dear block (:meth:`_ProposalState.cheaper_head`) and the fast-forward
+of repeated rounds (:func:`_skip_repeats`).  Every scheme's result is a
+:class:`Matching`, built by :meth:`Matching._built`.
 """
 
 from __future__ import annotations
@@ -166,11 +142,20 @@ class Matching:
         object.__setattr__(self, "demander_ids", tuple(self.demander_ids))
 
     @classmethod
-    def _built(cls, holder: np.ndarray, **fields) -> Matching:
-        """A result of an in-range int ``holder``, made read-only, not checked or copied."""
+    def _built(
+        cls, holder: np.ndarray, table: BrbTable, demander_ids: tuple[int, ...],
+        rates: Sequence[float], costs: Sequence[float], rounds: int = 0, proposals: int = 0,
+    ) -> Matching:
+        """The one builder of every scheme's result: an in-range int
+        ``holder``, made read-only, not checked or copied, and the per-axis
+        totals ``rates`` and ``costs``, keyed by id in axis order."""
         m = cls.__new__(cls)
         holder.setflags(write=False)
-        m.__dict__.update(fields, holder=holder)
+        vars(m).update(
+            table=table, demander_ids=demander_ids, holder=holder,
+            rate_bps=dict(zip(demander_ids, rates)), cost=dict(zip(demander_ids, costs)),
+            rounds=rounds, proposals=proposals,
+        )
         return m
 
     @functools.cached_property
@@ -302,23 +287,16 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
 class _ProposalState:
     """Mutable per-demander state inside run_matching.
 
-    ``order`` lists flat BRB indices in the demander's preference order,
-    whole or as an exact prefix of ``end`` positions.  A prefix is a tuple
-    of the uniform mmWave classes strictly above the demander's best block
-    outside every class, by (-utility, tie rank); each class has one
-    utility and is one run of the tie order, so they come first in the
-    whole order, and a class that only ties that block stays out (see
-    :func:`_preferences`).  :meth:`complete` replaces the prefix by a
-    memoryview of the whole argsorted numpy row, which starts with it, when
-    a scan runs off its end or :meth:`cheaper_head` needs the rest of the
-    order.  The rounds read only a short prefix of a whole row, so it is
-    never converted to a list.  Every position of ``order`` before
-    ``scan_from`` has been applied to; completing an order keeps them.  A
-    block of one price tier is affordable exactly when every block of that
-    tier is, so a demander applies to each tier's blocks in preference
-    order: within a tier, the applied positions are a prefix.  The blocks
-    of a uniform mmWave class are consecutive in that order, by index, so
-    a demander applies to them in index order.
+    ``order`` lists flat BRB indices in the demander's preference order:
+    the exact prefix of ``end`` positions that :func:`_preferences` gives,
+    until :meth:`complete` replaces it by the whole order.  Every position
+    of ``order`` before ``scan_from`` has been applied to.
+
+    A block of one price tier is affordable exactly when every block of
+    that tier is, so a demander applies to each tier's blocks in
+    preference order: within a tier, the applied positions are a prefix.
+    The blocks of a uniform mmWave class are consecutive in that order, by
+    index, so a demander applies to them in index order.
     """
 
     order: Sequence[int]       # flat BRB indices in preference order, or a prefix
@@ -329,10 +307,15 @@ class _ProposalState:
     rate_bps: float = 0.0
 
     def complete(self, order: np.ndarray) -> None:
-        """Read on in ``order``, the whole preference order, which starts
-        with the prefix read so far: called when a scan runs off the
-        prefix (``scan_from == end``) or before :meth:`cheaper_head`
-        (``scan_from < end``)."""
+        """Read on in ``order``, the whole preference order: called when a
+        scan runs off the prefix (``scan_from == end``) or before
+        :meth:`cheaper_head` (``scan_from < end``).
+
+        The whole order starts with the prefix read so far, so the
+        positions before ``scan_from`` and the tried flags stay valid.  It
+        is kept as a memoryview of the argsorted numpy row: the rounds read
+        only a short part of it, so it is never converted to a list.
+        """
         self.order = memoryview(order)
         self.end = len(order)
 
@@ -340,11 +323,12 @@ class _ProposalState:
         """The best untried block the budget covers, or -1, when the best
         untried block, the one at ``scan_from``, is too dear.
 
-        The block a scan onward would reach, found in one numpy pass over
-        the whole ``order`` from ``scan_from`` (never empty): the first
-        untried block whose ``cost + price``, the float sum run_matching
-        compares and stores as the cost, is within budget.  ``price`` is
-        per flat block.
+        It is the block a scan onward would reach, found in one numpy pass
+        over the whole ``order`` from ``scan_from`` (never empty), without
+        walking past every dear block in every round: the first untried
+        block whose ``cost + price``, the float sum run_matching compares
+        and stores as the cost, is within budget.  ``price`` is per flat
+        block.
         """
         rest = np.asarray(self.order[self.scan_from :])
         ok = np.frombuffer(self.applied, dtype=np.uint8)[rest] == 0
@@ -544,44 +528,22 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     adds a BRB's rate and price on acceptance and subtracts them on
     displacement, so budgets are never exceeded.
 
-    A demander proposes to the first block of its preference order that
-    it has not tried and can afford.  That is the whole acceptability
+    A demander proposes to the first block of its preference order (by
+    utility, then by the tie order: price, band, owner, index) that it
+    has not tried and can afford.  That is the whole acceptability
     rule: while its demand is unmet, a demander proposes to any
     affordable untried block, even one of zero rate or negative utility,
     and keeps what it wins until a stronger demander displaces it.  A
     zero-rate block so held can keep a better, dearer one out of the
     budget, a swap that :func:`find_blocking_pairs` reports.
 
-    A demander skips tried blocks from ``scan_from``; when the block found
-    there is too dear, :meth:`_ProposalState.cheaper_head` finds in one
-    numpy pass the first untried block after it that the budget covers,
-    the same block a scan onward would reach, without walking past every
-    dear block in every round.
-
-    The preference order ranks blocks by utility, then by the tie order
-    (price, band, owner, index), but is not sorted up front.  Each
-    demander starts with an exact prefix of it: the uniform mmWave classes
-    strictly above its best block outside every class, by (-utility, tie
-    rank), each as its blocks in index order.  A uniform class has one
-    utility and one price, and its blocks are consecutive in the tie
-    order, so it is one run of the whole order, and every class strictly
-    above the best block outside the classes comes before that block; a
-    class that ties with it may come after it, so it stays out (see
-    :func:`_preferences`).  A demander whose scan runs off its prefix, or
-    that needs :meth:`~_ProposalState.cheaper_head`, which reads the whole
-    rest of the order, gets its whole row then, by the stable argsort the
-    prefix stands for.  Its positions before ``scan_from`` are the
-    prefix's, so ``scan_from`` and the tried flags stay valid.
-
     A round visits only the demanders that proposed or were displaced in
     the round before, in ascending axis order, which keeps the order of
     every float sum: a demander that did neither has the rate, cost and
-    tried blocks with which it last failed to propose.  After a round in
-    which no block changed holder, each contested block was either free
-    and taken (a convoy) or held and kept (a rejection), and
-    :func:`_skip_repeats` plays in one step every following round that
-    repeats it a block further on.  The rounds and proposals counted are
-    those of the full loop.  Raises ValueError for a non-finite ``zeta``.
+    tried blocks with which it last failed to propose.  The rounds and
+    proposals counted are those of the full loop, the rounds that
+    :func:`_skip_repeats` plays at once included.  Raises ValueError for a
+    non-finite ``zeta``.
     """
     _check_zeta(zeta)
     t, r_flat, budgets, demands = _flat_view(s, ch)   # r_flat: (M, K2) bit/s
@@ -675,13 +637,8 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
             proposals += skipped * len(proposers)
 
     return Matching._built(
-        np.frombuffer(holder, dtype=np.int64),
-        table=t,
-        demander_ids=demander_ids,
-        rate_bps={d: st.rate_bps for d, st in zip(demander_ids, states)},
-        cost={d: st.cost for d, st in zip(demander_ids, states)},
-        rounds=rounds,
-        proposals=proposals,
+        np.frombuffer(holder, dtype=np.int64), t, demander_ids,
+        [st.rate_bps for st in states], [st.cost for st in states], rounds, proposals,
     )
 
 
@@ -706,15 +663,7 @@ def matching_from_assignment(
                     f"BRB {b} assigned to both {ch.demander_ids[holder[k]]} and {d}"
                 )
             holder[k] = j
-    return Matching(t, ch.demander_ids, holder, *_held_totals(t, r_flat, holder, ch.demander_ids))
-
-
-def _matching_from_holder(
-    t: BrbTable, r_flat: np.ndarray, demander_ids: tuple[int, ...], holder: np.ndarray
-) -> Matching:
-    """A Matching of an in-range ``holder``, its totals summed from one :func:`_flat_view`."""
-    rate, cost = _held_totals(t, r_flat, holder, demander_ids)
-    return Matching._built(holder, table=t, demander_ids=demander_ids, rate_bps=rate, cost=cost)
+    return Matching._built(holder, t, ch.demander_ids, *_held_totals(t, r_flat, holder))
 
 
 def recompute_totals(
@@ -723,20 +672,20 @@ def recompute_totals(
     """Independent per-demander rate and cost sums from the realization,
     added up in flat BRB order."""
     t, r_flat, _, _ = _flat_view(s, ch, m)
-    return _held_totals(t, r_flat, m.holder, ch.demander_ids)
+    rate, cost = _held_totals(t, r_flat, m.holder)
+    return dict(zip(ch.demander_ids, rate)), dict(zip(ch.demander_ids, cost))
 
 
 def _held_totals(
-    t: BrbTable, r_flat: np.ndarray, holder: np.ndarray, demander_ids: tuple[int, ...]
-) -> tuple[dict[int, float], dict[int, float]]:
-    rate = dict.fromkeys(demander_ids, 0.0)
-    cost = dict.fromkeys(demander_ids, 0.0)
+    t: BrbTable, r_flat: np.ndarray, holder: np.ndarray
+) -> tuple[list[float], list[float]]:
+    """Each demander axis's rate and cost sums, added up in flat BRB order."""
+    rate, cost = [0.0] * r_flat.shape[1], [0.0] * r_flat.shape[1]
     ks = np.flatnonzero(holder >= 0)
     js = holder[ks]
     for j, r, p in zip(js.tolist(), r_flat[ks, js].tolist(), t.price[ks].tolist()):
-        d = demander_ids[j]
-        rate[d] += r
-        cost[d] += p
+        rate[j] += r
+        cost[j] += p
     return rate, cost
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import Matching, _flat_view, _matching_from_holder, recompute_totals
+from .matching import Matching, _flat_view, _held_totals, recompute_totals
 from .propagation import ChannelRealization
 from .scenario import Scenario
 
@@ -80,7 +80,9 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
 
     Candidates for each BRB are tried as {unassigned, demanders in
     ascending id order} with BRBs in (owner, band, index) order, and the
-    first minimum in that lexicographic enumeration wins ties.
+    first minimum in that lexicographic enumeration wins ties.  Raises
+    ValueError when the total price of every feasible assignment overflows
+    to inf, which ``OracleSolution`` would read as infeasibility.
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)
     m_total, k2 = r_flat.shape
@@ -89,20 +91,25 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
             f"instance has {m_total} BRBs and {k2} demanders; the exhaustive oracle "
             f"is limited to {MAX_ORACLE_BRBS} BRBs and {MAX_ORACLE_DEMANDERS} demanders"
         )
-    feasible, total_cost = _tree_feasibility(r_flat, t.price, budgets, demands)
-    if not feasible.any():
-        zero = {f: dict.fromkeys(ch.demander_ids, 0.0) for f in ("rate_bps", "cost")}
-        free = Matching._built(np.full(m_total, -1), table=t, demander_ids=ch.demander_ids, **zero)
+    # a cost sum that overflows exceeds its budget, so its column is infeasible
+    with np.errstate(over="ignore"):
+        feasible, total_cost = _tree_feasibility(r_flat, t.price, budgets, demands)
+    cols = np.flatnonzero(feasible)
+    if not cols.size:  # most micro instances: no totals to sum
+        free = Matching._built(np.full(m_total, -1), t, ch.demander_ids, [0.0] * k2, [0.0] * k2)
         return OracleSolution(matching=free, total_cost=math.inf, feasible=False)
-    costs = np.where(feasible, total_cost, np.inf)
-    tied = np.flatnonzero(costs == costs.min())
+    costs = total_cost[cols]
+    least = float(costs.min())
+    if not math.isfinite(least):
+        raise ValueError("the total price of every feasible assignment overflows to inf")
     # lexicographic order reads a column's digits reversed; its first minimum wins
     shape = (k2 + 1,) * m_total
-    first = np.ravel_multi_index(np.unravel_index(tied, shape)[::-1], shape).min()
+    tied = np.unravel_index(cols[costs == least], shape)
+    first = np.ravel_multi_index(tied[::-1], shape).min()
     holder = np.array(np.unravel_index(first, shape)) - 1
     return OracleSolution(
-        matching=_matching_from_holder(t, r_flat, ch.demander_ids, holder),
-        total_cost=float(costs[tied[0]]),
+        matching=Matching._built(holder, t, ch.demander_ids, *_held_totals(t, r_flat, holder)),
+        total_cost=least,
         feasible=True,
     )
 

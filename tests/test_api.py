@@ -39,3 +39,37 @@ def test_importing_the_cli_loads_neither_multiprocessing_nor_statistics():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert run.stdout == "[]\n"
+
+
+_REFERENCE = re.compile(r":(func|meth|class):`~?([\w.]+)`")
+
+
+def _names_an_object(module, role: str, name: str) -> bool:
+    obj = module
+    for part in name.split("."):
+        if not hasattr(obj, part):
+            # a bare :meth: may name a method of one of the module's classes
+            return role == "meth" and "." not in name and any(
+                isinstance(c, type) and c.__module__ == module.__name__ and hasattr(c, name)
+                for c in vars(module).values()
+            )
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_docstring_reference_names_an_object_of_its_module():
+    package = Path(importlib.import_module("scbn").__file__).resolve().parent
+    checked, dangling = 0, []
+    for path in sorted(package.glob("*.py")):
+        name = "scbn" if path.stem == "__init__" else f"scbn.{path.stem}"
+        module = importlib.import_module(name)
+        text = path.read_text(encoding="utf-8")
+        references = _REFERENCE.findall(text)
+        if len(references) != len(re.findall(r":(?:func|meth|class):", text)):
+            dangling.append(f"{path.name}: a role without a one-line `name` after it")
+        for role, target in references:
+            checked += 1
+            if not _names_an_object(module, role, target):
+                dangling.append(f"{path.name}: :{role}:`{target}`")
+    assert dangling == []
+    assert checked >= 29

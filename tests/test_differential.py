@@ -39,6 +39,7 @@ from scbn.matching import (
     matching_from_assignment,
     run_matching,
 )
+from scbn.oracle import brute_force_min_cost
 from scbn.propagation import (
     ChannelRealization,
     radio_settings,
@@ -681,13 +682,41 @@ def test_assignment_of_blocks_of_another_scenario_is_rejected(instances):
         matching_from_assignment(s, ch, {ch.demander_ids[0]: {b}})
 
 
+def test_every_result_keys_its_totals_by_id_in_axis_order(tmp_path):
+    """The totals' key order reaches the output bytes: the oracle CSV sums
+    ``m.cost.values()`` and ``scbn run`` sums ``m.rate_bps.values()`` left
+    to right.  Under demander ids that do not ascend in station order,
+    every result lists them as its ``demander_ids``, in axis order."""
+    cfg = GenerationConfig(
+        num_stations=4, num_anchors=1, num_mmw_brbs=2, num_sub6_brbs=1, demand_bps=1.0
+    )
+    s = _relabelled(generate_scenario(cfg, seed=0), np.random.default_rng(2), tmp_path / "s.json")
+    ids = list(s.demander_ids)
+    assert ids != sorted(ids)
+    ch = realize_channels(s, np.random.default_rng(0))
+    unmet = replace(s, demands_bps=dict.fromkeys(ids, 1e15))
+    feasible, infeasible = brute_force_min_cost(s, ch), brute_force_min_cost(unmet, ch)
+    assert feasible.feasible and not infeasible.feasible
+    results = [
+        run_matching(s, ch, 1e5),
+        best_effort_allocate(s, ch),
+        random_allocate(s, ch, np.random.default_rng(0)),
+        feasible.matching,
+        infeasible.matching,
+        matching_from_assignment(s, ch, {ids[-1]: {(s.anchor_ids[0], 0, 0)}}),
+    ]
+    for m in results:
+        assert list(m.demander_ids) == list(m.rate_bps) == list(m.cost) == ids
+
+
 # --- proposals past an unaffordable block ---------------------------------------
 
 
 @pytest.fixture
-def tier_head_choices(monkeypatch):
+def cheaper_head_choices(monkeypatch):
     """Records, for each time a demander's best untried block was too dear,
-    whether it proposed to a cheaper tier's head instead."""
+    whether ``_ProposalState.cheaper_head`` found an affordable untried
+    block to propose to instead."""
     made: list[bool] = []
     cheaper_head = _ProposalState.cheaper_head
 
@@ -726,18 +755,18 @@ _BUDGET_BOUND = GenerationConfig(
 _HEAVY_TAIL_TRIALS = (7, 18, 51, 78, 141)
 
 
-def test_budget_bound_heavy_tail_trials_match_the_reference(tier_head_choices):
+def test_budget_bound_heavy_tail_trials_match_the_reference(cheaper_head_choices):
     base = generate_scenario(_BUDGET_BOUND, seed=0)
     for i in _HEAVY_TAIL_TRIALS:
         rng = np.random.default_rng([0, i])  # the sweep harness's trial stream
         s = resample_positions(base, rng)
         ch = realize_channels(s, rng)
         _assert_same_matching(run_matching(s, ch, 1e5), _ref_run_matching(s, ch, 1e5))
-    assert tier_head_choices  # the tier-head branch ran
+    assert cheaper_head_choices  # the search past a too dear block ran
 
 
 def test_three_tier_instance_proposes_to_the_best_placed_affordable_head(
-    tier_head_choices,
+    cheaper_head_choices,
 ):
     """One anchor's dear mmWave blocks lead every preference list, the
     other's mid-priced mmWave blocks come next and the cheap sub-6 blocks
@@ -771,7 +800,7 @@ def test_three_tier_instance_proposes_to_the_best_placed_affordable_head(
     ch = realize_channels(s, np.random.default_rng(3))
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
-    assert any(tier_head_choices)
+    assert any(cheaper_head_choices)
     _, rates, _, _ = _flat_view(s, ch)
     for j, d in enumerate(s.demander_ids):
         # the dear blocks rank first, and the mid-priced before the cheap
@@ -1090,7 +1119,7 @@ def test_a_winner_whose_budget_runs_out_exactly_ends_the_run(skipped_rounds):
 
 
 def test_an_applicant_that_entered_the_class_past_a_dear_block(
-    skipped_rounds, tier_head_choices
+    skipped_rounds, cheaper_head_choices
 ):
     """Anchor 0's dear mmWave blocks lead demander 0's preferences, but
     its budget covers only anchor 1's cheap ones, so its ``scan_from``
@@ -1103,14 +1132,14 @@ def test_an_applicant_that_entered_the_class_past_a_dear_block(
     s, ch = _hand_built(gains, 6, [(20.0, 1.0), (1.0, 1.0)], [4.0, _RICH], [_RICH] * 2)
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
-    assert any(tier_head_choices)
+    assert any(cheaper_head_choices)
     assert skipped_rounds[0] == 5  # anchor 1's six blocks in two steps
     # demander 1 wins anchor 1's class; demander 0 holds nothing of it
     assert m.holder.tolist()[6:] == [1] * 6
 
 
 def test_a_displaced_cheaper_head_applicant_returns_to_the_dear_blocks(
-    skipped_rounds, tier_head_choices
+    skipped_rounds, cheaper_head_choices
 ):
     """Demander 0 holds a dear block of anchor 0 and, too poor for a
     second one, follows the convoy on anchor 1 past anchor 0's untried
@@ -1129,7 +1158,7 @@ def test_a_displaced_cheaper_head_applicant_returns_to_the_dear_blocks(
     )
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
-    assert any(tier_head_choices)
+    assert any(cheaper_head_choices)
     # round 2's convoys on anchors 1 and 2 move on together until anchor
     # 2's class ends
     assert skipped_rounds[:2] == [0, 2]
@@ -1223,7 +1252,7 @@ def test_a_round_of_one_convoy_and_one_rejection_is_skipped_together(skipped_rou
 
 
 def test_an_applicant_refused_after_a_dear_block_moves_its_tier_head(
-    skipped_rounds, tier_head_choices
+    skipped_rounds, cheaper_head_choices
 ):
     """Anchor 0's dear blocks lead demander 0's preferences, and its
     budget covers only the cheap ones: it takes anchor 2's class through
@@ -1239,7 +1268,7 @@ def test_an_applicant_refused_after_a_dear_block_moves_its_tier_head(
     )
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
-    assert any(tier_head_choices)
+    assert any(cheaper_head_choices)
     # two convoys, then two refusals (demander 0 on anchor 1, demander 1
     # on anchor 2), then demander 1 takes anchor 0's dear class
     assert skipped_rounds == [5, 5, 5]
@@ -1259,7 +1288,8 @@ def _three_tier_holding(gains, budget, held):
     holder = np.full(6, -1)
     holder[list(held)] = 0
     t, rates, _, _ = matching._flat_view(s, ch)
-    m = matching._matching_from_holder(t, rates, ch.demander_ids, holder)
+    totals = matching._held_totals(t, rates, holder)
+    m = Matching._built(holder, t, ch.demander_ids, *totals)
     assert brb_table(s).tiers == (1.0, 5.0, 20.0)
     return s, ch, m
 
@@ -1481,7 +1511,7 @@ _CORPUS_CONVOY_FLOOR = 197
 
 
 def test_schemes_keep_their_guarantees_on_a_fixed_corpus(
-    skipped_rounds, tier_head_choices, completions
+    skipped_rounds, cheaper_head_choices, completions
 ):
     """The same checks on instances drawn from a seeded numpy generator,
     which no edit elsewhere moves, unlike Hypothesis's derandomized
@@ -1491,11 +1521,11 @@ def test_schemes_keep_their_guarantees_on_a_fixed_corpus(
     rng = np.random.default_rng(0x5CB)
     reached = picked = refused = ran_off = for_search = 0
     for _ in range(_CORPUS_SIZE):
-        skipped_before, choices_before = sum(skipped_rounds), len(tier_head_choices)
+        skipped_before, choices_before = sum(skipped_rounds), len(cheaper_head_choices)
         completed_before = len(completions)
         _check_guarantees(_small_instance(_NumpyDraws(rng)))
         reached += sum(skipped_rounds) > skipped_before
-        choices = tier_head_choices[choices_before:]
+        choices = cheaper_head_choices[choices_before:]
         picked += any(choices)
         refused += not all(choices)
         completed = completions[completed_before:]

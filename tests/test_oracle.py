@@ -66,6 +66,27 @@ def test_oracle_reports_infeasibility():
     assert sol.matching.owner_of == {}
 
 
+def test_oracle_rejects_an_optimum_whose_total_price_overflows():
+    """Each demander can buy one block within its budget of 1e308, but any
+    feasible assignment buys both, and 2e308 overflows: an infinite
+    ``total_cost`` would read as infeasibility, so the oracle raises, and
+    its overflowing sums warn nothing."""
+    cfg = GenerationConfig(
+        num_stations=3,
+        num_anchors=1,
+        num_mmw_brbs=2,
+        num_sub6_brbs=0,
+        mmw_price=1e308,
+        budget=1e308,
+        demand_bps=1.0,
+    )
+    s = generate_scenario(cfg, seed=0)
+    ch = realize_channels(s, np.random.default_rng(0))
+    assert (ch.rates >= 1.0).all()  # one block meets each demand
+    with pytest.raises(ValueError, match="overflows to inf"):
+        brute_force_min_cost(s, ch)
+
+
 def test_oracle_tie_break_is_the_first_enumerated_minimum():
     # two interchangeable blocks: the enumeration reaches "assign only the
     # second" before "assign only the first", so block 0 stays free
