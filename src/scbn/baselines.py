@@ -77,7 +77,8 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     Every demander requests, in descending rate order (ties in canonical
     block order), just enough blocks to cover its demand, ignoring prices
     and the other demanders.  Each requested block is then granted to the
-    requester with the highest rate on it (ties to the lower id).
+    requester with the highest rate on it (ties to the lower demander
+    axis, i.e. the earlier in station order, not the lower id).
     Winners buy their grants in the order they asked for them and stop at
     the first one they cannot pay for.  Blocks lost to a stronger rival
     or dropped for lack of money are never re-requested, so an unlucky

@@ -153,7 +153,8 @@ def test_best_effort_strongest_requester_takes_contested_blocks():
 
 def test_best_effort_equal_rate_pileup_favors_the_lower_id():
     # both demanders sit at the same distance, request the blocks in the
-    # same canonical order, and the lower id wins every tie
+    # same canonical order, and the lower axis (here the lower id) wins
+    # every tie
     s = _scenario([(0, 0)], [(10, 0), (-10, 0)], n1=2, demand=1.5e7)
     m = best_effort_allocate(s, realize_channels(s, np.random.default_rng(0)))
     assert len(m.assigned[1]) == 2

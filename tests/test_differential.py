@@ -325,7 +325,8 @@ def _ref_best_effort_allocate(s: Scenario, ch: ChannelRealization) -> _RefMatchi
     Every demander requests, in descending rate order (ties in canonical
     block order), just enough blocks to cover its demand, ignoring prices
     and the other demanders.  Each requested block is then granted to the
-    requester with the highest rate on it (ties to the lower id).
+    requester with the highest rate on it (ties to the lower demander
+    axis, i.e. the earlier in station order, not the lower id).
     Winners buy their grants in the order they asked for them and stop at
     the first one they cannot pay for.  Blocks lost to a stronger rival
     or dropped for lack of money are never re-requested, so an unlucky
@@ -1358,6 +1359,23 @@ def test_best_effort_tie_on_a_block_goes_to_the_lower_axis():
     m = _best_effort_against_the_reference(s, ch)
     assert m.holder.tolist() == [0, 0]
     assert m.cost[s.demander_ids[1]] == 0.0
+
+
+def test_best_effort_tie_goes_to_the_lower_axis_not_the_lower_id():
+    # ids (9, 4) in station order: best effort gives both tied blocks to
+    # axis 0 (id 9), while the matching ranks a tie by id and picks id 4
+    gains = np.full((1, 2, 2), 1e-9)
+    s, ch = _hand_built(gains, 2, [(0.1, 0.1)], [5.0, 5.0], [1e12, 1e12])
+    anchor, *demanders = s.stations
+    s = replace(
+        s,
+        stations=(anchor, *(replace(b, id=d) for b, d in zip(demanders, (9, 4)))),
+        budgets={9: 5.0, 4: 5.0},
+        demands_bps={9: 1e12, 4: 1e12},
+    )
+    ch = replace(ch, demander_ids=(9, 4))
+    assert _best_effort_against_the_reference(s, ch).holder.tolist() == [0, 0]
+    assert run_matching(s, ch, 0.0).holder.tolist() == [1, 1]
 
 
 def test_best_effort_keeps_every_block_when_the_budget_is_the_exact_price_sum():

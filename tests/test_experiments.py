@@ -13,8 +13,12 @@ from scbn import experiments, propagation
 from scbn.experiments import (
     SCHEMES,
     SWEEPS,
+    _Z975,
     _budget_bound_fraction,
+    AggregateMetrics,
+    SchemeMetrics,
     SweepConfig,
+    TrialResult,
     load_sweep_config,
     oracle_compare_rows,
     random_micro_config,
@@ -176,6 +180,58 @@ def test_confidence_interval_shrinks_with_trials():
     wide = _one_point_sweep(40)
     assert narrow.ci95_rate_bps <= 0.6 * wide.ci95_rate_bps
     assert narrow.trials == 160 and wide.trials == 40
+
+
+def _lone_list_mean_ci(values: list, n: int) -> tuple[float, float]:
+    """A metric's mean and 95% half-width as numpy reduces its list alone."""
+    ci = _Z975 * float(np.std(values, ddof=1)) / n**0.5 if n > 1 else 0.0
+    return float(np.mean(values)), ci
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 200])
+def test_aggregate_reduces_each_field_as_a_lone_list(n):
+    # the point's table is reduced row by row; each row must give the bits
+    # of its metric's own list, in trial order.  Blocking-pair counts are
+    # integers, so their float sums are exact in any order
+    rng = np.random.default_rng([n, 0xA66])
+    trials = [
+        TrialResult(
+            per_scheme={
+                scheme: SchemeMetrics(
+                    avg_rate_bps=float(rng.uniform(0.0, 1e8)),
+                    avg_cost=float(rng.uniform(0.0, 60.0)),
+                    demand_met_fraction=int(rng.integers(0, 9)) / 8,
+                    rounds=int(rng.integers(1, 300)),
+                    proposals=int(rng.integers(1, 3000)),
+                    blocking_pairs=int(rng.integers(0, 6)),
+                    budget_bound_fraction=int(rng.integers(0, 9)) / 8,
+                )
+                for scheme in SCHEMES
+            }
+        )
+        for _ in range(n)
+    ]
+    out = experiments._aggregate(trials, SCHEMES)
+    for scheme in SCHEMES:
+        ms = [t.per_scheme[scheme] for t in trials]
+        rate, rate_ci = _lone_list_mean_ci([m.avg_rate_bps for m in ms], n)
+        cost, cost_ci = _lone_list_mean_ci([m.avg_cost for m in ms], n)
+        rounds, rounds_ci = _lone_list_mean_ci([float(m.rounds) for m in ms], n)
+        proposals, proposals_ci = _lone_list_mean_ci([float(m.proposals) for m in ms], n)
+        assert out[scheme] == AggregateMetrics(
+            mean_rate_bps=rate,
+            ci95_rate_bps=rate_ci,
+            mean_cost=cost,
+            ci95_cost=cost_ci,
+            demand_met_fraction=float(np.mean([m.demand_met_fraction for m in ms])),
+            mean_rounds=rounds,
+            ci95_rounds=rounds_ci,
+            mean_proposals=proposals,
+            ci95_proposals=proposals_ci,
+            mean_blocking_pairs=float(np.mean([m.blocking_pairs for m in ms])),
+            budget_bound_fraction=float(np.mean([m.budget_bound_fraction for m in ms])),
+            trials=n,
+        )
 
 
 def test_sweep_points_are_paired_across_the_swept_axis():
@@ -520,10 +576,10 @@ def test_stability_audit_summary_fields():
     assert out["trials"] == 5
     assert out["blocking_pairs_total"] == 0
     assert out["trials_with_blocking_pairs"] == 0
-    assert out["rounds_bound"] == 2 * 13
+    # K1*N bounds no rounds (see test_rounds_may_pass_k1_n_but_never_the_proposals)
+    assert "rounds_bound" not in out
     assert out["proposals_bound"] == 4 * 2 * 13
-    assert 0 < out["max_rounds"] <= out["rounds_bound"]
-    assert 0 < out["max_proposals"] <= out["proposals_bound"]
+    assert 0 < out["max_rounds"] <= out["max_proposals"] <= out["proposals_bound"]
 
 
 def test_audits_refuse_to_run_no_trials():
