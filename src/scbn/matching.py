@@ -88,9 +88,9 @@ class BrbTable:
     per-block loops of the matching and the random baseline.
     ``class_runs[a]`` lists the flat blocks of anchor axis ``a``'s mmWave
     class in index order, one run of the tie order, and ``class_order``
-    the anchor axes in the tie order of their classes, by mmWave price,
-    then owner id; it is empty when there are no mmWave blocks.  Tables
-    are shared through a cache, so every field is read-only.
+    the anchor axes of the classes' index-0 blocks, in the tie order; it
+    is empty when there are no mmWave blocks.  Tables are shared through a
+    cache, so every field is read-only.
     """
 
     keys: tuple[BrbKey, ...]
@@ -174,23 +174,6 @@ class Matching:
         return MappingProxyType({d: frozenset(bs) for d, bs in held.items()})
 
 
-# The blocks' layout depends on the anchor ids and band sizes alone,
-# which random micro instances share while their prices differ
-@functools.lru_cache(maxsize=BRB_TABLE_CACHE_SIZE)
-def _layout(anchor_ids: tuple[int, ...], n1: int, n2: int):
-    """``(keys, owner, band, index, class_runs)`` of the flat blocks: each
-    block's key, its owner id, band code and index in band as read-only
-    arrays, and each anchor axis's mmWave blocks in index order."""
-    n, k1 = n1 + n2, len(anchor_ids)
-    owner = [a for a in anchor_ids for _ in range(n)]
-    band, index = ([0] * n1 + [1] * n2) * k1, [*range(n1), *range(n2)] * k1
-    arrays = [np.array(c, dtype=int) for c in (owner, band, index)]
-    for a in arrays:
-        a.setflags(write=False)
-    class_runs = tuple(tuple(range(a * n, a * n + n1)) for a in range(k1))
-    return (tuple(zip(owner, band, index)), *arrays, class_runs)
-
-
 # Resampled trials share one shape; a bounded cache keeps memory flat for
 # streams of distinct shapes such as random micro instances.
 @functools.lru_cache(maxsize=BRB_TABLE_CACHE_SIZE)
@@ -202,19 +185,20 @@ def _cached_brb_table(
 ) -> BrbTable:
     # Python lists: micro tables are built for every new instance, and
     # there a numpy call per column costs more than it saves
-    keys, owner, band, index, class_runs = _layout(anchor_ids, n1, n2)
-    price_of = []
-    for mmw, sub6 in prices:
-        price_of += [mmw] * n1 + [sub6] * n2
+    n = n1 + n2
+    # each flat block as its tie key: price, band, owner id, index in band
+    blocks = [
+        (p, b, a, i) for a, (mmw, sub6) in zip(anchor_ids, prices)
+        for b, p, m in ((0, mmw, n1), (1, sub6, n2)) for i in range(m)
+    ]
+    order = sorted(range(len(blocks)), key=blocks.__getitem__)
+    keys = tuple([(a, b, i) for _, b, a, i in blocks])
+    price_of = [blk[0] for blk in blocks]
     tiers = sorted(set(price_of))
     tier_of = list(map({p: t for t, p in enumerate(tiers)}.__getitem__, price_of))
-    price = np.array(price_of, dtype=float)
-    tier = np.array(tier_of, dtype=int)
-    tie_order = np.lexsort((index, owner, band, price))
+    price, tier, tie_order = map(np.array, (price_of, tier_of, order), (float, int, np.intp))
     for a in (price, tier, tie_order):
         a.setflags(write=False)
-    # the anchor axes of the mmWave classes, by mmWave price, then owner id
-    classes = sorted(zip([mmw for mmw, _ in prices], anchor_ids, range(len(prices))))
     return BrbTable(
         keys=keys,
         price=price,
@@ -224,8 +208,9 @@ def _cached_brb_table(
         tier_sizes=tuple(np.bincount(tier, minlength=len(tiers)).tolist()),
         price_of=tuple(price.tolist()),
         tier_of=tuple(tier_of),
-        class_order=tuple(a for _, _, a in classes) if n1 else (),
-        class_runs=class_runs,
+        # the anchor axis of each class's index-0 block, in the tie order
+        class_order=tuple([k // n for k in order if k % n == 0]) if n1 else (),
+        class_runs=tuple([tuple(range(a * n, a * n + n1)) for a in range(len(anchor_ids))]),
     )
 
 
@@ -246,10 +231,11 @@ def brb_table(s: Scenario) -> BrbTable:
     )
 
 
-# _flat_view's per-scenario terms (s, t, drawn_for, budgets, demands) for
-# the last scenario it saw: a trial runs every scheme and audit on one
-# scenario object.  A Scenario is frozen and replaced, never edited in
-# place, so terms found by identity are current
+# _flat_view's per-scenario terms (s, dicts, t, drawn_for, budgets, demands)
+# for the last scenario it saw: a trial runs every scheme and audit on one
+# scenario object.  A Scenario is frozen, but its budgets, demands and
+# prices are dicts that can be edited in place, so the terms keep copies of
+# the three (``dicts``) and are rebuilt when the scenario's differ from them
 _last_view: tuple = (None,)
 
 
@@ -263,14 +249,15 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     """
     global _last_view
     last = _last_view
-    if last[0] is not s:
+    if last[0] is not s or last[1] != (s.budgets, s.demands_bps, s.prices):
         ids = s.demander_ids
         shape = (len(s.anchor_ids), s.brbs_per_anchor, len(ids))
         drawn_for = (s.anchor_ids, ids, s.mmw_band.num_brbs, shape, radio_settings(s))
         budgets = tuple(float(s.budgets[d]) for d in ids)
         demands = tuple(float(s.demands_bps[d]) for d in ids)
-        last = _last_view = (s, brb_table(s), drawn_for, budgets, demands)
-    _, t, drawn_for, budgets, demands = last
+        dicts = (dict(s.budgets), dict(s.demands_bps), {a: dict(p) for a, p in s.prices.items()})
+        last = _last_view = (s, dicts, brb_table(s), drawn_for, budgets, demands)
+    _, _, t, drawn_for, budgets, demands = last
     if (ch.anchor_ids, ch.demander_ids, ch.num_mmw_brbs, ch.rates.shape, ch.radio) != drawn_for:
         raise InconsistentMatchingError(
             "the channel realization was drawn for another scenario: its anchor "

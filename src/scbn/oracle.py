@@ -4,8 +4,10 @@ The global problem: assign each BRB to at most one demander so that
 every demander's rate meets its demand, no budget is exceeded, and the
 total spent price is minimal.  For micro instances the whole assignment
 space (K2 + 1)^M is enumerable, which gives a ground-truth optimum to
-hold the distributed matching against.  Each assignment's sums are
-built once per prefix of blocks, along a tree of the blocks' choices.
+hold the distributed matching against.  The oracle first checks whether
+every demander can meet its demand with all blocks, and enumerates only
+when all can.  Each assignment's sums are then built once per prefix of
+blocks, along a tree of the blocks' choices.
 """
 
 from __future__ import annotations
@@ -76,7 +78,9 @@ def _tree_feasibility(r_flat, price, budgets, demands):
 
 
 def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
-    """Enumerate every assignment and return the cheapest feasible one.
+    """Enumerate every assignment and return the cheapest feasible one,
+    or infeasibility without enumerating when some demander falls short of
+    its demand with all blocks.
 
     Candidates for each BRB are tried as {unassigned, demanders in
     ascending id order} with BRBs in (owner, band, index) order, and the
@@ -91,10 +95,16 @@ def brute_force_min_cost(s: Scenario, ch: ChannelRealization) -> OracleSolution:
             f"instance has {m_total} BRBs and {k2} demanders; the exhaustive oracle "
             f"is limited to {MAX_ORACLE_BRBS} BRBs and {MAX_ORACLE_DEMANDERS} demanders"
         )
+    cols = np.empty(0, dtype=np.intp)
     # a cost sum that overflows exceeds its budget, so its column is infeasible
     with np.errstate(over="ignore"):
-        feasible, total_cost = _tree_feasibility(r_flat, t.price, budgets, demands)
-    cols = np.flatnonzero(feasible)
+        # each demander's rate over all M blocks, summed in BRB order as the
+        # tree sums it: rounded addition is monotone, so no set of blocks
+        # gives more, and one short demand leaves no column feasible
+        reach = np.cumsum(r_flat, axis=0)[-1] if m_total else np.zeros(k2)
+        if not (reach < demands).any():
+            feasible, total_cost = _tree_feasibility(r_flat, t.price, budgets, demands)
+            cols = np.flatnonzero(feasible)
     if not cols.size:  # most micro instances: no totals to sum
         free = Matching._built(np.full(m_total, -1), t, ch.demander_ids, [0.0] * k2, [0.0] * k2)
         return OracleSolution(matching=free, total_cost=math.inf, feasible=False)

@@ -653,3 +653,48 @@ def test_brb_table_cache_stays_bounded():
     assert info.misses - misses == 1000  # every micro shape is new
     assert info.maxsize == BRB_TABLE_CACHE_SIZE
     assert info.currsize <= info.maxsize
+
+
+def _outcomes(s, ch, audited):
+    """What the schemes, the audit of ``audited`` and the oracle give on
+    ``s``, as plain values."""
+    def plain(m):
+        return m.holder.tolist(), m.rate_bps, m.cost, m.rounds, m.proposals
+
+    sol = brute_force_min_cost(s, ch)
+    return (
+        plain(run_matching(s, ch, 1e6)),
+        plain(best_effort_allocate(s, ch)),
+        list(find_blocking_pairs(audited, s, ch, 1e6)),
+        (sol.feasible, sol.total_cost, plain(sol.matching)),
+    )
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("budgets", lambda v: v / 8),
+        ("demands_bps", lambda v: 16.0 * v),
+        ("prices", lambda v: {**v, BandKind.MMWAVE: v[BandKind.MMWAVE] + 1.0}),
+    ],
+)
+def test_a_dict_edited_in_place_is_read_anew(field, edit):
+    """A Scenario is frozen, but its budgets, demands and prices are dicts:
+    once a scenario has been seen, editing one of them in place gives the
+    results of a scenario built with the edited dict."""
+    s = generate_scenario(
+        GenerationConfig(
+            num_stations=5, num_anchors=2, num_mmw_brbs=2, num_sub6_brbs=2,
+            demand_bps=2e6, budget=9.0, mmw_price=1.3, sub6_price=2.7, area_side_m=150.0,
+        ),
+        seed=0,
+    )
+    ch = realize_channels(s, np.random.default_rng(0))
+    audited = run_matching(s, ch, 1e6)
+    before = _outcomes(s, ch, audited)
+    values = getattr(s, field)
+    for key, value in list(values.items()):
+        values[key] = edit(value)
+    edited = _outcomes(s, ch, audited)
+    assert edited == _outcomes(replace(s, **{field: dict(values)}), ch, audited)
+    assert edited != before

@@ -233,6 +233,47 @@ def test_oracle_matches_the_per_demander_reference():
     assert len({f for _, f in outcomes}) == 2
 
 
+def test_the_tree_is_built_only_when_every_demand_is_in_reach(monkeypatch):
+    """Each demander's rate over all M blocks, the early-out's sum, is bit
+    for bit the tree's rate sum in the column that gives every block to
+    it, and the tree is built exactly when no such sum falls short of its
+    demand: 200 micro instances drawn as ``oracle_compare_rows`` draws
+    them, and the largest legal shape."""
+    tree, calls = oracle._tree_feasibility, []
+    monkeypatch.setattr(oracle, "_tree_feasibility", lambda *a: calls.append(a) or tree(*a))
+    rng = np.random.default_rng([0, 0xACE])
+    instances = []
+    for _ in range(200):
+        s = generate_scenario(random_micro_config(rng), seed=int(rng.integers(2**31)))
+        instances.append((s, realize_channels(s, rng)))
+    instances += [
+        _largest_legal_instance(seed, demand)
+        for seed, demand in enumerate((2e6, 2e6, 5e8))
+    ]
+    short_seen = set()
+    for s, ch in instances:
+        t, r_flat, budgets, demands = _flat_view(s, ch)
+        m_total, k2 = r_flat.shape
+        reach = np.cumsum(r_flat, axis=0)[-1]
+        for j in range(k2):
+            # the column whose every digit is j + 1 meets a demand x of
+            # demander j (and 0 of the others) exactly when its sum >= x, so
+            # the sum is reach[j] when it meets reach[j] and not the next float
+            column = (j + 1) * ((k2 + 1) ** m_total - 1) // k2
+            bound = [0.0] * k2
+            bound[j] = reach[j]
+            assert tree(r_flat, t.price, [math.inf] * k2, bound)[0][column]
+            bound[j] = np.nextafter(reach[j], math.inf)
+            assert not tree(r_flat, t.price, [math.inf] * k2, bound)[0][column]
+        short = bool((reach < demands).any())
+        del calls[:]
+        sol = brute_force_min_cost(s, ch)
+        assert len(calls) == (0 if short else 1)
+        assert not (short and sol.feasible)
+        short_seen.add(short)
+    assert short_seen == {True, False}
+
+
 # --- constraint audit -----------------------------------------------------------
 
 
