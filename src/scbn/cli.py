@@ -63,12 +63,12 @@ def _cmd_run(args) -> int:
     ch = realize_channels(scenario, rng)
     schemes = args.schemes.split(",")
     check_schemes(schemes)
-    # only now, so that a bad scenario or scheme leaves no directory behind
+    results = [run_scheme(scheme, scenario, ch, args.zeta, rng) for scheme in schemes]
+    # only now, so that a bad scenario, scheme or zeta leaves no directory behind
     os.makedirs(args.out, exist_ok=True)
     if args.dump_channels:
         save_channels_csv(ch, os.path.join(args.out, "channels.csv"))
-    for scheme in schemes:
-        m = run_scheme(scheme, scenario, ch, args.zeta, rng)
+    for scheme, m in zip(schemes, results):
         path = os.path.join(args.out, f"matching_{scheme}.csv")
         save_matching_csv(m, scenario, ch, path)
         total_rate = sum(m.rate_bps.values())

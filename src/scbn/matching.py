@@ -14,14 +14,17 @@ The procedure terminates because a demander never proposes to the same
 BRB twice.  :func:`find_blocking_pairs` audits the result for stability.
 
 The rules and the exact shortcuts of the rounds are each argued once, in
-the docstring of the code they license: the acceptability rule and the
-visiting order (:func:`run_matching`), the one row of a uniform mmWave
-class (:func:`_rate_rows`), the order in which a demander applies
+the docstring of the code they license: the finite utilities
+(:func:`_utilities`), the acceptability rule and the visiting order
+(:func:`run_matching`), the one row of a uniform mmWave class
+(:func:`_rate_rows`), the order in which a demander applies
 (:class:`_ProposalState`), the preference prefixes (:func:`_preferences`)
-and their completion (:meth:`_ProposalState.complete`), the search past a
-too dear block (:meth:`_ProposalState.cheaper_head`) and the fast-forward
-of repeated rounds (:func:`_skip_repeats`).  Every scheme's result is a
-:class:`Matching`, built by :meth:`Matching._built`.
+and their completion, which needs no second scan
+(:meth:`_ProposalState.complete`), the search past a too dear block
+(:meth:`_ProposalState.cheaper_head`) and the fast-forward of repeated
+rounds, read off the round's proposals and holders
+(:func:`_skip_repeats`).  Every scheme's result is a :class:`Matching`,
+built by :meth:`Matching._built`.
 """
 
 from __future__ import annotations
@@ -62,13 +65,6 @@ BrbKey = tuple[int, int, int]
 class InconsistentMatchingError(ValueError):
     """Raised when an allocation is not one of the scenario's BRBs to its
     demanders, each BRB held at most once."""
-
-
-def _check_zeta(zeta: float) -> None:
-    # a NaN or infinite utility makes every comparison in the proposal and
-    # swap tests meaningless, and an audit that tests nothing finds nothing
-    if not math.isfinite(zeta):
-        raise ValueError(f"zeta must be a finite number, got {zeta!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,14 +266,33 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     return t, ch.rates.reshape(len(t.price), len(budgets)), budgets, demands
 
 
+def _utilities(t: BrbTable, r_flat: np.ndarray, zeta: float) -> np.ndarray:
+    """The ``(M, K2)`` utilities rate - ``zeta`` * price of the flat BRBs
+    ``r_flat`` rates, the one place they are formed.
+
+    Raises ValueError when ``zeta`` is not finite, or when ``zeta`` times
+    the dearest price is not: a NaN or infinite utility makes every
+    comparison in the proposal and swap tests meaningless, and an audit
+    that tests nothing finds nothing.  Prices are finite and non-negative,
+    so no other product is larger, and a rate minus a finite product
+    stays finite.
+    """
+    if not math.isfinite(zeta):
+        raise ValueError(f"zeta must be a finite number, got {zeta!r}")
+    dearest = max(t.tiers, default=0.0)
+    if not math.isfinite(zeta * dearest):
+        raise ValueError(f"zeta {zeta} times the price {dearest} is not finite")
+    return r_flat - zeta * t.price[:, None]
+
+
 @dataclass(slots=True)
 class _ProposalState:
     """Mutable per-demander state inside run_matching.
 
     ``order`` lists flat BRB indices in the demander's preference order:
-    the exact prefix of ``end`` positions that :func:`_preferences` gives,
-    until :meth:`complete` replaces it by the whole order.  Every position
-    of ``order`` before ``scan_from`` has been applied to.
+    the exact prefix that :func:`_preferences` gives, until
+    :meth:`complete` replaces it by the whole order, of length M.  Every
+    position of ``order`` before ``scan_from`` has been applied to.
 
     A block of one price tier is affordable exactly when every block of
     that tier is, so a demander applies to each tier's blocks in
@@ -287,7 +302,6 @@ class _ProposalState:
     """
 
     order: Sequence[int]       # flat BRB indices in preference order, or a prefix
-    end: int                   # len(order), M once the order is whole
     applied: bytearray         # nonzero per flat BRB already proposed to
     scan_from: int = 0         # first position possibly unapplied
     cost: float = 0.0
@@ -295,16 +309,25 @@ class _ProposalState:
 
     def complete(self, order: np.ndarray) -> None:
         """Read on in ``order``, the whole preference order: called when a
-        scan runs off the prefix (``scan_from == end``) or before
-        :meth:`cheaper_head` (``scan_from < end``).
+        scan runs off the prefix (``scan_from == len(self.order)``) or
+        before :meth:`cheaper_head` (``scan_from < len(self.order)``).
 
         The whole order starts with the prefix read so far, so the
         positions before ``scan_from`` and the tried flags stay valid.  It
         is kept as a memoryview of the argsorted numpy row: the rounds read
         only a short part of it, so it is never converted to a list.
+
+        A scan that ran off the prefix need not scan on: the whole order's
+        block at ``scan_from`` is untried.  While the order is a prefix, a
+        demander applies only by a scan, as :meth:`cheaper_head` runs on a
+        completed order, so every block it applied to itself lies in the
+        prefix.  The only other tried flags are those :func:`_skip_repeats`
+        sets, on blocks of the uniform class of a block m the demander
+        applied to, so m and those blocks lie in the prefix too: a prefix
+        is made of whole uniform classes.  Every tried block lies in the
+        prefix, and the first position past it is untried.
         """
         self.order = memoryview(order)
-        self.end = len(order)
 
     def cheaper_head(self, price: np.ndarray, budget: float) -> int:
         """The best untried block the budget covers, or -1, when the best
@@ -410,14 +433,16 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1)
     mmWave), or where the winner's demand or budget, or a rejection's
     holders, stop it.
 
-    ``groups`` lists the round's contests as (block m, applicants, winner),
-    and the applicants of all groups are every demander that proposed in
-    it.  No block changed holder in the round: a free block went to its
-    winner (a convoy), or a held block's holder kept it against every
-    applicant (a rejection, winner -1).  Round ``i`` after it repeats it
-    when, for every group, m lies in a uniform class with m+i in it, which
-    holds when ``rates[m + 1] is rates[m]`` and i is within the class's
-    end, so that every applicant rates m+i as it rates m, and
+    ``groups`` is the round's proposal map, each block m to its applicants;
+    together they are every demander that proposed in it.  It is called
+    only after a round that displaced nobody, so each block's holder now
+    tells its outcome.  No applicant held m before the round, as it had not
+    tried m, so a block now held by one of its applicants was free and went
+    to that applicant, the winner w (a convoy); any other block kept its
+    holder against every applicant (a rejection).  Round ``i`` after it
+    repeats it when, for every group, m lies in a uniform class with m+i in
+    it, which holds when ``rates[m + 1] is rates[m]`` and i is within the
+    class's end, so that every applicant rates m+i as it rates m, and
       - for a convoy, the winner can still propose: its demand unmet and
         cost + price within budget, the same float sum the proposal loop
         compares (m+i is free, by the prefix);
@@ -455,16 +480,17 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1)
     rejection changes no holder and no total.
     """
     k = n1
-    # per convoy, the winner's run length, its sums after it and its rate
-    # on the class; None for a rejection
+    # per convoy, its winner, the winner's run length, its sums after it
+    # and its rate on the class; None for a rejection
     reach = []
-    for m, applicants, w in groups:
+    for m, applicants in groups.items():
         k = min(k, n1 - 1 - m % n)  # the blocks left in m's class
         if k <= 0 or rates[m + 1] is not rates[m]:
             return 0
         row = rates[m]
+        w = holder[m]
         i = 0
-        if w < 0:
+        if w not in applicants:
             top = max(row[j] for j in applicants)
             while i < k:
                 h = holder[m + i + 1]
@@ -480,12 +506,12 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1)
                 i += 1
                 rate += r
                 cost += p
-            reach.append((i, rate, cost, r))
+            reach.append((w, i, rate, cost, r))
         k = i
         if not k:
             return 0
     tried = b"\x01" * k
-    for (m, applicants, w), run in zip(groups, reach):
+    for (m, applicants), run in zip(groups.items(), reach):
         for j in applicants:
             st = states[j]
             st.applied[m + 1 : m + k + 1] = tried
@@ -493,8 +519,8 @@ def _skip_repeats(groups, states, holder, rates, price, demands, budgets, n, n1)
                 st.scan_from += k
         if run is None:
             continue
+        w, i, rate, cost, r = run
         holder[m + 1 : m + k + 1] = array("q", [w]) * k
-        i, rate, cost, r = run
         st = states[w]
         if i == k:
             st.rate_bps, st.cost = rate, cost
@@ -529,10 +555,10 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     every float sum: a demander that did neither has the rate, cost and
     tried blocks with which it last failed to propose.  The rounds and
     proposals counted are those of the full loop, the rounds that
-    :func:`_skip_repeats` plays at once included.  Raises ValueError for a
-    non-finite ``zeta``.
+    :func:`_skip_repeats` plays at once after a round that displaced nobody
+    included.  Raises ValueError for a ``zeta`` that is not finite or makes
+    a utility overflow (see :func:`_utilities`).
     """
-    _check_zeta(zeta)
     t, r_flat, budgets, demands = _flat_view(s, ch)   # r_flat: (M, K2) bit/s
     demander_ids = ch.demander_ids
     m_total, k2 = r_flat.shape
@@ -540,11 +566,10 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     # Python floats from here on: the same IEEE sums as numpy scalars, faster
     n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
     rates = _rate_rows(ch.rates, n1)
-    # utility of every flat BRB for every demander; preference: utility
-    # first, then the cheaper block, then (band, owner, index)
-    u_flat = r_flat - zeta * t.price[:, None]
+    # preference: utility first, then the cheaper block, then (band, owner, index)
+    u_flat = _utilities(t, r_flat, zeta)
     prefixes, full = _preferences(t, u_flat, rates, n, n1)
-    states = [_ProposalState(p, len(p), bytearray(m_total)) for p in prefixes]
+    states = [_ProposalState(p, bytearray(m_total)) for p in prefixes]
     price = t.price_of
     holder = array("q", [-1]) * m_total
     rounds = 0
@@ -560,23 +585,20 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
                 continue
             order = st.order
             applied = st.applied
-            pos, end = st.scan_from, st.end
+            pos, end = st.scan_from, len(order)
             while pos < end and applied[order[pos]]:
                 pos += 1
+            st.scan_from = pos
             if pos == end < m_total:  # ran off the prefix: read on in the whole order
-                st.scan_from = pos
                 st.complete(full(j))
                 order = st.order
-                while pos < m_total and applied[order[pos]]:
-                    pos += 1
-            st.scan_from = pos
             if pos == m_total:
                 continue
             choice = order[pos]
             # the comparison uses the same float sum later stored as the
             # cost, so cost <= budget can never be violated
             if not st.cost + price[choice] <= budgets[j]:
-                if st.end < m_total:
+                if len(order) < m_total:
                     st.complete(full(j))
                 choice = st.cheaper_head(t.price, budgets[j])
             if choice >= 0:
@@ -588,7 +610,6 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
         rounds += 1
         proposals += len(proposers)
         displaced = []
-        contests = []  # (block, applicants, winner or -1) until a block changes holder
         for m, applicants in round_proposals.items():
             rate_m = rates[m]
             if rate_m is None:
@@ -600,25 +621,21 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
             incumbent = holder[m]
             if incumbent >= 0:
                 if rate_m[best] <= rate_m[incumbent]:
-                    # incumbent keeps the BRB, ties included
-                    if contests is not None:
-                        contests.append((m, applicants, -1))
-                    continue
-                contests = None
+                    continue  # incumbent keeps the BRB, ties included
                 st = states[incumbent]
                 st.rate_bps -= rate_m[incumbent]
                 st.cost -= price[m]
                 displaced.append(incumbent)
-            elif contests is not None:
-                contests.append((m, applicants, best))
             st = states[best]
             st.rate_bps += rate_m[best]
             st.cost += price[m]
             holder[m] = best
-        active = sorted(set(proposers).union(displaced)) if displaced else proposers
-        if contests is not None:
+        if displaced:
+            active = sorted(set(proposers).union(displaced))
+        else:
+            active = proposers
             skipped = _skip_repeats(
-                contests, states, holder, rates, price, demands, budgets, n, n1
+                round_proposals, states, holder, rates, price, demands, budgets, n, n1
             )
             rounds += skipped
             proposals += skipped * len(proposers)
@@ -740,7 +757,8 @@ def find_blocking_pairs(
     within budget.  Pairs come sorted by demander id, then BRB key, as a
     :class:`BlockingPairs` sequence: its length is counted from the
     (BRB, demander) mask of the test, and the pairs are listed on first
-    indexing or iteration.  Raises ValueError for a non-finite ``zeta``.
+    indexing or iteration.  Raises ValueError for a ``zeta`` that is not
+    finite or makes a utility overflow (see :func:`_utilities`).
 
     Only the BRB side and the utilities vary block by block.  A block's
     price is its price tier's, so the demander side is decided in
@@ -749,10 +767,9 @@ def find_blocking_pairs(
     and the least utility the demander holds in a tier or any dearer one,
     read at the first tier whose price covers the excess over the budget.
     """
-    _check_zeta(zeta)
     t, r_flat, budget, demand = _flat_view(s, ch, m)   # r_flat: (M, K2)
     holder = m.holder
-    u_flat = r_flat - zeta * t.price[:, None]
+    u_flat = _utilities(t, r_flat, zeta)
     cost = np.array([m.cost.get(d, 0.0) for d in ch.demander_ids], dtype=float)
     rate = np.array([m.rate_bps.get(d, 0.0) for d in ch.demander_ids], dtype=float)
     tiers = np.array(t.tiers)

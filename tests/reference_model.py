@@ -6,12 +6,15 @@ written independently of the vectorised code in ``scbn``: the tests hold
 ``realize_channels``, ``gamma_tensor``, ``rate_tensor``, the preference
 orders and the exhaustive oracle to them.  :func:`brute_force_min_cost`
 is the oracle as it was before its enumeration was shared per shape, one
-demander at a time.  Inputs are assumed valid; nothing here checks them.
+demander at a time.  :func:`sequential_matching` plays the matching one
+proposal at a time instead of in rounds.  Inputs are assumed valid;
+nothing here checks them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,3 +165,60 @@ def brute_force_min_cost(r_flat, price, budgets, demands):
     costs = np.where(feasible, total_cost, np.inf)
     best = int(np.argmin(costs))
     return True, float(costs[best]), (choices[best].astype(int) - 1).tolist()
+
+
+def sequential_matching(s, ch, zeta, order):
+    """``(holder, proposals)`` of the matching played one proposal at a
+    time, from a FIFO queue of demander axes that starts as ``order``.
+
+    Each turn pops one demander.  While its demand is unmet it proposes
+    once, to the first block of its preference order (by utility
+    descending, then price, band, owner and index) that it has not tried
+    and whose price its budget still covers, and then goes to the back of
+    the queue; with its demand met or no such block, it leaves the queue.
+    A free block takes it; a held block takes it only for a strictly
+    higher rate than its holder's, and the displaced holder is queued
+    unless it is queued already.  ``holder`` gives each block of
+    :func:`scenario_brbs`, in that order, its demander axis or -1.
+    """
+    brbs = scenario_brbs(s)
+    ids = ch.demander_ids
+    rate = [
+        [float(ch.rates[ch.anchor_ids.index(b.owner), brb_global_index(s, b), j])
+         for j in range(len(ids))]
+        for b in brbs
+    ]
+
+    def rank(j, k):
+        b = brbs[k]
+        return (-dbs_utility(rate[k][j], b.price, zeta), b.price, b.key()[1], b.owner, b.index)
+
+    prefs = [sorted(range(len(brbs)), key=lambda k: rank(j, k)) for j in range(len(ids))]
+    budget = [s.budgets[d] for d in ids]
+    demand = [s.demands_bps[d] for d in ids]
+    got, paid = [0.0] * len(ids), [0.0] * len(ids)
+    tried = [set() for _ in ids]
+    holder = [-1] * len(brbs)
+    queue, proposals = deque(order), 0
+    while queue:
+        j = queue.popleft()
+        affordable = (
+            k for k in prefs[j] if k not in tried[j] and paid[j] + brbs[k].price <= budget[j]
+        )
+        k = next(affordable, None) if got[j] < demand[j] else None
+        if k is None:
+            continue
+        tried[j].add(k)
+        proposals += 1
+        h = holder[k]
+        if h < 0 or rate[k][j] > rate[k][h]:
+            if h >= 0:
+                got[h] -= rate[k][h]
+                paid[h] -= brbs[k].price
+                if h not in queue:
+                    queue.append(h)
+            holder[k] = j
+            got[j] += rate[k][j]
+            paid[j] += brbs[k].price
+        queue.append(j)
+    return holder, proposals

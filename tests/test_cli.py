@@ -410,6 +410,39 @@ def test_run_and_audit_reject_a_non_finite_zeta(tmp_path, capsys, zeta):
     assert "--zeta must be a finite number" in _one_error_line(capsys)
 
 
+def test_run_and_audit_reject_a_zeta_whose_utilities_overflow(tmp_path, capsys):
+    # 1e308 is a finite zeta, but 1e308 times the price 10 is not
+    scenario = _generate(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run", "--scenario", scenario, "--zeta", "1e308", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "times the price 10.0 is not finite" in _one_error_line(capsys)
+        audit = ["stability-audit", "--trials", "2", "--zeta", "1e308", "--out", str(tmp_path / "a")]
+        rc = main(audit)
+    assert rc == 1
+    assert "times the price 10.0 is not finite" in _one_error_line(capsys)
+    assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
+
+
+def test_sweep_whose_mmwave_price_overflows_the_utilities_is_an_error_line(tmp_path, capsys):
+    # a price and budget of 1e308 are finite and valid, but zeta 1e6 times
+    # that price is not
+    path = tmp_path / "sweep.json"
+    doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
+    base = {"num_stations": 3, "num_anchors": 1, "mmw_price": 1e308, "budget": 1e308}
+    path.write_text(json.dumps({**doc, "base": base}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert _one_error_line(capsys) == (
+        "error: zeta 1000000.0 times the price 1e+308 is not finite\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_a_nan_zeta(tmp_path, capsys):
     path = tmp_path / "sweep.json"
     doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))

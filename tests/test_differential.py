@@ -735,13 +735,17 @@ def completions(monkeypatch):
     """Records, for each preference order completed, the length of the
     prefix it replaced and whether a scan ran off that prefix (otherwise
     it was completed for ``cheaper_head``); and checks that the whole
-    order starts with the prefix."""
+    order starts with the prefix and that, when a scan ran off it, the
+    whole order's block at ``scan_from`` is untried."""
     made: list[tuple[int, bool]] = []
     complete = _ProposalState.complete
 
     def recorded(self, order):
-        assert order[: self.end].tolist() == list(self.order)
-        made.append((self.end, self.scan_from == self.end))
+        end = len(self.order)
+        assert order[:end].tolist() == list(self.order)
+        if self.scan_from == end < len(order):
+            assert not self.applied[order[end]]
+        made.append((end, self.scan_from == end))
         complete(self, order)
 
     monkeypatch.setattr(_ProposalState, "complete", recorded)
@@ -1021,8 +1025,13 @@ def test_a_class_whose_rows_differ_gets_a_row_per_block(rate_row_lists):
     assert matching._rate_rows(np.full((1, 3, 2), np.nan), 3) == [None] * 3
 
 
+def _one_convoy():
+    """Three demanders on one anchor, each with one gain on all its blocks."""
+    return _hand_built(_convoy_gains(3, 9), 8, [(0.1, 1.0)], [_RICH] * 3, [_RICH] * 3)
+
+
 def test_a_convoy_over_one_mmwave_class_is_skipped_to_its_end(skipped_rounds):
-    s, ch = _hand_built(_convoy_gains(3, 9), 8, [(0.1, 1.0)], [_RICH] * 3, [_RICH] * 3)
+    s, ch = _one_convoy()
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
     # the strongest demander takes all eight mmWave blocks, and the seven
@@ -1119,6 +1128,14 @@ def test_a_winner_whose_budget_runs_out_exactly_ends_the_run(skipped_rounds):
     assert skipped_rounds[0] == 3
 
 
+def _past_a_dear_block():
+    gains = np.zeros((2, 6, 2))
+    gains[0, :, 0] = 1e-9   # demander 0: anchor 0 first ...
+    gains[1, :, 0] = 5e-10  # ... then anchor 1
+    gains[1, :, 1] = 1e-9   # demander 1: anchor 1 first
+    return _hand_built(gains, 6, [(20.0, 1.0), (1.0, 1.0)], [4.0, _RICH], [_RICH] * 2)
+
+
 def test_an_applicant_that_entered_the_class_past_a_dear_block(
     skipped_rounds, cheaper_head_choices
 ):
@@ -1126,11 +1143,7 @@ def test_an_applicant_that_entered_the_class_past_a_dear_block(
     its budget covers only anchor 1's cheap ones, so its ``scan_from``
     stays on an untried dear block while it follows the convoy on anchor
     1, which demander 1 reaches by scanning."""
-    gains = np.zeros((2, 6, 2))
-    gains[0, :, 0] = 1e-9   # demander 0: anchor 0 first ...
-    gains[1, :, 0] = 5e-10  # ... then anchor 1
-    gains[1, :, 1] = 1e-9   # demander 1: anchor 1 first
-    s, ch = _hand_built(gains, 6, [(20.0, 1.0), (1.0, 1.0)], [4.0, _RICH], [_RICH] * 2)
+    s, ch = _past_a_dear_block()
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
     assert any(cheaper_head_choices)
@@ -1235,21 +1248,36 @@ def test_a_rejection_run_ends_where_a_second_holder_rates_below_it(skipped_round
     assert m.holder.tolist() == [0] * 4 + [1] * 4 + [1] * 8
 
 
-def test_a_round_of_one_convoy_and_one_rejection_is_skipped_together(skipped_rounds):
-    """Demander 0 wants anchor 0, then anchor 2; demander 1 wants anchor 1,
-    then anchor 0.  In the ninth round demander 0 starts a convoy on anchor
-    2 while demander 1 is refused by anchor 0, and both repeat."""
+def _convoy_and_rejection():
     gains = np.zeros((3, 8, 2))
     gains[0, :, 0] = 1e-9
     gains[2, :, 0] = 5e-10
     gains[1, :, 1] = 1e-9
     gains[0, :, 1] = 5e-10
-    s, ch = _hand_built(gains, 8, [(0.1, 1.0)] * 3, [_RICH] * 2, [_RICH] * 2)
+    return _hand_built(gains, 8, [(0.1, 1.0)] * 3, [_RICH] * 2, [_RICH] * 2)
+
+
+def test_a_round_of_one_convoy_and_one_rejection_is_skipped_together(skipped_rounds):
+    """Demander 0 wants anchor 0, then anchor 2; demander 1 wants anchor 1,
+    then anchor 0.  In the ninth round demander 0 starts a convoy on anchor
+    2 while demander 1 is refused by anchor 0, and both repeat."""
+    s, ch = _convoy_and_rejection()
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
     assert m.holder.tolist() == [0] * 8 + [1] * 8 + [0] * 8
     # then each is refused by the other's class
     assert skipped_rounds == [7, 7, 7]
+
+
+def _refused_after_a_dear_block():
+    gains = np.zeros((3, 6, 2))
+    gains[0, :, 0] = 1e-9
+    gains[2, :, 0] = 5e-10
+    gains[1, :, 0] = 2e-10
+    gains[1, :, 1] = 1e-9
+    return _hand_built(
+        gains, 6, [(20.0, 1.0), (1.0, 1.0), (1.0, 1.0)], [10.0, _RICH], [_RICH] * 2
+    )
 
 
 def test_an_applicant_refused_after_a_dear_block_moves_its_tier_head(
@@ -1259,14 +1287,7 @@ def test_an_applicant_refused_after_a_dear_block_moves_its_tier_head(
     budget covers only the cheap ones: it takes anchor 2's class through
     :meth:`_ProposalState.cheaper_head`, then goes on to anchor 1's, held
     by demander 1, with its ``scan_from`` still on the first dear block."""
-    gains = np.zeros((3, 6, 2))
-    gains[0, :, 0] = 1e-9
-    gains[2, :, 0] = 5e-10
-    gains[1, :, 0] = 2e-10
-    gains[1, :, 1] = 1e-9
-    s, ch = _hand_built(
-        gains, 6, [(20.0, 1.0), (1.0, 1.0), (1.0, 1.0)], [10.0, _RICH], [_RICH] * 2
-    )
+    s, ch = _refused_after_a_dear_block()
     m = run_matching(s, ch, zeta=0.0)
     _assert_same_matching(m, _ref_run_matching(s, ch, zeta=0.0))
     assert any(cheaper_head_choices)
@@ -1578,9 +1599,9 @@ def test_held_blocks_of_a_uniform_class_form_a_prefix_on_a_fixed_corpus(monkeypa
 
     def checked(groups, states, holder, *args):
         nonlocal convoys
-        for m, _, w in groups:
+        for m, applicants in groups.items():
             for c in classes:
-                if w >= 0 and m in c:
+                if holder[m] in applicants and m in c:
                     convoys += 1
                     assert all(h < 0 for h in holder[m + 1 : c.stop])
         return skip_repeats(groups, states, holder, *args)
@@ -1595,6 +1616,83 @@ def test_held_blocks_of_a_uniform_class_form_a_prefix_on_a_fixed_corpus(monkeypa
             held = (m.holder[c.start : c.stop] >= 0).tolist()
             assert held == sorted(held, reverse=True)
     assert convoys >= _CORPUS_CONVOY_FLOOR
+
+
+def test_the_fast_forward_skips_the_same_rounds_on_the_bench_shapes(skipped_rounds):
+    """The calls of ``_skip_repeats`` and the rounds they skip over 40
+    reference and 40 budget-bound trials at seed 0, pinned: a misread
+    convoy or rejection that still ends in the right matching shows here
+    as other counts."""
+    counts = []
+    for cfg, zeta in ((GenerationConfig(), 1e6), (_BUDGET_BOUND, 1e5)):
+        base = generate_scenario(cfg, seed=0)
+        calls, skipped = len(skipped_rounds), sum(skipped_rounds)
+        for i in range(40):
+            rng = np.random.default_rng([0, i])  # the sweep harness's trial stream
+            s = resample_positions(base, rng)
+            run_matching(s, realize_channels(s, rng), zeta)
+        counts.append((len(skipped_rounds) - calls, sum(skipped_rounds) - skipped))
+    assert counts == [(537, 14267), (377, 10398)]
+
+
+# --- one proposal at a time: a second schedule --------------------------------------
+
+
+def _tie_free(ch) -> bool:
+    """Whether no two demanders have an equal rate on one block."""
+    rates = np.sort(ch.rates.reshape(-1, ch.rates.shape[2]), axis=1)
+    return not (rates[:, 1:] == rates[:, :-1]).any()
+
+
+# 69 of the corpus's 200 instances are tie-free, and 14 of the 21 others;
+# the floor leaves room for edits that move a few
+_SCHEDULE_CASES_FLOOR = 64
+
+
+@pytest.fixture(scope="module")
+def schedule_cases():
+    """``(s, ch, zeta, holder, proposals)`` of run_matching on tie-free
+    instances: the fixed corpus's, the first five reference and seven
+    budget-bound trials and the five heavy-tail budget-bound ones (which
+    reach ``cheaper_head``), and the hand-built convoy and ``cheaper_head``
+    cases, all of them tie-free."""
+    rng = np.random.default_rng(0x5CB)
+    instances = [_small_instance(_NumpyDraws(rng))[:3] for _ in range(_CORPUS_SIZE)]
+    for cfg, zeta, trials in (
+        (GenerationConfig(), 1e6, range(5)),
+        (_BUDGET_BOUND, 1e5, (*range(7), *_HEAVY_TAIL_TRIALS)),
+    ):
+        base = generate_scenario(cfg, seed=0)
+        for i in trials:
+            rng = np.random.default_rng([0, i])
+            s = resample_positions(base, rng)
+            instances.append((s, realize_channels(s, rng), zeta))
+    hand_built = [
+        _one_convoy(), _convoy_and_rejection(), _past_a_dear_block(),
+        _refused_after_a_dear_block(),
+    ]
+    assert all(_tie_free(ch) for _, ch in hand_built)
+    cases = []
+    for s, ch, zeta in instances + [(s, ch, 0.0) for s, ch in hand_built]:
+        if _tie_free(ch):
+            m = run_matching(s, ch, zeta)
+            cases.append((s, ch, zeta, m.holder.tolist(), m.proposals))
+    return cases
+
+
+@settings(max_examples=6)
+@given(data=st.data())
+def test_one_proposal_at_a_time_gives_the_same_holders_and_proposals(schedule_cases, data):
+    """On instances where no two demanders rate a block alike, the
+    batch rounds of run_matching and ``reference_model.sequential_matching``,
+    which plays one proposal per turn from a queue in any initial order and
+    shares no code with the shortcuts, give the same holders and the same
+    count of proposals.  A failure is either a shortcut's bug or an instance
+    whose outcome depends on the schedule; pin it and say which."""
+    assert len(schedule_cases) >= _SCHEDULE_CASES_FLOOR
+    for s, ch, zeta, holder, proposals in schedule_cases:
+        order = data.draw(st.permutations(range(len(s.demander_ids))))
+        assert ref.sequential_matching(s, ch, zeta, order) == (holder, proposals)
 
 
 # --- preference prefixes ------------------------------------------------------------

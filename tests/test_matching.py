@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from array import array
@@ -511,6 +512,27 @@ def test_matching_and_audit_reject_a_non_finite_zeta(zeta):
         run_matching(s, ch, zeta=zeta)
     with pytest.raises(ValueError, match="zeta must be a finite number"):
         find_blocking_pairs(m, s, ch, zeta=zeta)
+
+
+def test_matching_and_audit_reject_a_zeta_whose_utilities_overflow():
+    """On the reference scenario, whose dearest price is 10: zeta 1e307
+    gives finite utilities, while 1e308 and -1e308 do not, and a non-finite
+    zeta keeps its own message."""
+    s = generate_scenario(GenerationConfig(), seed=0)
+    ch = realize_channels(s, np.random.default_rng(0))
+    m = run_matching(s, ch, zeta=1e307)
+    assert find_blocking_pairs(m, s, ch, zeta=1e307) == []
+    for zeta in (1e308, -1e308):
+        message = re.escape(f"zeta {zeta} times the price 10.0 is not finite")
+        with pytest.raises(ValueError, match=message):
+            run_matching(s, ch, zeta=zeta)
+        with pytest.raises(ValueError, match=message):
+            find_blocking_pairs(m, s, ch, zeta=zeta)
+    for zeta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="zeta must be a finite number"):
+            run_matching(s, ch, zeta=zeta)
+        with pytest.raises(ValueError, match="zeta must be a finite number"):
+            find_blocking_pairs(m, s, ch, zeta=zeta)
 
 
 _ENTRY_POINTS = {
