@@ -123,7 +123,9 @@ def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
     # along each row add the same floats in the same order as a purchase
     # loop, and x + 0.0 == x
     won = asked & (winner[order] == axes)
-    spent = np.cumsum(np.where(won, t.price[order], 0.0), axis=1)
+    # a running sum past the float range is inf, which no budget covers
+    with np.errstate(over="ignore"):
+        spent = np.cumsum(np.where(won, t.price[order], 0.0), axis=1)
     bought = won & (spent <= np.array(budgets)[:, None])
     rate = np.zeros(k2)
     if depth:

@@ -243,7 +243,9 @@ def run_trial(
             float(m.rate_bps[d] >= trial_s.demands_bps[d]) for d in demanders
         ]
         # one reduction per row, each as np.mean of that row alone
-        avg_rate, avg_cost, met_fraction = np.mean([rates, costs, met], axis=1).tolist()
+        avg_rate, avg_cost, met_fraction = _finite_rows(
+            np.mean, [rates, costs, met], f"{scheme}: a trial's mean over the demanders"
+        ).tolist()
         pairs = find_blocking_pairs(m, trial_s, ch, zeta_bps_per_unit)
         per_scheme[scheme] = SchemeMetrics(
             avg_rate_bps=avg_rate,
@@ -255,6 +257,16 @@ def run_trial(
             budget_bound_fraction=_budget_bound_fraction(trial_s, m),
         )
     return TrialResult(per_scheme=per_scheme)
+
+
+def _finite_rows(reduce, rows, what: str, **kwargs) -> np.ndarray:
+    """``reduce(rows, axis=1, **kwargs)``, or ConfigError when a result is
+    not finite: finite values can sum, or square, past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = reduce(rows, axis=1, **kwargs)
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{what} overflows the float range")
+    return out
 
 
 def _trial_job(args) -> TrialResult:
@@ -274,10 +286,14 @@ def _aggregate(trials: list[TrialResult], schemes) -> dict[str, AggregateMetrics
         # order: numpy reduces a contiguous row as it reduces that row alone,
         # but the rows of a transposed view are strided and sum to other bits
         rows = np.array([_METRICS(t.per_scheme[scheme]) for t in trials], dtype=float).T.copy()
-        rate, cost, met, rounds, proposals, pairs, bound = np.mean(rows, axis=1).tolist()
+        rate, cost, met, rounds, proposals, pairs, bound = _finite_rows(
+            np.mean, rows, f"{scheme}: a mean over the trials"
+        ).tolist()
         rate_ci = cost_ci = rounds_ci = proposals_ci = 0.0
         if n > 1:
-            sd = np.std(rows[[0, 1, 3, 4]], axis=1, ddof=1)
+            sd = _finite_rows(
+                np.std, rows[[0, 1, 3, 4]], f"{scheme}: a deviation over the trials", ddof=1
+            )
             rate_ci, cost_ci, rounds_ci, proposals_ci = (_Z975 * sd / n**0.5).tolist()
         out[scheme] = AggregateMetrics(
             mean_rate_bps=rate,
@@ -303,6 +319,9 @@ def sweep(cfg: SweepConfig, axis: str) -> SweepResult:
     every point's base scenario is built, before the first trial, so a
     config that names no scheme, no trial or no worker, or a grid value
     that gives no valid scenario, fails the sweep at once with ConfigError.
+    ``cfg.workers`` is a ceiling: a process pool starts all its processes
+    at once, so the sweep starts no more than it has trials or the machine
+    has cores, and runs in this process when that is one.
     """
     check_schemes(cfg.schemes)
     _check_count("trials", cfg.trials)
@@ -322,11 +341,12 @@ def sweep(cfg: SweepConfig, axis: str) -> SweepResult:
         for base in bases
         for trial_idx in range(cfg.trials)
     ]
-    if cfg.workers > 1:
+    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: only a parallel sweep needs multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_job, jobs, chunksize=8))
     else:
         results = [_trial_job(j) for j in jobs]

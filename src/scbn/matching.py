@@ -227,14 +227,6 @@ def brb_table(s: Scenario) -> BrbTable:
     )
 
 
-# _flat_view's per-scenario terms (s, dicts, t, drawn_for, budgets, demands)
-# for the last scenario it saw: a trial runs every scheme and audit on one
-# scenario object.  A Scenario is frozen, but its budgets, demands and
-# prices are dicts that can be edited in place, so the terms keep copies of
-# the three (``dicts``) and are rebuilt when the scenario's differ from them
-_last_view: tuple = (None,)
-
-
 def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     """``(t, rates, budgets, demands)``: the scenario's BRB table, the
     ``(M, K2)`` rates of its flat BRBs for each demander axis (a view of
@@ -242,18 +234,16 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     budgets and demands in demander-axis order.  Raises
     InconsistentMatchingError for a realization drawn for another scenario
     or a matching ``m`` over other BRBs or demanders.
+
+    The terms are derived anew on every call, so a budget, demand or price
+    edited in place is read as it stands; only the table is cached, per
+    deployment shape, by :func:`brb_table`.
     """
-    global _last_view
-    last = _last_view
-    if last[0] is not s or last[1] != (s.budgets, s.demands_bps, s.prices):
-        ids = s.demander_ids
-        shape = (len(s.anchor_ids), s.brbs_per_anchor, len(ids))
-        drawn_for = (s.anchor_ids, ids, s.mmw_band.num_brbs, shape, radio_settings(s))
-        budgets = tuple(float(s.budgets[d]) for d in ids)
-        demands = tuple(float(s.demands_bps[d]) for d in ids)
-        dicts = (dict(s.budgets), dict(s.demands_bps), {a: dict(p) for a, p in s.prices.items()})
-        last = _last_view = (s, dicts, brb_table(s), drawn_for, budgets, demands)
-    _, _, t, drawn_for, budgets, demands = last
+    ids = s.demander_ids
+    t = brb_table(s)
+    budgets, demands = (tuple(float(v[d]) for d in ids) for v in (s.budgets, s.demands_bps))
+    shape = (len(s.anchor_ids), s.brbs_per_anchor, len(ids))
+    drawn_for = (s.anchor_ids, ids, s.mmw_band.num_brbs, shape, radio_settings(s))
     if (ch.anchor_ids, ch.demander_ids, ch.num_mmw_brbs, ch.rates.shape, ch.radio) != drawn_for:
         raise InconsistentMatchingError(
             "the channel realization was drawn for another scenario: its anchor "
@@ -266,7 +256,9 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     return t, ch.rates.reshape(len(t.price), len(budgets)), budgets, demands
 
 
-def _utilities(t: BrbTable, r_flat: np.ndarray, zeta: float) -> np.ndarray:
+def _utilities(
+    t: BrbTable, r_flat: np.ndarray, zeta: float, budgets: Sequence[float]
+) -> np.ndarray:
     """The ``(M, K2)`` utilities rate - ``zeta`` * price of the flat BRBs
     ``r_flat`` rates, the one place they are formed.
 
@@ -275,13 +267,19 @@ def _utilities(t: BrbTable, r_flat: np.ndarray, zeta: float) -> np.ndarray:
     comparison in the proposal and swap tests meaningless, and an audit
     that tests nothing finds nothing.  Prices are finite and non-negative,
     so no other product is larger, and a rate minus a finite product
-    stays finite.
+    stays finite.  Raises ValueError too when the largest of ``budgets``
+    plus the dearest price is not finite: those tests compare a spend,
+    cost + price, with the budget, and a scheme's cost never exceeds its
+    budget, so rounding being monotone, every spend they form is finite.
     """
     if not math.isfinite(zeta):
         raise ValueError(f"zeta must be a finite number, got {zeta!r}")
     dearest = max(t.tiers, default=0.0)
     if not math.isfinite(zeta * dearest):
         raise ValueError(f"zeta {zeta} times the price {dearest} is not finite")
+    budget = max(budgets, default=0.0)
+    if not math.isfinite(budget + dearest):
+        raise ValueError(f"the budget {budget} plus the price {dearest} is not finite")
     return r_flat - zeta * t.price[:, None]
 
 
@@ -557,7 +555,8 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     proposals counted are those of the full loop, the rounds that
     :func:`_skip_repeats` plays at once after a round that displaced nobody
     included.  Raises ValueError for a ``zeta`` that is not finite or makes
-    a utility overflow (see :func:`_utilities`).
+    a utility overflow, or a budget that a price takes past the float
+    range (see :func:`_utilities`).
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)   # r_flat: (M, K2) bit/s
     demander_ids = ch.demander_ids
@@ -567,7 +566,7 @@ def run_matching(s: Scenario, ch: ChannelRealization, zeta: float) -> Matching:
     n, n1 = s.brbs_per_anchor, s.mmw_band.num_brbs
     rates = _rate_rows(ch.rates, n1)
     # preference: utility first, then the cheaper block, then (band, owner, index)
-    u_flat = _utilities(t, r_flat, zeta)
+    u_flat = _utilities(t, r_flat, zeta, budgets)
     prefixes, full = _preferences(t, u_flat, rates, n, n1)
     states = [_ProposalState(p, bytearray(m_total)) for p in prefixes]
     price = t.price_of
@@ -758,7 +757,8 @@ def find_blocking_pairs(
     :class:`BlockingPairs` sequence: its length is counted from the
     (BRB, demander) mask of the test, and the pairs are listed on first
     indexing or iteration.  Raises ValueError for a ``zeta`` that is not
-    finite or makes a utility overflow (see :func:`_utilities`).
+    finite or makes a utility overflow, or a budget that a price takes
+    past the float range (see :func:`_utilities`).
 
     Only the BRB side and the utilities vary block by block.  A block's
     price is its price tier's, so the demander side is decided in
@@ -769,7 +769,7 @@ def find_blocking_pairs(
     """
     t, r_flat, budget, demand = _flat_view(s, ch, m)   # r_flat: (M, K2)
     holder = m.holder
-    u_flat = _utilities(t, r_flat, zeta)
+    u_flat = _utilities(t, r_flat, zeta, budget)
     cost = np.array([m.cost.get(d, 0.0) for d in ch.demander_ids], dtype=float)
     rate = np.array([m.rate_bps.get(d, 0.0) for d in ch.demander_ids], dtype=float)
     tiers = np.array(t.tiers)

@@ -104,6 +104,11 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
     Raises ``ConfigError``, and lets no numpy warning out of the rate
     computation, when a rate is not finite: valid but extreme radio
     settings, such as a ``tx_power_w`` near the float range, overflow it.
+    So it does when twice the sum of all rates is not finite: the schemes
+    and the oracle sum a demander's rates, each in an order of its own,
+    and a trial sums them over the demanders.  Rates are non-negative, so
+    each such sum is within rounding of part of the whole, and the factor
+    two leaves room for the rounding.
     """
     k1 = len(s.anchors)
     k2 = len(s.demanders)
@@ -139,10 +144,13 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
     )
     with np.errstate(over="ignore", invalid="ignore"):
         rates[...] = rate_tensor(s, ch)  # reads only the gains and the band split
-    if not np.isfinite(rates).all():
+        headroom = 2.0 * rates.sum()
+    if not np.isfinite(headroom):
         raise ConfigError(
             "channel rates are not finite: the radio settings (tx_power_w"
-            f" {s.tx_power_w!r} W, noise power {s.noise_power_w!r} W) overflow them"
+            f" {s.tx_power_w!r} W, noise power {s.noise_power_w!r} W, BRB bandwidths"
+            f" {s.mmw_band.brb_bandwidth_hz!r} and {s.sub6_band.brb_bandwidth_hz!r} Hz)"
+            " overflow them or their sum"
         )
     gains.setflags(write=False)
     rates.setflags(write=False)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
+import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -443,6 +446,49 @@ def test_sweep_whose_mmwave_price_overflows_the_utilities_is_an_error_line(tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, zeta, message",
+    [
+        # each cost fits its budget, but cost + price does not fit the floats
+        (
+            {"mmw_price": 1e308, "budget": 1e308},
+            1.0,
+            "the budget 1e+308 plus the price 1e+308 is not finite",
+        ),
+        # every spend is finite, but the costs of three trials sum past it
+        (
+            {"mmw_price": 1e307, "budget": 1e308},
+            1e-300,
+            "matching: a mean over the trials overflows the float range",
+        ),
+        # the mean rates are finite, but their squared deviations are not
+        (
+            {"mmw_brb_bandwidth_hz": 1e306},
+            1e6,
+            "matching: a deviation over the trials overflows the float range",
+        ),
+    ],
+)
+def test_sweep_whose_money_or_rates_overflow_a_result_is_an_error_line(
+    tmp_path, capsys, extra, zeta, message
+):
+    path = tmp_path / "sweep.json"
+    doc = {
+        "base": {"num_stations": 3, "num_anchors": 1, **extra},
+        "trials": 3,
+        "zeta_bps_per_unit": zeta,
+        "seed": 0,
+        "n1_values": [16],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "n1", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_a_nan_zeta(tmp_path, capsys):
     path = tmp_path / "sweep.json"
     doc = json.loads(Path(_sweep_config_file(tmp_path)).read_text(encoding="utf-8"))
@@ -756,3 +802,84 @@ def test_every_malformed_value_in_a_scenario_file_exits_cleanly(tmp_path):
             path.write_text(json.dumps(doc), encoding="utf-8")
             _exits_cleanly(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
         obj[key] = original
+
+
+# --- huge but finite values, drawn ---------------------------------------------
+
+# money, bandwidth and zeta values within the float range, from tiny to its
+# very end: sums, products and squares of them may leave the range
+_HUGE = st.sampled_from([1e-300, 0.5, 15.0, 1e150, 1e300, 1e306, 1e307, 1e308, sys.float_info.max])
+_HUGE_BASE = (
+    "budget", "mmw_price", "sub6_price", "demand_bps",
+    "mmw_brb_bandwidth_hz", "sub6_brb_bandwidth_hz",
+)
+_HUGE_TOP = ("zeta_bps_per_unit", "budget_values", "sub6_price_values", "demand_levels_bps")
+_HUGE_FIELDS = [("base", f) for f in _HUGE_BASE] + [("top", f) for f in _HUGE_TOP]
+
+
+def _finite_or_error_line(argv, out: Path) -> None:
+    """``argv`` prints no warning, and either exits 0 with every number
+    in its CSV files finite (the oracle ``gap`` excepted, NaN by
+    definition) or exits 1 with one ``error:`` line and no ``out``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    err = err.getvalue()
+    if rc == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        return
+    assert rc == 0 and not err, (rc, err)
+    for path in out.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as f:
+            for row in csv.DictReader(f):
+                for column, cell in row.items():
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # a scheme name or a band
+                    assert column == "gap" or math.isfinite(value), (path.name, column, cell)
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from(list(SWEEPS)),
+    st.dictionaries(st.sampled_from(_HUGE_FIELDS), _HUGE, min_size=1, max_size=3),
+)
+def test_a_sweep_of_huge_finite_values_is_finite_or_an_error_line(axis, overrides):
+    # three trials, so that every confidence interval is computed
+    doc = {**_TINY_SWEEP, "base": dict(_TINY_SWEEP["base"]), "trials": 3}
+    for (where, field), value in overrides.items():
+        if where == "base":
+            doc["base"][field] = value
+        else:
+            doc[field] = value if field == "zeta_bps_per_unit" else [value]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = Path(tmp) / "out"
+        _finite_or_error_line(["sweep", axis, "--config", str(path), "--out", str(out)], out)
+
+
+@settings(max_examples=40)
+@given(
+    st.dictionaries(
+        st.sampled_from(_HUGE_BASE),
+        _HUGE,
+        min_size=1,
+        max_size=3,
+    ),
+    _HUGE,
+)
+def test_a_run_of_huge_finite_values_is_finite_or_an_error_line(params, zeta):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.json"
+        path.write_text(json.dumps({**_PARAMS, **params}), encoding="utf-8")
+        scenario = f"{tmp}/s.json"
+        out = Path(tmp) / "out"
+        if main(["generate", "--params", str(path), "--out", scenario]) == 0:
+            argv = ["run", "--scenario", scenario, "--zeta", repr(zeta), "--out", str(out)]
+            _finite_or_error_line([*argv, "--dump-channels"], out)

@@ -655,6 +655,56 @@ def test_random_micro_config_is_within_oracle_bounds():
 # --- worker processes -------------------------------------------------------------
 
 
+def test_a_trial_whose_mean_cost_leaves_the_float_range_is_a_config_error():
+    """Each demander spends 1.6e308 within its budget, and two such costs
+    sum past the float range: the trial's mean would be inf."""
+    s = generate_scenario(
+        GenerationConfig(
+            num_stations=3, num_anchors=1, num_mmw_brbs=40, num_sub6_brbs=0,
+            mmw_price=1e307, budget=1.6e308, demand_bps=1e300,
+        ),
+        seed=0,
+    )
+    message = "matching: a trial's mean over the demanders overflows the float range"
+    with pytest.raises(ConfigError, match=message):
+        run_trial(s, 1e-300, ("matching",), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "workers, cores, started",
+    [(100_000, 4, [4]), (100_000, 64, [6]), (5, 64, [5]), (100_000, None, []), (1, 64, [])],
+)
+def test_a_sweep_starts_no_more_processes_than_trials_or_cores(
+    monkeypatch, workers, cores, started
+):
+    """A pool starts all its processes at its first submit, so the sweep
+    asks for at most one per trial (6 here) and per core, and runs in
+    this process when that is one.  A stub pool records the request and
+    maps in this process: no process is started."""
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+    cfg = dataclasses.replace(_tiny_sweep_cfg(n1_values=(4, 8)), workers=workers)
+    assert sweep(cfg, "n1") == sweep(dataclasses.replace(cfg, workers=1), "n1")
+    assert requested == started
+
+
 def test_two_workers_write_the_same_csv_bytes_as_one(tmp_path):
     # each worker process builds and caches its own BRB tables; the result
     # must not depend on which process ran which trial

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from array import array
 from dataclasses import replace
 
@@ -16,7 +18,7 @@ import reference_model as ref
 import scbn
 from scbn.baselines import best_effort_allocate, random_allocate
 from scbn.cli import main
-from scbn.experiments import SCHEMES, random_micro_config
+from scbn.experiments import SCHEMES, random_micro_config, run_scheme
 from scbn.matching import (
     BRB_TABLE_CACHE_SIZE,
     InconsistentMatchingError,
@@ -535,6 +537,28 @@ def test_matching_and_audit_reject_a_zeta_whose_utilities_overflow():
             find_blocking_pairs(m, s, ch, zeta=zeta)
 
 
+def test_matching_and_audit_reject_a_budget_that_a_price_takes_past_the_float_range():
+    """Budget and price 1e308 are finite, but the spend cost + price that
+    the proposal and swap tests form is not; a budget of the float range's
+    end minus the price is accepted.  Best effort sums prices past the
+    range without a warning."""
+    cfg = GenerationConfig(
+        num_stations=3, num_anchors=1, num_mmw_brbs=4, num_sub6_brbs=0, mmw_price=1e308
+    )
+    for budget, fits in ((1e308, False), (sys.float_info.max - 1e308, True)):
+        s = generate_scenario(replace(cfg, budget=budget), seed=0)
+        ch = realize_channels(s, np.random.default_rng(0))
+        audited = best_effort_allocate(s, ch)
+        if fits:
+            find_blocking_pairs(run_matching(s, ch, 1.0), s, ch, 1.0)
+            continue
+        message = re.escape("the budget 1e+308 plus the price 1e+308 is not finite")
+        with pytest.raises(ValueError, match=message):
+            run_matching(s, ch, 1.0)
+        with pytest.raises(ValueError, match=message):
+            find_blocking_pairs(audited, s, ch, 1.0)
+
+
 _ENTRY_POINTS = {
     "run_matching": lambda s, ch, m: run_matching(s, ch, zeta=0.0),
     "best_effort_allocate": lambda s, ch, m: best_effort_allocate(s, ch),
@@ -720,3 +744,17 @@ def test_a_dict_edited_in_place_is_read_anew(field, edit):
     edited = _outcomes(s, ch, audited)
     assert edited == _outcomes(replace(s, **{field: dict(values)}), ch, audited)
     assert edited != before
+
+
+def test_no_scenario_is_retained_after_its_trial():
+    """Every scheme and the audit derive a scenario's terms per call, so
+    once the caller drops a scenario nothing in the package keeps it."""
+    s = generate_scenario(GenerationConfig(num_stations=5, num_anchors=2), seed=0)
+    rng = np.random.default_rng(0)
+    ch = realize_channels(s, rng)
+    for scheme in SCHEMES:
+        find_blocking_pairs(run_scheme(scheme, s, ch, 1e6, rng), s, ch, 1e6)
+    ref_s = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref_s() is None

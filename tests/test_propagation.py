@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scbn.propagation import (
     realize_channels,
     save_channels_csv,
 )
-from scbn.scenario import GenerationConfig, generate_scenario
+from scbn.scenario import ConfigError, GenerationConfig, generate_scenario
 
 
 def _links(s):
@@ -272,6 +273,22 @@ def test_realization_carries_its_rate_tensor_read_only():
     for array in (ch.rates, ch.gains):
         with pytest.raises(ValueError):
             array[0, 0, 0] = 1.0
+
+
+def test_rates_whose_sum_leaves_the_float_range_are_a_config_error():
+    """At a 1e308 Hz mmWave block every rate is finite, but 64 blocks of
+    two links sum past the float range, as a trial would sum them.  A
+    rate is the bandwidth times log2(1 + SNR), and the draw does not
+    depend on the bandwidth, so the 1 Hz rates show the 1e308 Hz ones."""
+    cfg = GenerationConfig(num_stations=3, num_anchors=1, num_mmw_brbs=64, num_sub6_brbs=0)
+    unit = realize_channels(
+        generate_scenario(replace(cfg, mmw_brb_bandwidth_hz=1.0), seed=0),
+        np.random.default_rng(0),
+    ).rates
+    assert math.isfinite(unit.max().item() * 1e308) and math.isinf(unit.sum().item() * 1e308)
+    s = generate_scenario(replace(cfg, mmw_brb_bandwidth_hz=1e308), seed=0)
+    with pytest.raises(ConfigError, match="overflow them or their sum"):
+        realize_channels(s, np.random.default_rng(0))
 
 
 def test_save_channels_csv(tmp_path):
