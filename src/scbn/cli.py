@@ -64,15 +64,19 @@ def _cmd_run(args) -> int:
     schemes = args.schemes.split(",")
     check_schemes(schemes)
     results = [run_scheme(scheme, scenario, ch, args.zeta, rng) for scheme in schemes]
+    # each demander's cost fits its budget, but the costs may sum past the
+    # float range
+    totals = [(sum(m.rate_bps.values()), sum(m.cost.values())) for m in results]
+    for scheme, pair in zip(schemes, totals):
+        if not all(map(math.isfinite, pair)):
+            raise ConfigError(f"{scheme}: a total over the demanders overflows the float range")
     # only now, so that a bad scenario, scheme or zeta leaves no directory behind
     os.makedirs(args.out, exist_ok=True)
     if args.dump_channels:
         save_channels_csv(ch, os.path.join(args.out, "channels.csv"))
-    for scheme, m in zip(schemes, results):
+    for scheme, m, (total_rate, total_cost) in zip(schemes, results, totals):
         path = os.path.join(args.out, f"matching_{scheme}.csv")
         save_matching_csv(m, scenario, ch, path)
-        total_rate = sum(m.rate_bps.values())
-        total_cost = sum(m.cost.values())
         print(
             f"{scheme}: total rate {total_rate / 1e6:.2f} Mbit/s, "
             f"total cost {total_cost:.2f}, rounds {m.rounds}, proposals {m.proposals}"

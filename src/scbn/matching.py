@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .propagation import ChannelRealization, gamma_tensor, radio_settings
+from .propagation import ChannelRealization, gamma_tensor
 from .scenario import BandKind, Scenario, _write_csv
 
 __all__ = [
@@ -214,16 +214,12 @@ def brb_table(s: Scenario) -> BrbTable:
     """The scenario's BRB table, built once per deployment shape.
 
     The shape is the anchor ids in station order, both bands' BRB counts
-    and every anchor's two prices; station positions, budgets, demands
-    and bandwidths do not enter it.
+    and every anchor's two prices (``Scenario.anchor_prices``); station
+    positions, budgets, demands and bandwidths do not enter it, so
+    resampled trials share one table.
     """
-    anchor_ids = s.anchor_ids
-    prices = tuple(
-        (s.prices[a][BandKind.MMWAVE], s.prices[a][BandKind.SUB6])
-        for a in anchor_ids
-    )
     return _cached_brb_table(
-        anchor_ids, s.mmw_band.num_brbs, s.sub6_band.num_brbs, prices
+        s.anchor_ids, s.mmw_band.num_brbs, s.sub6_band.num_brbs, s.anchor_prices
     )
 
 
@@ -235,15 +231,14 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     InconsistentMatchingError for a realization drawn for another scenario
     or a matching ``m`` over other BRBs or demanders.
 
-    The terms are derived anew on every call, so a budget, demand or price
-    edited in place is read as it stands; only the table is cached, per
-    deployment shape, by :func:`brb_table`.
+    The budgets and demands are the scenario's own cached rows, and the
+    table is cached per deployment shape by :func:`brb_table`; a scenario
+    cannot be edited, so neither goes stale.  Only the checks against
+    ``ch`` and ``m`` run on every call.
     """
-    ids = s.demander_ids
     t = brb_table(s)
-    budgets, demands = (tuple(float(v[d]) for d in ids) for v in (s.budgets, s.demands_bps))
-    shape = (len(s.anchor_ids), s.brbs_per_anchor, len(ids))
-    drawn_for = (s.anchor_ids, ids, s.mmw_band.num_brbs, shape, radio_settings(s))
+    shape = (len(s.anchor_ids), s.brbs_per_anchor, len(s.demander_ids))
+    drawn_for = (s.anchor_ids, s.demander_ids, s.mmw_band.num_brbs, shape, s.radio)
     if (ch.anchor_ids, ch.demander_ids, ch.num_mmw_brbs, ch.rates.shape, ch.radio) != drawn_for:
         raise InconsistentMatchingError(
             "the channel realization was drawn for another scenario: its anchor "
@@ -253,7 +248,7 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
         raise InconsistentMatchingError(
             "the matching is not over this scenario's BRBs and demanders"
         )
-    return t, ch.rates.reshape(len(t.price), len(budgets)), budgets, demands
+    return (t, ch.rates.reshape(len(t.price), shape[2]), *s.demander_terms)
 
 
 def _utilities(

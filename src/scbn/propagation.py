@@ -22,7 +22,6 @@ from .scenario import ConfigError, Scenario, _write_csv
 
 __all__ = [
     "ChannelRealization",
-    "radio_settings",
     "realize_channels",
     "gamma_tensor",
     "rate_tensor",
@@ -46,7 +45,7 @@ class ChannelRealization:
     station order, which a loaded scenario need not keep in ascending id.
     A realization belongs to the scenario it was drawn for, whose powers,
     noise and bandwidths its rates fold in; ``radio`` records those, as
-    :func:`radio_settings` gives them, and the schemes and audits reject
+    ``Scenario.radio`` gives them, and the schemes and audits reject
     the realization for other anchors, demanders, bands or radio settings.
     Arrays are read-only.
     """
@@ -80,17 +79,6 @@ def _distance_matrix(s: Scenario) -> np.ndarray:
             f"station distances are not finite: area_side_m {s.area_side_m!r} m overflows them"
         )
     return np.maximum(d, MIN_MODEL_DISTANCE_M)
-
-
-def radio_settings(s: Scenario) -> tuple[float, float, float, float]:
-    """What a rate tensor folds in besides the gains: the transmit power,
-    the noise power, and the mmWave and sub-6 BRB bandwidths."""
-    return (
-        s.tx_power_w,
-        s.noise_power_w,
-        s.mmw_band.brb_bandwidth_hz,
-        s.sub6_band.brb_bandwidth_hz,
-    )
 
 
 def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealization:
@@ -140,7 +128,7 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
         num_mmw_brbs=n1,
         anchor_ids=s.anchor_ids,
         demander_ids=s.demander_ids,
-        radio=radio_settings(s),
+        radio=s.radio,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         rates[...] = rate_tensor(s, ch)  # reads only the gains and the band split

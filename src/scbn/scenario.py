@@ -4,8 +4,8 @@ A scenario describes one small-cell backhaul deployment: a handful of
 anchor stations with fiber backhaul that lease out backhaul resource
 blocks (BRBs) on an mmWave carrier and on a sub-6 GHz carrier, plus the
 demanding stations that buy them.  Scenario values are plain data, are
-treated as immutable after construction, and are safe to share across
-worker processes.
+immutable after construction, and are safe to share across worker
+processes.
 
 Unit conventions (also used by the JSON file format):
   distances / positions  meters        (``_m``)
@@ -112,6 +112,19 @@ class Sub6Params:
     ref_loss_db: float
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every edit.  It pickles and copies by its items:
+    dict's own protocol would refill it through the refused ``__setitem__``."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a scenario's money is read-only; vary it with dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One deployment: stations, bands, prices, budgets and link models.
@@ -121,7 +134,9 @@ class Scenario:
     :func:`generate_scenario` puts the anchors first.  ``prices`` gives
     each anchor's price per band.  ``budgets`` and ``demands_bps`` are
     keyed by demanding-station id; generation assigns every demander the
-    same value but files may override per station.
+    same value but files may override per station.  The scenario keeps
+    read-only copies of the three mappings, so an edit raises TypeError;
+    ``dataclasses.replace`` gives a scenario with other values.
     """
 
     # the fields are the scenario file's keys, in the file's key order
@@ -138,8 +153,15 @@ class Scenario:
     mmw_pathloss: MmwParams
     sub6_pathloss: Sub6Params
 
-    # ``stations`` is a tuple of frozen stations, so the views below are
-    # computed once per scenario and cannot go stale
+    def __post_init__(self):
+        # copies, so that no dict of the caller's aliases the scenario's
+        prices = {a: _ReadOnlyDict(per_band) for a, per_band in self.prices.items()}
+        object.__setattr__(self, "prices", _ReadOnlyDict(prices))
+        for name in ("budgets", "demands_bps"):
+            object.__setattr__(self, name, _ReadOnlyDict(getattr(self, name)))
+
+    # every field is frozen or read-only, so the views below are computed
+    # once per scenario and cannot go stale
     @functools.cached_property
     def anchors(self) -> tuple[BaseStation, ...]:
         return tuple(s for s in self.stations if s.role is Role.ANCHOR)
@@ -156,9 +178,27 @@ class Scenario:
     def demander_ids(self) -> tuple[int, ...]:
         return tuple(s.id for s in self.demanders)
 
-    @property
+    @functools.cached_property
+    def anchor_prices(self) -> tuple[tuple[float, float], ...]:
+        """Each anchor's (mmWave, sub-6) prices, in anchor order."""
+        return tuple(tuple(self.prices[a][kind] for kind in BandKind) for a in self.anchor_ids)
+
+    @functools.cached_property
+    def demander_terms(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The budgets and the demands, each in demander order."""
+        ids = self.demander_ids
+        return tuple(tuple(float(v[d]) for d in ids) for v in (self.budgets, self.demands_bps))
+
+    @functools.cached_property
     def noise_power_w(self) -> float:
         return _dbm_to_w(self.noise_power_dbm)
+
+    @functools.cached_property
+    def radio(self) -> tuple[float, float, float, float]:
+        """What a rate tensor folds in besides the gains: the transmit
+        power, the noise power, and the mmWave and sub-6 BRB bandwidths."""
+        bandwidths = (self.mmw_band.brb_bandwidth_hz, self.sub6_band.brb_bandwidth_hz)
+        return (self.tx_power_w, self.noise_power_w, *bandwidths)
 
     @property
     def brbs_per_anchor(self) -> int:

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import warnings
@@ -429,6 +430,29 @@ def test_run_and_audit_reject_a_zeta_whose_utilities_overflow(tmp_path, capsys):
     assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
 
 
+def test_run_whose_total_cost_overflows_is_an_error_line(tmp_path, capsys):
+    # each demander's cost fits its budget of 1.6e308, but two of them sum
+    # past the float range
+    params = tmp_path / "params.json"
+    doc = {
+        "num_stations": 3, "num_anchors": 1, "num_mmw_brbs": 40, "num_sub6_brbs": 0,
+        "mmw_price": 1e307, "budget": 1.6e308, "demand_bps": 1e300,
+    }
+    params.write_text(json.dumps(doc), encoding="utf-8")
+    scenario = str(tmp_path / "s.json")
+    assert main(["generate", "--params", str(params), "--out", scenario]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["run", "--scenario", scenario, "--zeta", "1e-300", "--out", str(tmp_path / "o")]
+        rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: matching: a total over the demanders overflows the float range\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_whose_mmwave_price_overflows_the_utilities_is_an_error_line(tmp_path, capsys):
     # a price and budget of 1e308 are finite and valid, but zeta 1e6 times
     # that price is not
@@ -817,16 +841,28 @@ _HUGE_TOP = ("zeta_bps_per_unit", "budget_values", "sub6_price_values", "demand_
 _HUGE_FIELDS = [("base", f) for f in _HUGE_BASE] + [("top", f) for f in _HUGE_TOP]
 
 
+def _not_finite(constant: str):
+    raise AssertionError(f"a JSON output holds {constant}")
+
+
 def _finite_or_error_line(argv, out: Path) -> None:
-    """``argv`` prints no warning, and either exits 0 with every number
-    in its CSV files finite (the oracle ``gap`` excepted, NaN by
-    definition) or exits 1 with one ``error:`` line and no ``out``."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """``argv`` prints no warning and no number that is not finite, and
+    either exits 0 with every number in its CSV and JSON files finite (the
+    oracle ``gap`` excepted, NaN by definition) or exits 1 with one
+    ``error:`` line and no ``out``."""
+    printed, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(argv)
     assert not caught, [str(w.message) for w in caught]
+    printed = printed.getvalue()
+    for word in re.split(r"[\s,=()]+", printed):
+        try:
+            value = float(word)
+        except ValueError:
+            continue  # a word or a path
+        assert math.isfinite(value), printed
     err = err.getvalue()
     if rc == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -842,6 +878,8 @@ def _finite_or_error_line(argv, out: Path) -> None:
                     except ValueError:
                         continue  # a scheme name or a band
                     assert column == "gap" or math.isfinite(value), (path.name, column, cell)
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_not_finite)
 
 
 @settings(max_examples=80)
@@ -883,3 +921,17 @@ def test_a_run_of_huge_finite_values_is_finite_or_an_error_line(params, zeta):
         if main(["generate", "--params", str(path), "--out", scenario]) == 0:
             argv = ["run", "--scenario", scenario, "--zeta", repr(zeta), "--out", str(out)]
             _finite_or_error_line([*argv, "--dump-channels"], out)
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(st.sampled_from(_HUGE_BASE), _HUGE, min_size=1, max_size=3), _HUGE)
+def test_a_stability_audit_of_huge_finite_values_is_finite_or_an_error_line(params, zeta):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.json"
+        path.write_text(json.dumps({**_PARAMS, **params}), encoding="utf-8")
+        out = Path(tmp) / "out"
+        argv = [
+            "stability-audit", "--params", str(path), "--zeta", repr(zeta),
+            "--trials", "3", "--out", str(out),
+        ]
+        _finite_or_error_line(argv, out)

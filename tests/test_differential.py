@@ -40,12 +40,7 @@ from scbn.matching import (
     run_matching,
 )
 from scbn.oracle import brute_force_min_cost
-from scbn.propagation import (
-    ChannelRealization,
-    radio_settings,
-    rate_tensor,
-    realize_channels,
-)
+from scbn.propagation import ChannelRealization, rate_tensor, realize_channels
 from scbn.scenario import (
     BandKind,
     GenerationConfig,
@@ -977,7 +972,7 @@ def _hand_built(gains, n1, prices, budgets, demands):
         num_mmw_brbs=n1,
         anchor_ids=s.anchor_ids,
         demander_ids=s.demander_ids,
-        radio=radio_settings(s),
+        radio=s.radio,
     )
     return s, replace(ch, rates=rate_tensor(s, ch))
 
@@ -1766,7 +1761,7 @@ def _with_rates(shape, n1, prices, rates, tmp_path=None):
         num_mmw_brbs=n1,
         anchor_ids=s.anchor_ids,
         demander_ids=s.demander_ids,
-        radio=radio_settings(s),
+        radio=s.radio,
     )
     return s, ch
 

@@ -3,13 +3,14 @@ from __future__ import annotations
 import csv
 import gc
 import math
+import operator
 import os
 import re
 import subprocess
 import sys
 import weakref
 from array import array
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -716,39 +717,94 @@ def _outcomes(s, ch, audited):
     )
 
 
-@pytest.mark.parametrize(
-    "field, edit",
-    [
-        ("budgets", lambda v: v / 8),
-        ("demands_bps", lambda v: 16.0 * v),
-        ("prices", lambda v: {**v, BandKind.MMWAVE: v[BandKind.MMWAVE] + 1.0}),
-    ],
+_MONEY_CONFIG = GenerationConfig(
+    num_stations=5, num_anchors=2, num_mmw_brbs=2, num_sub6_brbs=2,
+    demand_bps=2e6, budget=9.0, mmw_price=1.3, sub6_price=2.7, area_side_m=150.0,
 )
-def test_a_dict_edited_in_place_is_read_anew(field, edit):
-    """A Scenario is frozen, but its budgets, demands and prices are dicts:
-    once a scenario has been seen, editing one of them in place gives the
-    results of a scenario built with the edited dict."""
-    s = generate_scenario(
-        GenerationConfig(
-            num_stations=5, num_anchors=2, num_mmw_brbs=2, num_sub6_brbs=2,
-            demand_bps=2e6, budget=9.0, mmw_price=1.3, sub6_price=2.7, area_side_m=150.0,
-        ),
-        seed=0,
-    )
+
+# each money field, a new value for each of its entries, and the
+# generation config that draws the scenario with those values
+_MONEY_EDITS = {
+    "budgets": (lambda v: v / 8, {"budget": 9.0 / 8}),
+    "demands_bps": (lambda v: 16.0 * v, {"demand_bps": 16.0 * 2e6}),
+    "prices": (
+        lambda v: {**v, BandKind.MMWAVE: v[BandKind.MMWAVE] + 1.0}, {"mmw_price": 1.3 + 1.0}
+    ),
+}
+
+# every way to edit a dict in place, each given the dict and one of its keys
+_IN_PLACE_EDITS = {
+    "d[k] = v": lambda d, k: operator.setitem(d, k, d[k]),
+    "del d[k]": operator.delitem,
+    "d |= {k: v}": lambda d, k: operator.ior(d, {k: d[k]}),
+    "clear": lambda d, k: d.clear(),
+    "pop": lambda d, k: d.pop(k),
+    "popitem": lambda d, k: d.popitem(),
+    "setdefault": lambda d, k: d.setdefault(k, d[k]),
+    "update": lambda d, k: d.update({k: d[k]}),
+}
+
+
+@pytest.mark.parametrize("field", list(_MONEY_EDITS))
+def test_a_scenarios_money_refuses_every_edit(field):
+    """Budgets, demands and prices, and each anchor's price dict, raise
+    TypeError on every in-place edit and keep their values."""
+    s = generate_scenario(_MONEY_CONFIG, seed=0)
+    ch = realize_channels(s, np.random.default_rng(0))
+    before = _outcomes(s, ch, run_matching(s, ch, 1e6))
+    values = getattr(s, field)
+    targets = [values, *values.values()] if field == "prices" else [values]
+    for d in targets:
+        kept = dict(d)
+        for name, edit in _IN_PLACE_EDITS.items():
+            with pytest.raises(TypeError, match="read-only"):
+                edit(d, next(iter(d)))
+            assert d == kept, name
+    assert _outcomes(s, ch, run_matching(s, ch, 1e6)) == before
+
+
+@pytest.mark.parametrize("field", list(_MONEY_EDITS))
+def test_a_replaced_money_field_is_read_anew(field):
+    """``replace(s, <field>=...)`` gives the scenario, and the results, of
+    one generated with the new values, and leaves ``s`` as it was."""
+    edit, generation = _MONEY_EDITS[field]
+    s = generate_scenario(_MONEY_CONFIG, seed=0)
     ch = realize_channels(s, np.random.default_rng(0))
     audited = run_matching(s, ch, 1e6)
     before = _outcomes(s, ch, audited)
-    values = getattr(s, field)
-    for key, value in list(values.items()):
-        values[key] = edit(value)
-    edited = _outcomes(s, ch, audited)
-    assert edited == _outcomes(replace(s, **{field: dict(values)}), ch, audited)
-    assert edited != before
+    edited = replace(s, **{field: {k: edit(v) for k, v in getattr(s, field).items()}})
+    generated = generate_scenario(replace(_MONEY_CONFIG, **generation), seed=0)
+    assert edited == generated
+    after = _outcomes(edited, ch, audited)
+    assert after != before
+    assert after == _outcomes(generated, ch, audited)
+    assert _outcomes(s, ch, audited) == before
+
+
+@pytest.mark.parametrize("field", list(_MONEY_EDITS))
+def test_the_dict_a_caller_passes_is_copied(field):
+    """Editing the dict passed to ``Scenario(...)``, or an anchor's price
+    dict inside it, after construction leaves the scenario as it was."""
+    edit = _MONEY_EDITS[field][0]
+    s = generate_scenario(_MONEY_CONFIG, seed=0)
+    ch = realize_channels(s, np.random.default_rng(0))
+    audited = run_matching(s, ch, 1e6)
+    before = _outcomes(s, ch, audited)
+    mine = {k: dict(v) if field == "prices" else v for k, v in getattr(s, field).items()}
+    kept = Scenario(**{**{f.name: getattr(s, f.name) for f in fields(Scenario)}, field: mine})
+    for k, v in list(mine.items()):
+        if field == "prices":
+            v.update(edit(v))
+        else:
+            mine[k] = edit(v)
+    assert kept == s
+    assert _outcomes(kept, ch, audited) == before
 
 
 def test_no_scenario_is_retained_after_its_trial():
-    """Every scheme and the audit derive a scenario's terms per call, so
-    once the caller drops a scenario nothing in the package keeps it."""
+    """A scenario's terms are cached on the scenario itself, and the BRB
+    table cache is keyed by plain values, so once the caller drops a
+    scenario nothing in the package keeps it."""
     s = generate_scenario(GenerationConfig(num_stations=5, num_anchors=2), seed=0)
     rng = np.random.default_rng(0)
     ch = realize_channels(s, rng)

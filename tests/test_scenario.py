@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +251,25 @@ def test_format_v1_file_loads_and_saves_back_byte_for_byte(tmp_path):
     )
     path = tmp_path / "again.json"
     save_scenario(s, str(path))
+    assert path.read_bytes() == GOLDEN_V1.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "twin",
+    [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_a_copied_scenario_keeps_its_money_read_only_and_its_bytes(twin, tmp_path):
+    s = load_scenario(str(GOLDEN_V1))
+    rows = (s.anchor_prices, s.demander_terms, s.radio)
+    t = twin(s)
+    assert t == s
+    assert (t.anchor_prices, t.demander_terms, t.radio) == rows
+    for d in (t.prices, t.prices[0], t.budgets, t.demands_bps):
+        with pytest.raises(TypeError, match="read-only"):
+            d[next(iter(d))] = 1.0
+    path = tmp_path / "twin.json"
+    save_scenario(t, str(path))
     assert path.read_bytes() == GOLDEN_V1.read_bytes()
 
 
