@@ -25,9 +25,15 @@ _WORDS = 1 << 32  # the span of one raw 32-bit word
 _LOW = _WORDS - 1  # the low 32 bits of a product word * n
 
 
+def _advance(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Move the generator past its next ``size`` raw 32-bit words, and
+    return them, in order, as an array."""
+    return rng.integers(0, _WORDS, size=size, dtype=np.uint32)
+
+
 def _raw_words(rng: np.random.Generator, size: int) -> list[int]:
     """The generator's next ``size`` raw 32-bit words, in order."""
-    return rng.integers(0, _WORDS, size=size, dtype=np.uint32).tolist()
+    return _advance(rng, size).tolist()
 
 
 def _below(
@@ -48,7 +54,7 @@ def _below(
       the next word; the draw is x >> 32.  The threshold is below n, so
       the modulo is needed only when the low bits are below n;
     - n = 1 consumes no word;
-    - ``integers(0, 2**32, size=s, dtype=np.uint32)`` (``_raw_words``)
+    - ``integers(0, 2**32, size=s, dtype=np.uint32)`` (``_advance``)
       returns exactly the next s of those words, in order, whatever the
       size of the blocks they are drawn in.
 
@@ -161,8 +167,9 @@ def random_allocate(
     m_total = len(t.price)
 
     # Python floats: the same IEEE sums as numpy scalars, without per-BRB
-    # array overhead.  Only granted rates are read, one ``item`` each.
-    rate_of = r_flat.item
+    # array overhead.  Only granted rates are read, one at a time, through
+    # a memoryview, which gives each as a Python float.
+    rate_of = memoryview(r_flat)
     price, tier_of, tiers = t.price_of, t.tier_of, t.tiers
     holder = [-1] * m_total
     rate = [0.0 for _ in axes]
@@ -205,15 +212,15 @@ def random_allocate(
                 pick, used = _below(n, words, used, rng)
                 j = eligible[pick]
         holder[m] = j
-        rate[j] += rate_of(m, j)
-        cost[j] += price[m]
+        rate_j = rate[j] = rate[j] + rate_of[m, j]
+        cost_j = cost[j] = cost[j] + price[m]
         # j qualified for this block's tier, so was >= 1, and j keeps all
         # its tiers while it still qualifies for the dearest of them
         was = reached[j]
-        if not (rate[j] < demands[j] and cost[j] + tiers[was - 1] <= budgets[j]):
+        if not (rate_j < demands[j] and cost_j + tiers[was - 1] <= budgets[j]):
             now = reached[j] = reach(j, was)
             for i in range(now, was):
                 eligible_in[i].remove(j)
     rng.bit_generator.state = start
-    _raw_words(rng, used)
+    _advance(rng, used)
     return Matching._built(np.array(holder, dtype=int), t, ch.demander_ids, rate, cost)

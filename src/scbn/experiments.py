@@ -185,12 +185,12 @@ def _budget_bound_fraction(s: Scenario, m: Matching) -> float:
     cheapest unheld BRB no longer fits the remaining budget."""
     t = m.table
     n_tiers = len(t.tiers)
-    # blocks held per (demander axis, tier), one row per demander
-    held = m.holder >= 0
+    # blocks held per (demander axis, tier), one row per demander, after a
+    # first row that counts the free blocks
     held_at = np.bincount(
-        m.holder[held] * n_tiers + t.tier[held],
-        minlength=len(m.demander_ids) * n_tiers,
-    ).reshape(-1, n_tiers).tolist()
+        (m.holder + 1) * n_tiers + t.tier,
+        minlength=(len(m.demander_ids) + 1) * n_tiers,
+    ).reshape(-1, n_tiers)[1:].tolist()
     bound = 0
     for d, counts in zip(m.demander_ids, held_at):
         if m.rate_bps[d] >= s.demands_bps[d]:
@@ -239,13 +239,14 @@ def run_trial(
         demanders = trial_s.demander_ids
         rates = [m.rate_bps[d] for d in demanders]
         costs = [m.cost[d] for d in demanders]
-        met = [
-            float(m.rate_bps[d] >= trial_s.demands_bps[d]) for d in demanders
-        ]
-        # one reduction per row, each as np.mean of that row alone
-        avg_rate, avg_cost, met_fraction = _finite_rows(
-            np.mean, [rates, costs, met], f"{scheme}: a trial's mean over the demanders"
-        ).tolist()
+        met = [float(r >= need) for r, need in zip(rates, trial_s.demander_terms[1])]
+        # one reduction per row, each as np.mean of that row alone, which is
+        # the row's sum over the count, without np.mean's wrapper; the mean
+        # is finite when the sum is
+        sums = _finite_rows(
+            np.add.reduce, [rates, costs, met], f"{scheme}: a trial's mean over the demanders"
+        )
+        avg_rate, avg_cost, met_fraction = (sums / len(demanders)).tolist()
         pairs = find_blocking_pairs(m, trial_s, ch, zeta_bps_per_unit)
         per_scheme[scheme] = SchemeMetrics(
             avg_rate_bps=avg_rate,

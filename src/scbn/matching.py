@@ -773,11 +773,11 @@ def find_blocking_pairs(
 
     # (i) BRB side: unassigned, or strictly prefers this demander; (M, K2).
     # No block strictly prefers its holder to itself, so this also rules
-    # out every block its demander already holds.
-    free = holder < 0
+    # out every block its demander already holds.  A free block's holder
+    # rate is -inf, which every rate but -inf and NaN beats.
     holder_rate = np.full(len(holder), -np.inf)
     holder_rate[ks] = r_flat[ks, js]
-    brb_wants = free[:, None] | (r_flat > holder_rate[:, None])
+    brb_wants = r_flat > holder_rate[:, None]
     # (ii) demander side, as (T, K2) tables over (price tier, demander
     # axis): a block's price is its tier's, so ``spend`` is the very float
     # cost + price that every scheme compares with the budget
@@ -794,8 +794,16 @@ def find_blocking_pairs(
     least = np.minimum.accumulate(least.reshape(-1, k2)[::-1], axis=0)[::-1]
     cover = np.searchsorted(tiers, spend - budget, side="left")
     bar = least[cover, np.arange(k2)]
-    blocking = brb_wants & (add_ok[t.tier] | (bar[t.tier] < u_flat))
-    return BlockingPairs(blocking, t, ch.demander_ids)
+    # where an addition fits, the bar is -inf, which the utility of every
+    # rate but -inf and NaN passes (zeta * price is finite).  np.take
+    # gathers a tier table's rows as indexing by t.tier does, but faster
+    demander_wants = np.take(np.where(add_ok, -np.inf, bar), t.tier, axis=0) < u_flat
+    if r_flat.size and not r_flat.min() > -np.inf:
+        # a rate of -inf or NaN passes neither fold, so add back the terms
+        # the folds stand for: a free block, and an addition that fits
+        brb_wants |= (holder < 0)[:, None]
+        demander_wants |= np.take(add_ok, t.tier, axis=0)
+    return BlockingPairs(brb_wants & demander_wants, t, ch.demander_ids)
 
 
 def save_matching_csv(

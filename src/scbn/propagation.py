@@ -72,8 +72,9 @@ def _distance_matrix(s: Scenario) -> np.ndarray:
     """
     ax = np.array([[st.x_m, st.y_m] for st in s.anchors], dtype=float).reshape(-1, 2)
     dx = np.array([[st.x_m, st.y_m] for st in s.demanders], dtype=float).reshape(-1, 2)
+    # np.linalg.norm(..., axis=2) for real input, without its wrapper
     with np.errstate(over="ignore"):
-        d = np.linalg.norm(ax[:, None, :] - dx[None, :, :], axis=2)
+        d = np.sqrt(np.add.reduce(np.square(ax[:, None, :] - dx[None, :, :]), axis=2))
     if not np.isfinite(d).all():
         raise ConfigError(
             f"station distances are not finite: area_side_m {s.area_side_m!r} m overflows them"
@@ -170,7 +171,7 @@ def rate_tensor(s: Scenario, ch: ChannelRealization) -> np.ndarray:
     """Per-BRB Shannon rate in bit/s for every triple, from gamma_tensor."""
     gamma = gamma_tensor(s, ch)
     n1 = ch.num_mmw_brbs
-    rates = np.log2(1.0 + gamma)
+    rates = np.log2(np.add(gamma, 1.0, out=gamma), out=gamma)
     rates[:, :n1, :] *= s.mmw_band.brb_bandwidth_hz
     rates[:, n1:, :] *= s.sub6_band.brb_bandwidth_hz
     return rates

@@ -135,8 +135,9 @@ class Scenario:
     each anchor's price per band.  ``budgets`` and ``demands_bps`` are
     keyed by demanding-station id; generation assigns every demander the
     same value but files may override per station.  The scenario keeps
-    read-only copies of the three mappings, so an edit raises TypeError;
-    ``dataclasses.replace`` gives a scenario with other values.
+    read-only copies of the three mappings, or a mapping that is read-only
+    already, so an edit raises TypeError; ``dataclasses.replace`` gives a
+    scenario with other values.
     """
 
     # the fields are the scenario file's keys, in the file's key order
@@ -154,14 +155,19 @@ class Scenario:
     sub6_pathloss: Sub6Params
 
     def __post_init__(self):
-        # copies, so that no dict of the caller's aliases the scenario's
-        prices = {a: _ReadOnlyDict(per_band) for a, per_band in self.prices.items()}
-        object.__setattr__(self, "prices", _ReadOnlyDict(prices))
+        # copies, so that no dict of the caller's aliases the scenario's; a
+        # read-only mapping cannot change, so one is kept as it is, as
+        # ``dataclasses.replace`` passes it
+        if {type(self.prices), *map(type, self.prices.values())} != {_ReadOnlyDict}:
+            prices = {a: _ReadOnlyDict(per_band) for a, per_band in self.prices.items()}
+            object.__setattr__(self, "prices", _ReadOnlyDict(prices))
         for name in ("budgets", "demands_bps"):
-            object.__setattr__(self, name, _ReadOnlyDict(getattr(self, name)))
+            if type(getattr(self, name)) is not _ReadOnlyDict:
+                object.__setattr__(self, name, _ReadOnlyDict(getattr(self, name)))
 
     # every field is frozen or read-only, so the views below are computed
-    # once per scenario and cannot go stale
+    # once per scenario and cannot go stale; resample_positions hands a new
+    # scenario those that positions do not enter
     @functools.cached_property
     def anchors(self) -> tuple[BaseStation, ...]:
         return tuple(s for s in self.stations if s.role is Role.ANCHOR)
@@ -336,14 +342,28 @@ def generate_scenario(cfg: GenerationConfig, seed: int) -> Scenario:
     return scenario
 
 
+# the cached terms of a Scenario that station positions do not enter
+_SHAPE_TERMS = ("anchor_ids", "demander_ids", "anchor_prices", "demander_terms",
+                "noise_power_w", "radio")
+
+
 def resample_positions(s: Scenario, rng: np.random.Generator) -> Scenario:
-    """Redraw all station positions, keeping ids, roles and everything else."""
+    """Redraw all station positions, keeping ids, roles and everything else.
+
+    The new scenario starts with the base's :data:`_SHAPE_TERMS`, derived
+    once per base: each reads only the ids and roles of the stations, the
+    money, the powers or the bands, which the new scenario shares with the
+    base, and every one of those is frozen or read-only, so none can go
+    stale.
+    """
     xy = rng.uniform(0.0, s.area_side_m, size=(len(s.stations), 2))
     stations = tuple(
         BaseStation(id=st.id, role=st.role, x_m=x, y_m=y)
         for st, (x, y) in zip(s.stations, xy.tolist())
     )
-    return replace(s, stations=stations)
+    out = replace(s, stations=stations)
+    vars(out).update((name, getattr(s, name)) for name in _SHAPE_TERMS)
+    return out
 
 
 def _positive(v: float) -> bool:

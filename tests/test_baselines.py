@@ -8,7 +8,7 @@ import pytest
 import reference_model as ref
 
 from scbn import baselines
-from scbn.baselines import _below, _raw_words, best_effort_allocate, random_allocate
+from scbn.baselines import _advance, _below, _raw_words, best_effort_allocate, random_allocate
 from scbn.matching import recompute_totals
 from scbn.propagation import rate_tensor, realize_channels
 from scbn.scenario import (
@@ -281,7 +281,7 @@ def _draws_from_words(rng, bounds, block):
         value, used = _below(n, words, used, rng)
         drawn.append(value)
     rng.bit_generator.state = start
-    _raw_words(rng, used)
+    _advance(rng, used)
     return drawn, len(words)
 
 
@@ -357,6 +357,7 @@ def test_random_allocation_draws_through_rejections_and_refills(monkeypatch, str
         return [next(source) for _ in range(size)]
 
     monkeypatch.setattr(baselines, "_raw_words", crafted)
+    monkeypatch.setattr(baselines, "_advance", crafted)
     m = random_allocate(s, ch, np.random.default_rng(1))
 
     # _below over the whole stream at once, which never runs out of words

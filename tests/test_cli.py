@@ -13,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scbn.cli import main
@@ -902,17 +902,39 @@ def test_a_sweep_of_huge_finite_values_is_finite_or_an_error_line(axis, override
         _finite_or_error_line(["sweep", axis, "--config", str(path), "--out", str(out)], out)
 
 
+# money near the top of the float range that a run may spend: a price and
+# a budget whose sum is finite, so each demander's cost fits its budget,
+# while the demanders' costs together pass the range once two or three
+# of them spend their budgets on the mmWave blocks, which a huge demand
+# keeps them buying
+_DEAR = st.fixed_dictionaries({
+    "num_mmw_brbs": st.integers(3, 40),
+    "mmw_price": st.sampled_from([1e307, 2e307, 4e307]),
+    "budget": st.sampled_from([1e308, 1.2e308, 1.35e308]),
+    "demand_bps": st.sampled_from([1e300, 1e308]),
+})
+
+
 @settings(max_examples=40)
 @given(
-    st.dictionaries(
-        st.sampled_from(_HUGE_BASE),
-        _HUGE,
-        min_size=1,
-        max_size=3,
-    ),
-    _HUGE,
+    st.one_of(
+        st.tuples(
+            st.dictionaries(st.sampled_from(_HUGE_BASE), _HUGE, min_size=1, max_size=3), _HUGE
+        ),
+        # a zeta that keeps zeta * price finite
+        st.tuples(_DEAR, st.sampled_from([1e-300, 0.5, 2.0])),
+    )
 )
-def test_a_run_of_huge_finite_values_is_finite_or_an_error_line(params, zeta):
+# two demanders whose costs of 1.6e308 each sum past the float range
+@example((
+    {
+        "num_stations": 3, "num_anchors": 1, "num_mmw_brbs": 40, "num_sub6_brbs": 0,
+        "mmw_price": 1e307, "budget": 1.6e308, "demand_bps": 1e300,
+    },
+    1e-300,
+))
+def test_a_run_of_huge_finite_values_is_finite_or_an_error_line(case):
+    params, zeta = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "params.json"
         path.write_text(json.dumps({**_PARAMS, **params}), encoding="utf-8")

@@ -1807,6 +1807,26 @@ def test_a_nan_leaves_its_prefixes_empty():
     assert _checked_prefixes(s, ch, 0.0) == [[], [3, 4, 0, 1]]
 
 
+@pytest.mark.parametrize("held", [(-1, 1, -1), (1, 1, -1)], ids=["free", "held"])
+def test_a_nan_rate_blocks_in_the_audit_as_in_the_reference(held):
+    """Demander 0 rates blocks 0 and 1 NaN, and both demanders may still
+    add any block.  Free, block 0 takes either demander, NaN rate or not,
+    so the audit's folds, which a NaN passes neither, must not decide it.
+    Held by demander 1, a block is taken by a higher rate only, which a
+    NaN is not."""
+    gains = np.full((1, 3, 2), 1e-10)
+    gains[0, :2, 0] = np.nan
+    s, ch = _hand_built(gains, 3, [(1.0, 1.0)], [_RICH] * 2, [_RICH] * 2)
+    holder = np.array(held)
+    t, rates, _, _ = matching._flat_view(s, ch)
+    m = Matching._built(holder, t, ch.demander_ids, *matching._held_totals(t, rates, holder))
+    pairs = find_blocking_pairs(m, s, ch, zeta=0.0)
+    assert pairs == _ref_find_blocking_pairs(m, s, ch, zeta=0.0)
+    d0, d1 = s.demander_ids
+    free = [k for k in range(3) if held[k] < 0]
+    assert pairs == [(d, t.keys[k]) for d in (d0, d1) for k in free]
+
+
 def test_a_class_that_ties_the_best_sub6_block_stays_out_of_the_prefix():
     """Anchor 0's class rates 5, as does its sub-6 block, which is cheaper
     and so ranks first among the three; only anchor 1's class, at 7, is

@@ -8,6 +8,7 @@ import pytest
 import reference_model as ref
 
 from scbn.propagation import (
+    _distance_matrix,
     gamma_tensor,
     rate_tensor,
     realize_channels,
@@ -263,6 +264,22 @@ def test_rate_tensor_matches_pointwise_models():
     ])
     np.testing.assert_allclose(rate_tensor(s, ch), want, rtol=1e-12)
     np.testing.assert_allclose(ch.rates, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("area_side_m", [2000.0, 1e150], ids=["reference", "huge"])
+def test_distances_and_rates_have_the_bits_of_the_plain_formulas(area_side_m):
+    """The distances are np.linalg.norm's, clamped to 1 m, and the rates
+    those of log2(1 + gamma), scaled per band, though the package forms
+    the one without norm's wrapper and takes the log in place."""
+    s = generate_scenario(GenerationConfig(area_side_m=area_side_m), seed=4)
+    ax, dx = (np.array([[st.x_m, st.y_m] for st in group]) for group in (s.anchors, s.demanders))
+    norm = np.linalg.norm(ax[:, None, :] - dx[None, :, :], axis=2)
+    assert _distance_matrix(s).tobytes() == np.maximum(norm, 1.0).tobytes()
+    ch = realize_channels(s, np.random.default_rng(6))
+    want = np.log2(1.0 + gamma_tensor(s, ch))
+    want[:, :192, :] *= s.mmw_band.brb_bandwidth_hz
+    want[:, 192:, :] *= s.sub6_band.brb_bandwidth_hz
+    assert rate_tensor(s, ch).tobytes() == ch.rates.tobytes() == want.tobytes()
 
 
 def test_realization_carries_its_rate_tensor_read_only():

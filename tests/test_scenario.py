@@ -273,6 +273,82 @@ def test_a_copied_scenario_keeps_its_money_read_only_and_its_bytes(twin, tmp_pat
     assert path.read_bytes() == GOLDEN_V1.read_bytes()
 
 
+_SHAPE_TERMS = ("anchor_ids", "demander_ids", "anchor_prices", "demander_terms",
+                "noise_power_w", "radio")
+
+
+def _resampled_twins():
+    """A scenario whose roles interleave and whose money differs per
+    station, and a resampled scenario of it with its pickled, copied and
+    deep-copied twins."""
+    s = load_scenario(str(GOLDEN_V1))
+    s = dataclasses.replace(
+        s,
+        stations=(*s.stations, BaseStation(7, Role.ANCHOR, 10.0, 20.0)),
+        prices={**s.prices, 7: {BandKind.MMWAVE: 0.3, BandKind.SUB6: 4.0}},
+    )
+    moved = resample_positions(s, np.random.default_rng(3))
+    twins = (moved, pickle.loads(pickle.dumps(moved)), copy.copy(moved), copy.deepcopy(moved))
+    return s, twins
+
+
+def test_a_resampled_scenario_carries_the_terms_of_its_fields():
+    """The position-independent terms come from the base, derived once
+    there, and equal those of a scenario built afresh from the fields."""
+    base, twins = _resampled_twins()
+    moved = twins[0]
+    for name in _SHAPE_TERMS:
+        assert vars(moved)[name] is getattr(base, name)
+    for t in twins:
+        fresh = {f.name: getattr(t, f.name) for f in dataclasses.fields(Scenario)}
+        fresh["prices"] = {a: dict(p) for a, p in t.prices.items()}
+        fresh["budgets"], fresh["demands_bps"] = dict(t.budgets), dict(t.demands_bps)
+        rebuilt = Scenario(**fresh)
+        assert t == moved == rebuilt
+        assert [getattr(t, n) for n in _SHAPE_TERMS] == [getattr(rebuilt, n) for n in _SHAPE_TERMS]
+        assert t.anchor_ids == (0, 7) and t.anchors == moved.anchors
+        assert t.stations != base.stations
+
+
+_EDITS = {
+    "set": lambda d: d.__setitem__(next(iter(d)), 1.0),
+    "del": lambda d: d.__delitem__(next(iter(d))),
+    "ior": lambda d: d.__ior__({}),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop(next(iter(d))),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault(-1, 1.0),
+    "update": lambda d: d.update({}),
+}
+
+
+@pytest.mark.parametrize("edit", list(_EDITS.values()), ids=list(_EDITS))
+def test_a_resampled_scenario_refuses_every_edit_of_its_money(edit):
+    base, twins = _resampled_twins()
+    for t in twins:
+        money = (t.prices, *t.prices.values(), t.budgets, t.demands_bps)
+        before = [dict(d) for d in money]
+        for d in money:
+            with pytest.raises(TypeError, match="read-only"):
+                edit(d)
+        assert [dict(d) for d in money] == before
+        for name in ("prices", "budgets", "demands_bps"):
+            assert getattr(t, name) == getattr(base, name)
+
+
+def test_a_read_only_mapping_is_kept_and_any_other_copied():
+    s = load_scenario(str(GOLDEN_V1))
+    again = dataclasses.replace(s, seed=1)
+    for name in ("prices", "budgets", "demands_bps"):
+        assert getattr(again, name) is getattr(s, name)
+    # read-only outside but not inside: copied, so no inner dict aliases
+    mixed = type(s.prices)({a: dict(p) for a, p in s.prices.items()})
+    t = dataclasses.replace(s, prices=mixed)
+    assert t.prices is not mixed and t.prices == s.prices
+    with pytest.raises(TypeError, match="read-only"):
+        t.prices[0][BandKind.SUB6] = 1.0
+
+
 def test_load_rejects_truncated_file(tmp_path):
     s = generate_scenario(GenerationConfig(), seed=0)
     path = tmp_path / "scenario.json"
