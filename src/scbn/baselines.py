@@ -31,11 +31,6 @@ def _advance(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.integers(0, _WORDS, size=size, dtype=np.uint32)
 
 
-def _raw_words(rng: np.random.Generator, size: int) -> list[int]:
-    """The generator's next ``size`` raw 32-bit words, in order."""
-    return _advance(rng, size).tolist()
-
-
 def _below(
     n: int, words: list[int], used: int, rng: np.random.Generator
 ) -> tuple[int, int]:
@@ -69,7 +64,7 @@ def _below(
         return 0, used
     while True:
         if used == len(words):
-            words += _raw_words(rng, len(words) + 1)
+            words += _advance(rng, len(words) + 1).tolist()
         x = words[used] * n
         used += 1
         low = x & _LOW
@@ -192,7 +187,7 @@ def random_allocate(
     eligible_in = [[j for j in axes if reached[j] > i] for i in range(len(tiers))]
     order = rng.permutation(m_total).tolist()
     start = rng.bit_generator.state
-    words = _raw_words(rng, m_total)
+    words = _advance(rng, m_total).tolist()
     used = 0
     for m in order:
         eligible = eligible_in[tier_of[m]]

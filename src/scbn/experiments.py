@@ -192,8 +192,9 @@ def _budget_bound_fraction(s: Scenario, m: Matching) -> float:
         minlength=(len(m.demander_ids) + 1) * n_tiers,
     ).reshape(-1, n_tiers)[1:].tolist()
     bound = 0
-    for d, counts in zip(m.demander_ids, held_at):
-        if m.rate_bps[d] >= s.demands_bps[d]:
+    # the budgets and demands as the floats every scheme compares
+    for d, counts, budget, demand in zip(m.demander_ids, held_at, *s.demander_terms):
+        if m.rate_bps[d] >= demand:
             continue
         cheapest_unheld = next(
             (p for p, n, c in zip(t.tiers, t.tier_sizes, counts) if c < n), None
@@ -201,7 +202,7 @@ def _budget_bound_fraction(s: Scenario, m: Matching) -> float:
         if cheapest_unheld is None:
             continue
         # the float sum every scheme compares with the budget
-        if not m.cost[d] + cheapest_unheld <= s.budgets[d]:
+        if not m.cost[d] + cheapest_unheld <= budget:
             bound += 1
     return bound / len(s.demander_ids)
 

@@ -39,14 +39,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .propagation import ChannelRealization, gamma_tensor
-from .scenario import BandKind, Scenario, _write_csv
+from .scenario import BandKind, BrbKey, BrbTable, Scenario, _write_csv
 
 __all__ = [
     "Matching",
-    "BrbTable",
     "InconsistentMatchingError",
     "BlockingPairs",
-    "brb_table",
     "run_matching",
     "matching_from_assignment",
     "recompute_totals",
@@ -55,50 +53,9 @@ __all__ = [
 ]
 
 
-BRB_TABLE_CACHE_SIZE = 32
-
-# a BRB's key: (owner id, band code, index in band), band code 0 for
-# mmWave and 1 for sub-6
-BrbKey = tuple[int, int, int]
-
-
 class InconsistentMatchingError(ValueError):
     """Raised when an allocation is not one of the scenario's BRBs to its
     demanders, each BRB held at most once."""
-
-
-@dataclass(frozen=True, eq=False)
-class BrbTable:
-    """The canonical BRB axis of one deployment shape, as parallel arrays.
-
-    Flat index ``k`` names the BRB of anchor axis ``k // N`` (station
-    order) at global index ``k % N`` into the channel tensors, with ``N``
-    BRBs per anchor: ``k`` = anchor axis * N + global index.  ``keys[k]``
-    is its key, the tuple (owner id, band code, index in band) that names
-    a BRB outside the table, band code 0 for mmWave and 1 for sub-6; keys
-    sort as tuples do.  The arrays give its price and its position in
-    ``tiers``, the distinct prices ascending.  ``tie_order`` lists the
-    flat indices by (price, band, owner, index), the order in which a
-    demander ranks blocks of equal utility.  ``price_of`` and ``tier_of``
-    hold the prices and tier positions as Python numbers too, for the
-    per-block loops of the matching and the random baseline.
-    ``class_runs[a]`` lists the flat blocks of anchor axis ``a``'s mmWave
-    class in index order, one run of the tie order, and ``class_order``
-    the anchor axes of the classes' index-0 blocks, in the tie order; it
-    is empty when there are no mmWave blocks.  Tables are shared through a
-    cache, so every field is read-only.
-    """
-
-    keys: tuple[BrbKey, ...]
-    price: np.ndarray
-    tier: np.ndarray
-    tie_order: np.ndarray
-    tiers: tuple[float, ...]
-    tier_sizes: tuple[int, ...]
-    price_of: tuple[float, ...]
-    tier_of: tuple[int, ...]
-    class_order: tuple[int, ...]
-    class_runs: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,59 +127,6 @@ class Matching:
         return MappingProxyType({d: frozenset(bs) for d, bs in held.items()})
 
 
-# Resampled trials share one shape; a bounded cache keeps memory flat for
-# streams of distinct shapes such as random micro instances.
-@functools.lru_cache(maxsize=BRB_TABLE_CACHE_SIZE)
-def _cached_brb_table(
-    anchor_ids: tuple[int, ...],
-    n1: int,
-    n2: int,
-    prices: tuple[tuple[float, float], ...],
-) -> BrbTable:
-    # Python lists: micro tables are built for every new instance, and
-    # there a numpy call per column costs more than it saves
-    n = n1 + n2
-    # each flat block as its tie key: price, band, owner id, index in band
-    blocks = [
-        (p, b, a, i) for a, (mmw, sub6) in zip(anchor_ids, prices)
-        for b, p, m in ((0, mmw, n1), (1, sub6, n2)) for i in range(m)
-    ]
-    order = sorted(range(len(blocks)), key=blocks.__getitem__)
-    keys = tuple([(a, b, i) for _, b, a, i in blocks])
-    price_of = [blk[0] for blk in blocks]
-    tiers = sorted(set(price_of))
-    tier_of = list(map({p: t for t, p in enumerate(tiers)}.__getitem__, price_of))
-    price, tier, tie_order = map(np.array, (price_of, tier_of, order), (float, int, np.intp))
-    for a in (price, tier, tie_order):
-        a.setflags(write=False)
-    return BrbTable(
-        keys=keys,
-        price=price,
-        tier=tier,
-        tie_order=tie_order,
-        tiers=tuple(tiers),
-        tier_sizes=tuple(np.bincount(tier, minlength=len(tiers)).tolist()),
-        price_of=tuple(price.tolist()),
-        tier_of=tuple(tier_of),
-        # the anchor axis of each class's index-0 block, in the tie order
-        class_order=tuple([k // n for k in order if k % n == 0]) if n1 else (),
-        class_runs=tuple([tuple(range(a * n, a * n + n1)) for a in range(len(anchor_ids))]),
-    )
-
-
-def brb_table(s: Scenario) -> BrbTable:
-    """The scenario's BRB table, built once per deployment shape.
-
-    The shape is the anchor ids in station order, both bands' BRB counts
-    and every anchor's two prices (``Scenario.anchor_prices``); station
-    positions, budgets, demands and bandwidths do not enter it, so
-    resampled trials share one table.
-    """
-    return _cached_brb_table(
-        s.anchor_ids, s.mmw_band.num_brbs, s.sub6_band.num_brbs, s.anchor_prices
-    )
-
-
 def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     """``(t, rates, budgets, demands)``: the scenario's BRB table, the
     ``(M, K2)`` rates of its flat BRBs for each demander axis (a view of
@@ -231,12 +135,12 @@ def _flat_view(s: Scenario, ch: ChannelRealization, m: Matching | None = None):
     InconsistentMatchingError for a realization drawn for another scenario
     or a matching ``m`` over other BRBs or demanders.
 
-    The budgets and demands are the scenario's own cached rows, and the
-    table is cached per deployment shape by :func:`brb_table`; a scenario
-    cannot be edited, so neither goes stale.  Only the checks against
+    The table, the budgets and the demands are terms of the scenario,
+    derived once per scenario (and shared by its resampled trials); a
+    scenario cannot be edited, so none goes stale.  Only the checks against
     ``ch`` and ``m`` run on every call.
     """
-    t = brb_table(s)
+    t = s.brb_table
     shape = (len(s.anchor_ids), s.brbs_per_anchor, len(s.demander_ids))
     drawn_for = (s.anchor_ids, s.demander_ids, s.mmw_band.num_brbs, shape, s.radio)
     if (ch.anchor_ids, ch.demander_ids, ch.num_mmw_brbs, ch.rates.shape, ch.radio) != drawn_for:
@@ -789,8 +693,10 @@ def find_blocking_pairs(
     # covers the excess.  The least held utility per tier, then over that
     # tier and every dearer one, read at the first tier that covers it.
     k2 = len(ch.demander_ids)
+    # fmin skips a held NaN utility, from a NaN rate, which no utility is
+    # strictly above: minimum would make the whole tier's least NaN
     least = np.full((len(tiers) + 1) * k2, np.inf)
-    np.minimum.at(least, t.tier[ks] * k2 + js, u_flat[ks, js])
+    np.fmin.at(least, t.tier[ks] * k2 + js, u_flat[ks, js])
     least = np.minimum.accumulate(least.reshape(-1, k2)[::-1], axis=0)[::-1]
     cover = np.searchsorted(tiers, spend - budget, side="left")
     bar = least[cover, np.arange(k2)]

@@ -36,6 +36,7 @@ __all__ = [
     "Band",
     "MmwParams",
     "Sub6Params",
+    "BrbTable",
     "Scenario",
     "GenerationConfig",
     "ConfigError",
@@ -112,6 +113,53 @@ class Sub6Params:
     ref_loss_db: float
 
 
+# a BRB's key: (owner id, band code, index in band), band code 0 for
+# mmWave and 1 for sub-6
+BrbKey = tuple[int, int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class BrbTable:
+    """The canonical BRB axis of one deployment shape, as parallel arrays.
+
+    Flat index ``k`` names the BRB of anchor axis ``k // N`` (station
+    order) at global index ``k % N`` into the channel tensors, with ``N``
+    BRBs per anchor: ``k`` = anchor axis * N + global index.  ``keys[k]``
+    is its key, the tuple (owner id, band code, index in band) that names
+    a BRB outside the table, band code 0 for mmWave and 1 for sub-6; keys
+    sort as tuples do.  The arrays give its price and its position in
+    ``tiers``, the distinct prices ascending.  ``tie_order`` lists the
+    flat indices by (price, band, owner, index), the order in which a
+    demander ranks blocks of equal utility.  ``price_of`` and ``tier_of``
+    hold the prices and tier positions as Python numbers too, for the
+    per-block loops of the matching and the random baseline.
+    ``class_runs[a]`` lists the flat blocks of anchor axis ``a``'s mmWave
+    class in index order, one run of the tie order, and ``class_order``
+    the anchor axes of the classes' index-0 blocks, in the tie order; it
+    is empty when there are no mmWave blocks.  A table is a term of its
+    scenario (:attr:`Scenario.brb_table`), shared by the scenario's
+    resampled trials and by every matching over it, so every field is
+    read-only, also in a pickled or copied table.
+    """
+
+    keys: tuple[BrbKey, ...]
+    price: np.ndarray
+    tier: np.ndarray
+    tie_order: np.ndarray
+    tiers: tuple[float, ...]
+    tier_sizes: tuple[int, ...]
+    price_of: tuple[float, ...]
+    tier_of: tuple[int, ...]
+    class_order: tuple[int, ...]
+    class_runs: tuple[tuple[int, ...], ...]
+
+    def __setstate__(self, state):
+        # an unpickled or deep-copied array is writable
+        for a in (state["price"], state["tier"], state["tie_order"]):
+            a.setflags(write=False)
+        vars(self).update(state)
+
+
 class _ReadOnlyDict(dict):
     """A dict that refuses every edit.  It pickles and copies by its items:
     dict's own protocol would refill it through the refused ``__setitem__``."""
@@ -137,7 +185,10 @@ class Scenario:
     same value but files may override per station.  The scenario keeps
     read-only copies of the three mappings, or a mapping that is read-only
     already, so an edit raises TypeError; ``dataclasses.replace`` gives a
-    scenario with other values.
+    scenario with other values.  What the schemes read besides the fields,
+    the BRB table among them, are terms derived from the fields once per
+    scenario, and :func:`resample_positions` hands a new scenario those
+    that positions do not enter.
     """
 
     # the fields are the scenario file's keys, in the file's key order
@@ -165,9 +216,8 @@ class Scenario:
             if type(getattr(self, name)) is not _ReadOnlyDict:
                 object.__setattr__(self, name, _ReadOnlyDict(getattr(self, name)))
 
-    # every field is frozen or read-only, so the views below are computed
-    # once per scenario and cannot go stale; resample_positions hands a new
-    # scenario those that positions do not enter
+    # every field is frozen or read-only, so the terms below are computed
+    # once per scenario and cannot go stale
     @functools.cached_property
     def anchors(self) -> tuple[BaseStation, ...]:
         return tuple(s for s in self.stations if s.role is Role.ANCHOR)
@@ -185,9 +235,46 @@ class Scenario:
         return tuple(s.id for s in self.demanders)
 
     @functools.cached_property
-    def anchor_prices(self) -> tuple[tuple[float, float], ...]:
-        """Each anchor's (mmWave, sub-6) prices, in anchor order."""
-        return tuple(tuple(self.prices[a][kind] for kind in BandKind) for a in self.anchor_ids)
+    def brb_table(self) -> BrbTable:
+        """The table of the scenario's BRBs.  It is made of the anchor ids
+        in station order, both bands' BRB counts and every anchor's two
+        prices; positions, budgets, demands and bandwidths do not enter it.
+        """
+        anchors, n1, n2 = self.anchor_ids, self.mmw_band.num_brbs, self.sub6_band.num_brbs
+        n = n1 + n2
+        # numpy allocates first: a table too large to hold is refused as the
+        # channel arrays are, by MemoryError, or ValueError beyond int64,
+        # before the lists below fill the memory.  Lists, as a micro table is
+        # built for every new instance, and there a numpy call per column
+        # costs more than it saves
+        price, tier, tie_order = (np.empty(len(anchors) * n, dt) for dt in (float, int, np.intp))
+        # each flat block as its tie key: price, band, owner id, index in band
+        blocks = [
+            (p, b, a, i) for a in anchors
+            for b, p, m in ((0, self.prices[a][BandKind.MMWAVE], n1),
+                            (1, self.prices[a][BandKind.SUB6], n2))
+            for i in range(m)
+        ]
+        order = sorted(range(len(blocks)), key=blocks.__getitem__)
+        price_of = [blk[0] for blk in blocks]
+        tiers = sorted(set(price_of))
+        tier_of = list(map({p: t for t, p in enumerate(tiers)}.__getitem__, price_of))
+        price[:], tier[:], tie_order[:] = price_of, tier_of, order
+        for a in (price, tier, tie_order):
+            a.setflags(write=False)
+        return BrbTable(
+            keys=tuple([(a, b, i) for _, b, a, i in blocks]),
+            price=price,
+            tier=tier,
+            tie_order=tie_order,
+            tiers=tuple(tiers),
+            tier_sizes=tuple(np.bincount(tier, minlength=len(tiers)).tolist()),
+            price_of=tuple(price.tolist()),
+            tier_of=tuple(tier_of),
+            # the anchor axis of each class's index-0 block, in the tie order
+            class_order=tuple([k // n for k in order if k % n == 0]) if n1 else (),
+            class_runs=tuple([tuple(range(a * n, a * n + n1)) for a in range(len(anchors))]),
+        )
 
     @functools.cached_property
     def demander_terms(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -343,7 +430,7 @@ def generate_scenario(cfg: GenerationConfig, seed: int) -> Scenario:
 
 
 # the cached terms of a Scenario that station positions do not enter
-_SHAPE_TERMS = ("anchor_ids", "demander_ids", "anchor_prices", "demander_terms",
+_SHAPE_TERMS = ("anchor_ids", "demander_ids", "brb_table", "demander_terms",
                 "noise_power_w", "radio")
 
 
@@ -354,7 +441,7 @@ def resample_positions(s: Scenario, rng: np.random.Generator) -> Scenario:
     once per base: each reads only the ids and roles of the stations, the
     money, the powers or the bands, which the new scenario shares with the
     base, and every one of those is frozen or read-only, so none can go
-    stale.
+    stale.  So the trials of one base share its BRB table.
     """
     xy = rng.uniform(0.0, s.area_side_m, size=(len(s.stations), 2))
     stations = tuple(

@@ -3,6 +3,7 @@ library quick start runs as written."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -73,3 +74,24 @@ def test_every_docstring_reference_names_an_object_of_its_module():
                 dangling.append(f"{path.name}: :{role}:`{target}`")
     assert dangling == []
     assert checked >= 29
+
+
+def test_no_module_holds_state_between_calls():
+    """No function cache and no ``global`` statement in the package: a
+    derived term lives on the scenario it is derived from."""
+    package = Path(importlib.import_module("scbn").__file__).resolve().parent
+    paths = sorted(package.glob("*.py"))
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            caches = (
+                isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools" and node.attr in ("lru_cache", "cache")
+            ) or (
+                isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and {a.name for a in node.names} & {"lru_cache", "cache"}
+            )
+            if caches or isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert len(paths) == len(_MODULES) + 2  # and __init__ and cli

@@ -8,7 +8,7 @@ import pytest
 import reference_model as ref
 
 from scbn import baselines
-from scbn.baselines import _advance, _below, _raw_words, best_effort_allocate, random_allocate
+from scbn.baselines import _advance, _below, best_effort_allocate, random_allocate
 from scbn.matching import recompute_totals
 from scbn.propagation import rate_tensor, realize_channels
 from scbn.scenario import (
@@ -275,7 +275,7 @@ def _draws_from_words(rng, bounds, block):
     ``random_allocate`` makes them: from a block of ``block`` raw words,
     after which the generator is rewound and moved past the words used."""
     start = rng.bit_generator.state
-    words = _raw_words(rng, block)
+    words = _advance(rng, block).tolist()
     used, drawn = 0, []
     for n in bounds:
         value, used = _below(n, words, used, rng)
@@ -354,9 +354,8 @@ def test_random_allocation_draws_through_rejections_and_refills(monkeypatch, str
 
     def crafted(rng, size):
         sizes.append(size)
-        return [next(source) for _ in range(size)]
+        return np.array([next(source) for _ in range(size)], dtype=np.uint32)
 
-    monkeypatch.setattr(baselines, "_raw_words", crafted)
     monkeypatch.setattr(baselines, "_advance", crafted)
     m = random_allocate(s, ch, np.random.default_rng(1))
 

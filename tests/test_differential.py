@@ -34,7 +34,6 @@ from scbn.matching import (
     Matching,
     _flat_view,
     _ProposalState,
-    brb_table,
     find_blocking_pairs,
     matching_from_assignment,
     run_matching,
@@ -506,7 +505,7 @@ def test_flat_index_is_anchor_axis_times_n_plus_global_index(instances):
     ]
     assert loaded
     for s, ch in loaded:
-        t, n = brb_table(s), s.brbs_per_anchor
+        t, n = s.brb_table, s.brbs_per_anchor
         keys, brbs = t.keys, ref.scenario_brbs(s)
         for k, b in enumerate(brbs):
             assert keys[k] == b.key()
@@ -523,7 +522,7 @@ def test_the_table_describes_the_reference_records(instances):
     builds from the scenario: keys, prices, tiers, the tie order (price,
     band, owner, index) and the mmWave classes in it."""
     for s, _, _, _ in instances:
-        t, brbs = brb_table(s), ref.scenario_brbs(s)
+        t, brbs = s.brb_table, ref.scenario_brbs(s)
         keys = [b.key() for b in brbs]
         prices = [b.price for b in brbs]
         assert list(t.keys) == keys
@@ -795,7 +794,7 @@ def test_three_tier_instance_proposes_to_the_best_placed_affordable_head(
             1: {BandKind.MMWAVE: 5.0, BandKind.SUB6: 1.0},
         },
     )
-    t = brb_table(s)
+    t = s.brb_table
     assert t.tiers == (1.0, 5.0, 20.0)
     ch = realize_channels(s, np.random.default_rng(3))
     m = run_matching(s, ch, zeta=0.0)
@@ -1307,14 +1306,14 @@ def _three_tier_holding(gains, budget, held):
     t, rates, _, _ = matching._flat_view(s, ch)
     totals = matching._held_totals(t, rates, holder)
     m = Matching._built(holder, t, ch.demander_ids, *totals)
-    assert brb_table(s).tiers == (1.0, 5.0, 20.0)
+    assert s.brb_table.tiers == (1.0, 5.0, 20.0)
     return s, ch, m
 
 
 def _blocks_in_pairs(s, ch, m) -> list[int]:
     pairs = find_blocking_pairs(m, s, ch, zeta=0.0)
     assert pairs == _ref_find_blocking_pairs(m, s, ch, zeta=0.0)
-    keys = brb_table(s).keys
+    keys = s.brb_table.keys
     return sorted(keys.index(b) for _, b in pairs)
 
 
@@ -1514,7 +1513,7 @@ def _check_guarantees(instance) -> None:
         assert len(pairs) == len(ref)
         assert bool(pairs) == bool(ref)
         assert list(pairs) == ref
-    k2, brbs = len(s.demander_ids), len(brb_table(s).price)
+    k2, brbs = len(s.demander_ids), len(s.brb_table.price)
     assert m.rounds <= m.proposals <= k2 * brbs
 
 
@@ -1729,7 +1728,7 @@ def test_each_prefix_starts_the_whole_order_on_the_bench_shapes(cfg, zeta):
         s = resample_positions(base, rng)
         lengths += map(len, _checked_prefixes(s, realize_channels(s, rng), zeta))
     # some orders start with a class, none is whole (there are sub-6 blocks)
-    assert 0 < max(lengths) < len(brb_table(base).price)
+    assert 0 < max(lengths) < len(base.brb_table.price)
 
 
 def test_each_prefix_starts_the_whole_order_on_a_fixed_corpus(instances):
@@ -1807,24 +1806,57 @@ def test_a_nan_leaves_its_prefixes_empty():
     assert _checked_prefixes(s, ch, 0.0) == [[], [3, 4, 0, 1]]
 
 
-@pytest.mark.parametrize("held", [(-1, 1, -1), (1, 1, -1)], ids=["free", "held"])
+def _audited(gains, budgets, held):
+    """The audit of ``held`` on the hand-built single-anchor mmWave blocks
+    of ``gains``, priced 1, with demands no holder meets, and the
+    reference audit's pairs."""
+    s, ch = _hand_built(gains, gains.shape[1], [(1.0, 1.0)], budgets, [_RICH] * len(budgets))
+    holder = np.array(held)
+    t, rates, _, _ = matching._flat_view(s, ch)
+    m = Matching._built(holder, t, ch.demander_ids, *matching._held_totals(t, rates, holder))
+    pairs = find_blocking_pairs(m, s, ch, zeta=0.0)
+    return s, pairs, _ref_find_blocking_pairs(m, s, ch, zeta=0.0)
+
+
+_NAN_HOLDERS = {
+    "free": (-1, 1, -1),
+    "held": (1, 1, -1),
+    "nan-held-beside-another": (0, 1, -1),
+    "nan-held-alone": (0, -1, -1),
+    "two-nan-held": (0, 0, -1),
+}
+
+
+@pytest.mark.parametrize("held", list(_NAN_HOLDERS.values()), ids=list(_NAN_HOLDERS))
 def test_a_nan_rate_blocks_in_the_audit_as_in_the_reference(held):
     """Demander 0 rates blocks 0 and 1 NaN, and both demanders may still
     add any block.  Free, block 0 takes either demander, NaN rate or not,
     so the audit's folds, which a NaN passes neither, must not decide it.
     Held by demander 1, a block is taken by a higher rate only, which a
-    NaN is not."""
+    NaN is not.  Holding a NaN-rated block, demander 0 has a NaN rate, so
+    adds nothing, and swaps nothing out, as no utility is above NaN; the
+    audit's least held utility, NaN there, must raise no warning."""
     gains = np.full((1, 3, 2), 1e-10)
     gains[0, :2, 0] = np.nan
-    s, ch = _hand_built(gains, 3, [(1.0, 1.0)], [_RICH] * 2, [_RICH] * 2)
-    holder = np.array(held)
-    t, rates, _, _ = matching._flat_view(s, ch)
-    m = Matching._built(holder, t, ch.demander_ids, *matching._held_totals(t, rates, holder))
-    pairs = find_blocking_pairs(m, s, ch, zeta=0.0)
-    assert pairs == _ref_find_blocking_pairs(m, s, ch, zeta=0.0)
+    s, pairs, ref_pairs = _audited(gains, [_RICH] * 2, held)
+    assert pairs == ref_pairs
     d0, d1 = s.demander_ids
+    takers = (d1,) if 0 in held else (d0, d1)
     free = [k for k in range(3) if held[k] < 0]
-    assert pairs == [(d, t.keys[k]) for d in (d0, d1) for k in free]
+    assert pairs == [(d, s.brb_table.keys[k]) for d in takers for k in free]
+
+
+def test_a_held_nan_utility_hides_no_other_from_the_swap_test():
+    """Demander 0 holds block 0, rated NaN, and block 1, and its budget
+    takes no third block, so it takes block 3, which it rates highest, only
+    by a swap: block 1's utility is strictly below, and block 0's NaN must
+    not hide it."""
+    gains = np.full((1, 4, 2), 1e-10)
+    gains[0, 0, 0] = np.nan
+    gains[0, 3, 0] = 1e-6
+    s, pairs, ref_pairs = _audited(gains, [2.0, _RICH], (0, 0, -1, -1))
+    assert pairs == ref_pairs
+    assert (s.demander_ids[0], s.brb_table.keys[3]) in pairs
 
 
 def test_a_class_that_ties_the_best_sub6_block_stays_out_of_the_prefix():

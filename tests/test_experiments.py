@@ -163,6 +163,27 @@ def test_budget_bound_fraction_uses_the_schemes_affordability_sum():
     assert _budget_bound_fraction(s, m) == 0.5
 
 
+def test_budget_bound_fraction_compares_the_budgets_as_the_schemes_do():
+    """Budgets given as the int 2**54 + 3, whose float is 2**54 + 4, and
+    one block priced 2**54 + 4: by the float every scheme compares, the
+    block fits either demander's budget, so the demander without it lost
+    it to the other, and was not stopped by money."""
+    cfg = GenerationConfig(
+        num_stations=3,
+        num_anchors=1,
+        num_mmw_brbs=1,
+        num_sub6_brbs=0,
+        mmw_price=float(2**54 + 4),
+        demand_bps=1e12,
+    )
+    s = generate_scenario(cfg, seed=0)
+    s = dataclasses.replace(s, budgets=dict.fromkeys(s.demander_ids, 2**54 + 3))
+    assert float(2**54 + 3) == 2**54 + 4 > 2**54 + 3
+    m = run_matching(s, realize_channels(s, np.random.default_rng(0)), zeta=0.0)
+    assert m.holder.tolist() in ([0], [1])
+    assert _budget_bound_fraction(s, m) == 0.0
+
+
 def _one_point_sweep(trials):
     cfg = SweepConfig(
         base=_SMALL,

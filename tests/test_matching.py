@@ -19,13 +19,10 @@ import reference_model as ref
 import scbn
 from scbn.baselines import best_effort_allocate, random_allocate
 from scbn.cli import main
-from scbn.experiments import SCHEMES, random_micro_config, run_scheme
+from scbn.experiments import SCHEMES, run_scheme
 from scbn.matching import (
-    BRB_TABLE_CACHE_SIZE,
     InconsistentMatchingError,
     Matching,
-    _cached_brb_table,
-    brb_table,
     find_blocking_pairs,
     matching_from_assignment,
     recompute_totals,
@@ -674,32 +671,21 @@ def test_brb_table_tracks_one_anchors_sub6_price():
             1: {BandKind.MMWAVE: 1.0, BandKind.SUB6: 7.0},
         },
     )
-    a, b = brb_table(s), brb_table(dearer)
+    a, b = s.brb_table, dearer.brb_table
     assert a is not b
     assert a.price.tolist() == [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]
     assert b.price.tolist() == [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 7.0, 7.0]
     assert (a.tiers, a.tier_sizes) == ((1.0, 2.0), (4, 4))
     assert (b.tiers, b.tier_sizes) == ((1.0, 2.0, 7.0), (4, 2, 2))
     # positions are not part of the shape
-    assert brb_table(resample_positions(s, np.random.default_rng(1))) is a
+    assert resample_positions(s, np.random.default_rng(1)).brb_table is a
 
 
 def test_brb_table_is_read_only():
-    t = brb_table(_build([(0, 0)], [(10, 0)], n1=2, n2=1))
+    t = _build([(0, 0)], [(10, 0)], n1=2, n2=1).brb_table
     for array in (t.price, t.tier, t.tie_order):
         with pytest.raises(ValueError):
             array[0] = 0
-
-
-def test_brb_table_cache_stays_bounded():
-    rng = np.random.default_rng(5)
-    misses = _cached_brb_table.cache_info().misses
-    for seed in range(1000):
-        brb_table(generate_scenario(random_micro_config(rng), seed=seed))
-    info = _cached_brb_table.cache_info()
-    assert info.misses - misses == 1000  # every micro shape is new
-    assert info.maxsize == BRB_TABLE_CACHE_SIZE
-    assert info.currsize <= info.maxsize
 
 
 def _outcomes(s, ch, audited):

@@ -14,6 +14,7 @@ from scbn.scenario import (
     Band,
     BandKind,
     BaseStation,
+    BrbTable,
     ConfigError,
     GenerationConfig,
     MmwParams,
@@ -261,10 +262,10 @@ def test_format_v1_file_loads_and_saves_back_byte_for_byte(tmp_path):
 )
 def test_a_copied_scenario_keeps_its_money_read_only_and_its_bytes(twin, tmp_path):
     s = load_scenario(str(GOLDEN_V1))
-    rows = (s.anchor_prices, s.demander_terms, s.radio)
+    rows = (_plain(s.brb_table), s.demander_terms, s.radio)
     t = twin(s)
     assert t == s
-    assert (t.anchor_prices, t.demander_terms, t.radio) == rows
+    assert (_plain(t.brb_table), t.demander_terms, t.radio) == rows
     for d in (t.prices, t.prices[0], t.budgets, t.demands_bps):
         with pytest.raises(TypeError, match="read-only"):
             d[next(iter(d))] = 1.0
@@ -273,8 +274,19 @@ def test_a_copied_scenario_keeps_its_money_read_only_and_its_bytes(twin, tmp_pat
     assert path.read_bytes() == GOLDEN_V1.read_bytes()
 
 
-_SHAPE_TERMS = ("anchor_ids", "demander_ids", "anchor_prices", "demander_terms",
+_SHAPE_TERMS = ("anchor_ids", "demander_ids", "brb_table", "demander_terms",
                 "noise_power_w", "radio")
+
+
+def _plain(term):
+    """``term`` as a value that == compares: a BRB table, which compares
+    by identity, as its fields, and an array as its dtype, its values and
+    whether it is writable."""
+    if isinstance(term, BrbTable):
+        return tuple(_plain(getattr(term, f.name)) for f in dataclasses.fields(term))
+    if isinstance(term, np.ndarray):
+        return term.dtype, term.tolist(), term.flags.writeable
+    return term
 
 
 def _resampled_twins():
@@ -294,7 +306,9 @@ def _resampled_twins():
 
 def test_a_resampled_scenario_carries_the_terms_of_its_fields():
     """The position-independent terms come from the base, derived once
-    there, and equal those of a scenario built afresh from the fields."""
+    there, and equal those of a scenario built afresh from the fields.
+    The twins carry them across a pickle or a copy, the BRB table with its
+    arrays still read-only, though numpy's pickle drops the write flag."""
     base, twins = _resampled_twins()
     moved = twins[0]
     for name in _SHAPE_TERMS:
@@ -305,7 +319,9 @@ def test_a_resampled_scenario_carries_the_terms_of_its_fields():
         fresh["budgets"], fresh["demands_bps"] = dict(t.budgets), dict(t.demands_bps)
         rebuilt = Scenario(**fresh)
         assert t == moved == rebuilt
-        assert [getattr(t, n) for n in _SHAPE_TERMS] == [getattr(rebuilt, n) for n in _SHAPE_TERMS]
+        assert [_plain(vars(t)[n]) for n in _SHAPE_TERMS] == [
+            _plain(getattr(rebuilt, n)) for n in _SHAPE_TERMS
+        ]
         assert t.anchor_ids == (0, 7) and t.anchors == moved.anchors
         assert t.stations != base.stations
 
