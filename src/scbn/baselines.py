@@ -6,9 +6,9 @@ requester, and nobody gets a second try.  Losing a contested block or
 running out of money mid-purchase is simply absorbed.  Random allocation
 assigns each BRB to a uniformly drawn station that still wants and can
 afford it.  It draws the BRB order with ``rng.permutation`` and then each
-grant's ``rng.integers(n)``, but computes those bounded draws from one
-block of raw 32-bit words (``_below``) and leaves the generator in the
-state the scalar draws would have left it in.
+grant's ``rng.integers(n)``, but computes those bounded draws in its
+grant loop, by Lemire's method, from one block of raw 32-bit words, and
+leaves the generator in the state the scalar draws would have left it in.
 """
 
 from __future__ import annotations
@@ -29,47 +29,6 @@ def _advance(rng: np.random.Generator, size: int) -> np.ndarray:
     """Move the generator past its next ``size`` raw 32-bit words, and
     return them, in order, as an array."""
     return rng.integers(0, _WORDS, size=size, dtype=np.uint32)
-
-
-def _below(
-    n: int, words: list[int], used: int, rng: np.random.Generator
-) -> tuple[int, int]:
-    """``rng.integers(n)`` for 1 <= n <= 2**32, computed from raw words.
-
-    Returns the draw and the number of words of ``words`` used after it;
-    the draw reads ``words[used:]``, and when those run out, which only a
-    rejection can cause, another block is drawn from ``rng`` onto the end
-    of ``words``.  Three facts about numpy's ``Generator`` make the value
-    equal to the scalar draw:
-
-    - ``integers(n)`` with 1 < n <= 2**32 is Lemire's bounded method
-      (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
-      2019) on the bit generator's ``next_uint32`` words: take x = word * n,
-      and while the low 32 bits of x are below (2**32 - n) % n, take x from
-      the next word; the draw is x >> 32.  The threshold is below n, so
-      the modulo is needed only when the low bits are below n;
-    - n = 1 consumes no word;
-    - ``integers(0, 2**32, size=s, dtype=np.uint32)`` (``_advance``)
-      returns exactly the next s of those words, in order, whatever the
-      size of the blocks they are drawn in.
-
-    So a stream of draws reads a prefix of the words, and the generator
-    ends where the scalar draws would have left it if the caller saves
-    ``rng.bit_generator.state`` before drawing the first block and, after
-    the last draw, restores it and draws exactly ``used`` words.  The
-    state holds any buffered half of a 64-bit output, so this holds for
-    either parity of earlier 32-bit draws.
-    """
-    if n == 1:
-        return 0, used
-    while True:
-        if used == len(words):
-            words += _advance(rng, len(words) + 1).tolist()
-        x = words[used] * n
-        used += 1
-        low = x & _LOW
-        if low >= n or low >= (_WORDS - n) % n:
-            return x >> 32, used
 
 
 def best_effort_allocate(s: Scenario, ch: ChannelRealization) -> Matching:
@@ -151,11 +110,28 @@ def random_allocate(
 
     The order is ``rng.permutation(M)``, and each grant among n eligible
     demanders takes the one at ``rng.integers(n)``.  Those draws are made
-    from one block of M raw 32-bit words, drawn once after the
-    permutation, by ``_below``, whose first test is made inline; at the
-    end the generator is rewound and moved past exactly the words the
-    draws used, so both the draws and its final state equal those of one
-    scalar ``rng.integers`` per grant.
+    in the grant loop from one block of M raw 32-bit words, drawn once
+    after the permutation, and the generator ends where one scalar
+    ``rng.integers(n)`` per grant would have left it.  Three facts about
+    numpy's ``Generator`` make it so:
+
+    - ``integers(n)`` with 1 < n <= 2**32 is Lemire's bounded method
+      (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+      2019) on the bit generator's ``next_uint32`` words: take x = word * n,
+      and while the low 32 bits of x are below (2**32 - n) % n, take x from
+      the next word; the draw is x >> 32.  The threshold is below n, so
+      the modulo is needed only when the low bits are below n;
+    - n = 1 consumes no word;
+    - ``integers(0, 2**32, size=s, dtype=np.uint32)`` (``_advance``)
+      returns exactly the next s of those words, in order, whatever the
+      size of the blocks they are drawn in.
+
+    So the draws read a prefix of the words; when the block runs out,
+    which only a rejection can cause, the loop draws another onto its end.
+    At the end the generator is restored to its state before the first
+    block and moved past exactly the words used.  That state holds any
+    buffered half of a 64-bit output, so this holds for either parity of
+    earlier 32-bit draws.
     """
     t, r_flat, budgets, demands = _flat_view(s, ch)
     axes = range(len(ch.demander_ids))
@@ -193,19 +169,16 @@ def random_allocate(
         eligible = eligible_in[tier_of[m]]
         if not eligible:
             continue
-        n = len(eligible)
-        if n == 1:
-            j = eligible[0]  # as _below(1): no word used
-        else:
-            # _below's first test, inline: it accepts a word whose product
-            # x = word * n has low 32 bits of at least n.  Any other word,
-            # and a block of words used up, go to _below
-            x = words[used] * n if used < len(words) else 0
-            if x & _LOW >= n:
-                j, used = eligible[x >> 32], used + 1
-            else:
-                pick, used = _below(n, words, used, rng)
-                j = eligible[pick]
+        # the draw is x >> 32; one eligible demander takes draw 0, no word
+        n, x = len(eligible), 0
+        while n > 1:
+            if used == len(words):
+                words += _advance(rng, len(words) + 1).tolist()
+            x = words[used] * n
+            used += 1
+            if x & _LOW >= n or x & _LOW >= (_WORDS - n) % n:
+                break
+        j = eligible[x >> 32]
         holder[m] = j
         rate_j = rate[j] = rate[j] + rate_of[m, j]
         cost_j = cost[j] = cost[j] + price[m]

@@ -39,7 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .propagation import ChannelRealization, gamma_tensor
-from .scenario import BandKind, BrbKey, BrbTable, Scenario, _write_csv
+from .scenario import BandKind, BrbKey, BrbTable, Scenario, _ReadOnlyArrays, _write_csv
 
 __all__ = [
     "Matching",
@@ -59,18 +59,20 @@ class InconsistentMatchingError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Matching:
+class Matching(_ReadOnlyArrays):
     """Result of an allocation scheme, over one scenario's BRB table.
 
     ``holder[k]`` is the demander axis (position in ``demander_ids``)
     holding the table's BRB ``k``, or -1 where the BRB is free, so no BRB
-    can have two holders.  ``rate_bps`` and ``cost``, keyed by demander
-    id, carry the scheme's own running totals; they must agree with a
-    recomputation from the channel realization.  ``rounds`` and
-    ``proposals`` count the proposal rounds and individual proposals the
-    scheme used (zero for one-shot schemes).  ``assigned`` (demander id
-    to the keys of its BRBs) and ``owner_of`` (held BRB's key to its
-    demander id) are read-only views built on first use.
+    can have two holders; it is read-only, also in a pickled or copied
+    matching.  ``rate_bps`` and ``cost``, keyed by demander id, carry the
+    scheme's own running totals; they must agree with a recomputation
+    from the channel realization.  ``rounds`` and ``proposals`` count the
+    proposal rounds and individual proposals the scheme used (zero for
+    one-shot schemes).  ``assigned`` (demander id to the keys of its BRBs)
+    and ``owner_of`` (held BRB's key to its demander id) are read-only
+    views built on first use, and built anew in a pickled or copied
+    matching.
     """
 
     table: BrbTable = field(repr=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ConfigError, Scenario, _write_csv
+from .scenario import ConfigError, Scenario, _ReadOnlyArrays, _write_csv
 
 __all__ = [
     "ChannelRealization",
@@ -32,7 +32,7 @@ MIN_MODEL_DISTANCE_M = 1.0
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(_ReadOnlyArrays):
     """One draw of linear power gains for every (anchor, BRB, demander).
 
     ``gains[i, n, j]`` is the gain from anchor axis ``i`` to demander axis
@@ -47,7 +47,7 @@ class ChannelRealization:
     noise and bandwidths its rates fold in; ``radio`` records those, as
     ``Scenario.radio`` gives them, and the schemes and audits reject
     the realization for other anchors, demanders, bands or radio settings.
-    Arrays are read-only.
+    Arrays are read-only, also in a pickled or copied realization.
     """
 
     gains: np.ndarray
@@ -141,8 +141,8 @@ def realize_channels(s: Scenario, rng: np.random.Generator) -> ChannelRealizatio
             f" {s.mmw_band.brb_bandwidth_hz!r} and {s.sub6_band.brb_bandwidth_hz!r} Hz)"
             " overflow them or their sum"
         )
-    gains.setflags(write=False)
-    rates.setflags(write=False)
+    for a in (gains, rates, los):
+        a.setflags(write=False)
     return ch
 
 

@@ -23,6 +23,7 @@ import enum
 import functools
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
+# the largest finite float; an int beyond it is as unusable as infinity
+_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -118,8 +121,25 @@ class Sub6Params:
 BrbKey = tuple[int, int, int]
 
 
+class _ReadOnlyArrays:
+    """The base of a frozen dataclass whose arrays stay read-only in its
+    pickled and copied twins.  A twin's state is the fields alone, so it
+    builds its cached terms anew rather than copying them: a cached
+    ``MappingProxyType`` view would not pickle."""
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        # an unpickled or deep-copied array is writable
+        for v in state.values():
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
+        vars(self).update(state)
+
+
 @dataclass(frozen=True, eq=False)
-class BrbTable:
+class BrbTable(_ReadOnlyArrays):
     """The canonical BRB axis of one deployment shape, as parallel arrays.
 
     Flat index ``k`` names the BRB of anchor axis ``k // N`` (station
@@ -152,12 +172,6 @@ class BrbTable:
     tier_of: tuple[int, ...]
     class_order: tuple[int, ...]
     class_runs: tuple[tuple[int, ...], ...]
-
-    def __setstate__(self, state):
-        # an unpickled or deep-copied array is writable
-        for a in (state["price"], state["tier"], state["tie_order"]):
-            a.setflags(write=False)
-        vars(self).update(state)
 
 
 class _ReadOnlyDict(dict):
@@ -348,10 +362,11 @@ class GenerationConfig:
 
 
 def _check_generation_config(cfg: GenerationConfig) -> None:
-    """What must hold before the draw: the station counts, finite values,
-    and the positive area and sub-6 carrier that ``rng.uniform`` and
-    :func:`friis_reference_loss_db` need.  :func:`validate_scenario`
-    checks everything else on the scenario drawn."""
+    """What must hold before the draw: the station counts, numbers in the
+    float range, and the positive area and sub-6 carrier that
+    ``rng.uniform`` and :func:`friis_reference_loss_db` need.
+    :func:`validate_scenario` checks everything else on the scenario
+    drawn."""
     if cfg.num_anchors < 1:
         raise ConfigError(f"need at least one anchor, got {cfg.num_anchors}")
     if cfg.num_anchors >= cfg.num_stations:
@@ -361,7 +376,7 @@ def _check_generation_config(cfg: GenerationConfig) -> None:
         )
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if isinstance(v, float) and not math.isfinite(v):
+        if isinstance(v, (int, float)) and not _finite(v):
             raise ConfigError(f"{f.name} must be finite, got {v}")
     for name in ("area_side_m", "sub6_center_frequency_hz"):
         if getattr(cfg, name) <= 0:
@@ -453,9 +468,16 @@ def resample_positions(s: Scenario, rng: np.random.Generator) -> Scenario:
     return out
 
 
+def _finite(v: float) -> bool:
+    """``v``, a float or an int, lies in the float range (false for NaN).
+    Python compares an int with a float exactly, so an int beyond the range
+    is rejected here rather than overflowing a conversion."""
+    return -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
 def _positive(v: float) -> bool:
-    """``v`` is a positive finite number (false for NaN)."""
-    return 0 < v < math.inf
+    """``v`` is a positive number in the float range (false for NaN)."""
+    return 0 < v <= _FLOAT_MAX
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -476,8 +498,8 @@ def validate_scenario(s: Scenario) -> list[str]:
             problems.append(f"station id {st.id} lies outside the signed 64-bit range")
         if not (0.0 <= st.x_m <= s.area_side_m and 0.0 <= st.y_m <= s.area_side_m):
             problems.append(f"station {st.id} lies outside the deployment square")
-    # every check below is written to fail for NaN, and _positive also
-    # rejects infinity
+    # every check below is written to fail for NaN, and each check of a
+    # real number rejects infinity and an int beyond the float range
     for kind, band in zip(BandKind, (s.mmw_band, s.sub6_band)):
         if band.num_brbs < 0:
             problems.append(f"{kind.value} BRB count must be non-negative")
@@ -496,9 +518,9 @@ def validate_scenario(s: Scenario) -> list[str]:
         ("mmw ref_loss_db", s.mmw_pathloss.ref_loss_db),
         ("sub6 ref_loss_db", s.sub6_pathloss.ref_loss_db),
     ):
-        if not math.isfinite(v):
+        if not _finite(v):
             problems.append(f"{name} must be finite, got {v}")
-    if math.isfinite(s.noise_power_dbm) and not _positive(s.noise_power_w):
+    if _finite(s.noise_power_dbm) and not _positive(s.noise_power_w):
         problems.append(
             f"noise_power_dbm {s.noise_power_dbm} gives no positive, finite noise power"
         )
@@ -509,7 +531,7 @@ def validate_scenario(s: Scenario) -> list[str]:
         for a, per_band in s.prices.items():
             if set(per_band) != {BandKind.MMWAVE, BandKind.SUB6}:
                 problems.append(f"anchor {a} must price exactly the two bands")
-            elif not all(0 <= p < math.inf for p in per_band.values()):
+            elif not all(0 <= p <= _FLOAT_MAX for p in per_band.values()):
                 problems.append(
                     f"anchor {a} has a negative or non-finite price "
                     "(prices must be non-negative and finite)"
@@ -524,7 +546,7 @@ def validate_scenario(s: Scenario) -> list[str]:
                     problems.append(f"{name}[{d}] must be positive and finite, got {v}")
     if not _positive(s.mmw_pathloss.slope):
         problems.append("mmw pathloss slope must be positive and finite")
-    if not 0 <= s.mmw_pathloss.shadow_sigma_db < math.inf:
+    if not 0 <= s.mmw_pathloss.shadow_sigma_db <= _FLOAT_MAX:
         problems.append("mmw shadowing sigma must be non-negative and finite")
     if not 0.0 <= s.mmw_pathloss.blockage_prob <= 1.0:
         problems.append("mmw blockage probability must lie in [0, 1]")

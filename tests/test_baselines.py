@@ -8,8 +8,8 @@ import pytest
 import reference_model as ref
 
 from scbn import baselines
-from scbn.baselines import _advance, _below, best_effort_allocate, random_allocate
-from scbn.matching import recompute_totals
+from scbn.baselines import _advance, best_effort_allocate, random_allocate
+from scbn.matching import _flat_view, recompute_totals
 from scbn.propagation import rate_tensor, realize_channels
 from scbn.scenario import (
     Band,
@@ -270,19 +270,18 @@ _BIT_GENERATORS = (
 )
 
 
-def _draws_from_words(rng, bounds, block):
-    """``rng.integers(n)`` for each n of ``bounds``, made as
-    ``random_allocate`` makes them: from a block of ``block`` raw words,
-    after which the generator is rewound and moved past the words used."""
-    start = rng.bit_generator.state
-    words = _advance(rng, block).tolist()
-    used, drawn = 0, []
-    for n in bounds:
-        value, used = _below(n, words, used, rng)
-        drawn.append(value)
-    rng.bit_generator.state = start
-    _advance(rng, used)
-    return drawn, len(words)
+def _lemire(n, words, used):
+    """``rng.integers(n)`` by Lemire's rule over ``words[used:]``, and the
+    number of words used after it: take x = word * n until the low 32 bits
+    of x are at least (2**32 - n) % n; the draw is x >> 32.  n = 1 uses no
+    word."""
+    if n == 1:
+        return 0, used
+    while True:
+        x = words[used] * n
+        used += 1
+        if x % 2**32 >= (2**32 - n) % n:
+            return x >> 32, used
 
 
 _BOUNDS = {
@@ -299,48 +298,131 @@ _BOUNDS = {
 @pytest.mark.parametrize("earlier", [2, 3], ids=["even", "odd"])
 @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS, ids=lambda g: g.__name__)
 def test_draws_from_raw_words_equal_scalar_draws(bit_generator, earlier, bounds):
-    # an odd number of earlier 32-bit draws leaves half of a 64-bit output
+    # The rule that the crafted streams below are checked by, and that
+    # random_allocate follows, held to numpy's scalar draws.  Under real
+    # bit generators random_allocate rejects a word with probability below
+    # n / 2**32; these bounds reject every second or fourth word.  An odd
+    # number of earlier 32-bit draws leaves half of a 64-bit output
     # buffered in the state of the 64-bit generators
     rng_words, rng_scalar = (np.random.Generator(bit_generator(17)) for _ in range(2))
     for rng in (rng_words, rng_scalar):
         rng.integers(0, 2**32, size=earlier, dtype=np.uint32)
-    drawn, _ = _draws_from_words(rng_words, bounds, len(bounds))
+    start = rng_words.bit_generator.state
+    words = _advance(rng_words, 4 * len(bounds)).tolist()
+    used, drawn = 0, []
+    for n in bounds:
+        value, used = _lemire(n, words, used)
+        drawn.append(value)
     assert drawn == [int(rng_scalar.integers(n)) for n in bounds]
+    rng_words.bit_generator.state = start
+    _advance(rng_words, used)
     # array-aware: MT19937's state holds an ndarray
     np.testing.assert_equal(rng_words.bit_generator.state, rng_scalar.bit_generator.state)
+
+
+def _scalar_replay(s, ch, rng):
+    """``random_allocate`` with one scalar ``rng.integers(n)`` per grant:
+    the holders and the rate and cost totals, by demander axis."""
+    t, r_flat, budgets, demands = _flat_view(s, ch)
+    axes = range(len(ch.demander_ids))
+    holder, rate, cost = [-1] * len(t.price), [0.0 for _ in axes], [0.0 for _ in axes]
+    for m in rng.permutation(len(t.price)).tolist():
+        price = t.price_of[m]
+        eligible = [j for j in axes if rate[j] < demands[j] and cost[j] + price <= budgets[j]]
+        if eligible:
+            j = holder[m] = eligible[int(rng.integers(len(eligible)))]
+            rate[j] += float(r_flat[m, j])
+            cost[j] += price
+    return holder, rate, cost
+
+
+def _assert_equals_scalar_replay(s, ch, bit_generator, seed, earlier=0):
+    """``random_allocate`` under ``bit_generator(seed)``, after ``earlier``
+    32-bit draws, gives the holders, the bits of the totals and the final
+    generator state of the scalar replay.  Returns the matching."""
+    rng_words, rng_scalar = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for rng in (rng_words, rng_scalar):
+        rng.integers(0, 2**32, size=earlier, dtype=np.uint32)
+    m = random_allocate(s, ch, rng_words)
+    holder, rate, cost = _scalar_replay(s, ch, rng_scalar)
+    assert m.holder.tolist() == holder
+    assert [v.hex() for v in m.rate_bps.values()] == [v.hex() for v in rate]
+    assert [v.hex() for v in m.cost.values()] == [v.hex() for v in cost]
+    # array-aware: MT19937's state holds an ndarray
+    np.testing.assert_equal(rng_words.bit_generator.state, rng_scalar.bit_generator.state)
+    return m
+
+
+_SHAPES = {
+    # tight money: grants among one, some and all five demanders, and
+    # blocks nobody can take
+    "small": (
+        GenerationConfig(
+            num_stations=7, num_anchors=2, num_mmw_brbs=10, num_sub6_brbs=6,
+            demand_bps=3e8, budget=4.0, mmw_price=0.5, sub6_price=1.5, area_side_m=500.0,
+        ),
+        range(6),
+    ),
+    "reference": (GenerationConfig(mmw_blockage_prob=0.4), range(2)),
+}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+@pytest.mark.parametrize("earlier", [2, 3], ids=["even", "odd"])
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS, ids=lambda g: g.__name__)
+def test_random_allocation_equals_a_scalar_replay(bit_generator, earlier, shape):
+    cfg, seeds = _SHAPES[shape]
+    for seed in seeds:
+        s = generate_scenario(cfg, seed=seed)
+        ch = realize_channels(s, np.random.default_rng(seed))
+        _assert_equals_scalar_replay(s, ch, bit_generator, seed, earlier)
 
 
 @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS, ids=lambda g: g.__name__)
-def test_a_word_block_that_runs_out_is_followed_by_another(bit_generator):
-    bounds = _BOUNDS["small"] + _BOUNDS["2**31+1"]
-    rng_words, rng_scalar = (np.random.Generator(bit_generator(23)) for _ in range(2))
-    drawn, words_drawn = _draws_from_words(rng_words, bounds, 3)
-    assert words_drawn > 3
-    assert drawn == [int(rng_scalar.integers(n)) for n in bounds]
-    # array-aware: MT19937's state holds an ndarray
-    np.testing.assert_equal(rng_words.bit_generator.state, rng_scalar.bit_generator.state)
+def test_a_word_block_that_runs_out_is_followed_by_another(monkeypatch, bit_generator):
+    # a first block of 3 words in place of M: the draws run it out, and
+    # each refill draws one more word than the words drawn so far
+    sizes: list[int] = []
+
+    def short_first_block(rng, size):
+        sizes.append(size)
+        return _advance(rng, 3 if len(sizes) == 1 else size)
+
+    monkeypatch.setattr(baselines, "_advance", short_first_block)
+    s = generate_scenario(GenerationConfig(), seed=3)
+    ch = realize_channels(s, np.random.default_rng(3))
+    _assert_equals_scalar_replay(s, ch, bit_generator, 23)
+    assert sizes[1:4] == [4, 8, 16]
 
 
-def test_a_draw_below_one_consumes_no_word():
-    rng = np.random.Generator(np.random.PCG64(5))
-    start = rng.bit_generator.state
-    words: list[int] = []
-    assert _below(1, words, 0, rng) == (0, 0)
-    assert words == []
-    np.testing.assert_equal(rng.bit_generator.state, start)
+def test_a_grant_with_one_eligible_demander_uses_no_word(monkeypatch):
+    s = _scenario([(0, 0)], [(10, 0)], n1=4, n2=2)
+    ch = realize_channels(s, np.random.default_rng(0))
+    sizes: list[int] = []
+
+    def counted(rng, size):
+        sizes.append(size)
+        return _advance(rng, size)
+
+    monkeypatch.setattr(baselines, "_advance", counted)
+    m = _assert_equals_scalar_replay(s, ch, np.random.PCG64, 1)
+    assert m.holder.tolist() == [0] * 6
+    # the block of M words, then the rewind past none of them
+    assert sizes == [6, 0]
 
 
-# With three demanders eligible for every block, each grant is _below(3):
-# a word is rejected when the low 32 bits of word * 3 are below
-# (2**32 - 3) % 3 = 1, so exactly when it is 0.  0xAAAAAAAB * 3 has low
-# bits 1, which the inline test (low >= n) passes to _below, and _below
-# accepts.  Four blocks draw a first block of four words; a refill draws
-# one more word than the block it follows.
+# With three demanders eligible for every block, each grant draws
+# integers(3): a word is rejected when the low 32 bits of word * 3 are
+# below (2**32 - 3) % 3 = 1, so exactly when it is 0.  0xAAAAAAAB * 3 has
+# low bits 1, below n but not below the threshold, so it is accepted.
+# Four blocks draw a first block of four words; a refill draws one more
+# word than the block it follows.
 _CRAFTED_WORDS = {
-    # the fourth rejection uses up the first block inside _below
+    # the fourth rejection uses up the first block, inside a run of
+    # rejections
     "refill-inside-below": [0, 0, 0, 0, 2**31, 0xAAAAAAAB, 0, 3 * 2**30, 1 << 30],
     # the first grant ends on the block's last word, so the second finds
-    # the words used up before its first test
+    # the words used up before it reads one
     "refill-before-a-grant": [0, 0, 0, 2**31, 0xAAAAAAAB, 0, 3 * 2**30, 1 << 30],
 }
 
@@ -359,10 +441,10 @@ def test_random_allocation_draws_through_rejections_and_refills(monkeypatch, str
     monkeypatch.setattr(baselines, "_advance", crafted)
     m = random_allocate(s, ch, np.random.default_rng(1))
 
-    # _below over the whole stream at once, which never runs out of words
+    # Lemire's rule over the whole stream at once, which never runs out
     picks, used = [], 0
     for _ in range(4):
-        pick, used = _below(3, stream, used, None)
+        pick, used = _lemire(3, stream, used)
         picks.append(pick)
     assert 0 in picks and 2 in picks  # both halves of a product's range
     holder = [-1] * 4

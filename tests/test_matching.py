@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 import csv
 import gc
 import math
 import operator
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -686,6 +688,32 @@ def test_brb_table_is_read_only():
     for array in (t.price, t.tier, t.tie_order):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+@pytest.mark.parametrize(
+    "twin",
+    [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_twins_of_a_matching_its_table_and_its_realization_keep_read_only_arrays(twin):
+    s = generate_scenario(GenerationConfig(num_stations=4, num_anchors=1), seed=0)
+    ch = realize_channels(s, np.random.default_rng(0))
+    m = run_matching(s, ch, 0.0)
+    # the views are cached on first use; a twin builds its own
+    views = m.owner_of, m.assigned
+    assert views[0]
+    for obj, names in (
+        (m, ("holder",)),
+        (m.table, ("price", "tier", "tie_order")),
+        (ch, ("gains", "rates", "los")),
+    ):
+        t = twin(obj)
+        for name in names:
+            for a in (getattr(obj, name), getattr(t, name)):
+                assert not a.flags.writeable
+            np.testing.assert_array_equal(getattr(t, name), getattr(obj, name))
+    t = twin(m)
+    assert (t.owner_of, t.assigned) == views
 
 
 def _outcomes(s, ch, audited):

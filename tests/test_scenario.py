@@ -105,33 +105,46 @@ def test_generate_rejects_bad_config(kwargs, fragment):
     assert fragment in str(err.value)
 
 
+# an int beyond the float range is no more finite than inf: float() and
+# math.isfinite() raise OverflowError for it
+_BEYOND_FLOATS = pytest.param(10**400, id="10**400")
+
+
 @pytest.mark.parametrize(
     "field",
     ["budget", "demand_bps", "mmw_price", "sub6_price", "mmw_brb_bandwidth_hz",
-     "sub6_center_frequency_hz", "tx_power_w", "area_side_m", "noise_power_dbm"],
+     "sub6_center_frequency_hz", "tx_power_w", "area_side_m", "noise_power_dbm",
+     "mmw_ref_loss_db", "sub6_ref_loss_db", "mmw_pathloss_slope", "mmw_shadow_sigma_db"],
 )
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, _BEYOND_FLOATS])
 def test_generate_rejects_a_non_finite_value(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         generate_scenario(GenerationConfig(**{field: value}), seed=0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, _BEYOND_FLOATS])
 def test_validate_reports_non_finite_budgets_demands_and_prices(value):
     s = generate_scenario(GenerationConfig(), seed=0)
     d, a = s.demander_ids[0], s.anchor_ids[0]
+    # reported, not raised
+    assert validate_scenario(dataclasses.replace(s, budgets={**s.budgets, d: value})) == [
+        f"budgets[{d}] must be positive and finite, got {value}"
+    ]
     bad = dataclasses.replace(
         s,
         budgets={**s.budgets, d: value},
         demands_bps={**s.demands_bps, d: value},
         prices={**s.prices, a: {BandKind.MMWAVE: value, BandKind.SUB6: 1.0}},
         tx_power_w=value,
+        noise_power_dbm=value,
         mmw_band=dataclasses.replace(s.mmw_band, brb_bandwidth_hz=value),
+        mmw_pathloss=dataclasses.replace(s.mmw_pathloss, shadow_sigma_db=value),
     )
     problems = " ".join(validate_scenario(bad))
     for fragment in (
         f"budgets[{d}]", f"demands_bps[{d}]", f"anchor {a} has a negative or non-finite price",
-        "tx_power_w", "mmwave BRB bandwidth",
+        "tx_power_w", "noise_power_dbm must be finite", "mmwave BRB bandwidth",
+        "mmw shadowing sigma",
     ):
         assert fragment in problems
 
